@@ -8,6 +8,12 @@ carrying fast structure (from wire-resonant clusters and the J band):
 a coarse envelope grid locates the peak region, a fine grid resolves the
 cluster-scale alignment factor, and a dense bare-J window sweep with a
 golden-section polish nails the maximum through the band-scale ripple.
+
+Every grid (scan, coarse pass, window sweep, battery samples) is evaluated
+as one array call: `propagator_block` builds the (T, rows, cols) stack of
+propagator blocks chunk by chunk over the time axis, and `fermion_prob` /
+`boson_prob` reduce a whole stack at once.  Only the golden polish goes
+one time at a time, through the same kernel.
 """
 
 from __future__ import annotations
@@ -24,6 +30,7 @@ from . import perturbation
 DET_DIM_CAP = 64
 PERM_DIM_CAP = 12
 PROB_TOL = 1e-9
+CHUNK_ELEMENTS = 1 << 13            # complex numbers per time chunk of a batched product
 
 COARSE_POINTS_PER_SLOW_PERIOD = 20  # coarse spacing pi/(20 delta*)
 FINE_POINTS_PER_FAST_PERIOD = 40    # fine spacing pi/(40 delta_max)
@@ -36,7 +43,7 @@ GOLDEN_ITERS = 60
 
 
 class NumericalConsistencyError(RuntimeError):
-    """A computed probability left [0, 1] beyond tolerance."""
+    """A computed probability was non-finite or left [0, 1] beyond tolerance."""
 
 
 @dataclass(frozen=True)
@@ -80,19 +87,46 @@ class PeakReport:
     delta_max: float
 
 
+def propagator_block(dec: SpectralDecomposition, rows, cols, times) -> np.ndarray:
+    """F(t) on the sites rows x cols for every t in a 1-D time array.
+
+    rows and cols are 0-based site indices; the result has shape
+    (T, len(rows), len(cols)) with entry [k, a, b] = f_{rows[a]+1}^{cols[b]+1}(times[k]).
+    This is the one place eigenvectors meet phases.  Each time evaluates
+    the same expression (V_rows * phases(t)) @ V_cols^T, so a point agrees
+    with the same point inside a grid; the (times, rows, N) intermediate is
+    built one chunk of about CHUNK_ELEMENTS complex numbers at a time, so
+    scratch memory does not grow with the grid.
+    """
+    times = np.asarray(times, dtype=float)
+    if times.ndim != 1:
+        raise ValueError("times must be one-dimensional")
+    left = dec.eigenvectors[rows, :]
+    right = dec.eigenvectors[cols, :].T
+    out = np.empty((len(times), len(left), right.shape[1]), dtype=complex)
+    for part in time_chunks(len(times), left.size):
+        out[part] = (left * dec.phases(times[part])[:, None, :]) @ right
+    return out
+
+
+def time_chunks(n_times: int, width: int) -> list[slice]:
+    """Consecutive slices of a time axis, each carrying about CHUNK_ELEMENTS
+    complex numbers when every time point carries `width` of them."""
+    step = max(1, CHUNK_ELEMENTS // max(1, width))
+    return [slice(start, start + step) for start in range(0, n_times, step)]
+
+
 def amplitude(dec: SpectralDecomposition, i: int, j: int, t: float) -> complex:
     """f_i^j(t) as the full sum over eigenmodes, 1-based sites."""
     n = dec.n
     if not (1 <= i <= n and 1 <= j <= n):
         raise IndexError(f"site indices must lie in 1..{n}, got ({i}, {j})")
-    phases = dec.phases(t)
-    return complex(np.sum(phases * dec.eigenvectors[j - 1] * dec.eigenvectors[i - 1]))
+    return complex(propagator_block(dec, [i - 1], [j - 1], [t])[0, 0, 0])
 
 
 def amplitude_matrix(dec: SpectralDecomposition, t: float) -> AmplitudeMatrix:
-    phases = dec.phases(t)
-    f = (dec.eigenvectors * phases) @ dec.eigenvectors.T
-    return AmplitudeMatrix(t=float(t), entries=f)
+    sites = np.arange(dec.n)
+    return AmplitudeMatrix(t=float(t), entries=propagator_block(dec, sites, sites, [t])[0])
 
 
 def sr_submatrix(f: AmplitudeMatrix, n_s: int) -> np.ndarray:
@@ -107,57 +141,97 @@ def sr_submatrix(f: AmplitudeMatrix, n_s: int) -> np.ndarray:
     return f.entries[:n_s, n - n_s:][:, ::-1]
 
 
-def fermion_prob(sub: np.ndarray) -> float:
-    """|det|^2 via complex LU with partial pivoting."""
+def _square_stack(sub, cap: int, name: str) -> np.ndarray:
+    """A (T, n, n) complex copy of one square block or a stack of them."""
     a = np.array(sub, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if a.ndim not in (2, 3) or a.shape[-1] != a.shape[-2]:
         raise ValueError("submatrix must be square")
-    n = len(a)
-    if n > DET_DIM_CAP:
-        raise ValueError(f"determinant capped at {DET_DIM_CAP}, got {n}")
-    det = 1.0 + 0.0j
+    n = a.shape[-1]
+    if n > cap:
+        raise ValueError(f"{name} capped at {cap}, got {n}")
+    return a.reshape(-1, n, n)
+
+
+def _like_input(p: np.ndarray, sub):
+    """A float for one block, the (T,) array for a stack."""
+    return float(p[0]) if np.ndim(sub) == 2 else p
+
+
+def _abs_squared(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    """|re + i im|^2 as libm hypot, then pow: the bits of the scalar
+    abs(z) ** 2, which numpy's vector complex abs and ** 2 do not always
+    reproduce."""
+    return np.float_power(np.hypot(re, im), 2)
+
+
+def fermion_prob(sub):
+    """|det|^2 via complex LU with partial pivoting.
+
+    Takes one (n, n) block (returns a float) or a (T, n, n) stack (returns
+    a (T,) array); the stack is eliminated in lockstep, each block with its
+    own pivots and the rounding of a single block.
+    """
+    a = _square_stack(sub, DET_DIM_CAP, "determinant")
+    count, n = len(a), a.shape[-1]
+    # the real and imaginary parts of det, multiplied out pivot by pivot
+    # with every real product rounded on its own, as the scalar complex
+    # product does (numpy's vector one may fuse them); row swaps only flip
+    # the sign of det, which |det|^2 ignores
+    re, im = np.ones(count), np.zeros(count)
+    singular = np.zeros(count, dtype=bool)
     for k in range(n):
-        p = k + int(np.argmax(np.abs(a[k:, k])))
-        if a[p, k] == 0:
-            return 0.0
-        if p != k:
-            a[[k, p]] = a[[p, k]]
-            det = -det
-        det *= a[k, k]
+        lead = np.argmax(np.abs(a[:, k:, k]), axis=1)
+        swap = np.flatnonzero(lead)
+        if len(swap):
+            lead = lead[swap] + k
+            row_k = a[swap, k]
+            a[swap, k] = a[swap, lead]
+            a[swap, lead] = row_k
+        pivot = a[:, k, k].copy()
+        zero = pivot == 0
+        if zero.any():
+            # a zero pivot (its whole column below is zero too) ends that
+            # block at det = 0; dividing by 1 keeps the lockstep finite
+            singular |= zero
+            pivot[zero] = 1.0
+        re, im = re * pivot.real - im * pivot.imag, re * pivot.imag + im * pivot.real
         if k + 1 < n:
-            a[k + 1:, k] /= a[k, k]
-            a[k + 1:, k + 1:] -= np.outer(a[k + 1:, k], a[k, k + 1:])
-    return float(abs(det) ** 2)
+            col = a[:, k + 1:, k]
+            col /= pivot[:, None]
+            a[:, k + 1:, k + 1:] -= col[:, :, None] * a[:, None, k, k + 1:]
+    p = _abs_squared(re, im)
+    p[singular] = 0.0
+    return _like_input(p, sub)
 
 
-def boson_prob(sub: np.ndarray) -> float:
-    """|perm|^2 via Ryser's formula with Gray-code subset updates."""
-    a = np.array(sub, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError("submatrix must be square")
-    n = len(a)
-    if n > PERM_DIM_CAP:
-        raise ValueError(f"permanent capped at {PERM_DIM_CAP}, got {n}")
+def boson_prob(sub):
+    """|perm|^2 via Ryser's formula with Gray-code subset updates.
+
+    Takes one (n, n) block (returns a float) or a (T, n, n) stack (returns
+    a (T,) array); every block follows the same subset sequence.
+    """
+    a = _square_stack(sub, PERM_DIM_CAP, "permanent")
+    count, n = len(a), a.shape[-1]
     if n == 0:
-        return 1.0
-    w = np.zeros(n, dtype=complex)
-    total = 0.0 + 0.0j
+        return _like_input(np.ones(count), sub)
+    w = np.zeros((count, n), dtype=complex)
+    total = np.zeros(count, dtype=complex)
     gray = 0
     for g in range(1, 1 << n):
         new_gray = g ^ (g >> 1)
         j = (new_gray ^ gray).bit_length() - 1
         if new_gray & (1 << j):
-            w += a[:, j]
+            w += a[:, :, j]
         else:
-            w -= a[:, j]
+            w -= a[:, :, j]
         gray = new_gray
         if gray.bit_count() % 2:
-            total -= np.prod(w)
+            total -= np.multiply.reduce(w, axis=1)
         else:
-            total += np.prod(w)
+            total += np.multiply.reduce(w, axis=1)
     if n % 2:
         total = -total
-    return float(abs(total) ** 2)
+    return _like_input(_abs_squared(total.real, total.imag), sub)
 
 
 def single_particle_bound(n_s: int, i: int, j: int) -> float:
@@ -173,46 +247,66 @@ def single_particle_bound(n_s: int, i: int, j: int) -> float:
 
 
 class SubmatrixEvaluator:
-    """Per-time sender-receiver submatrix from one fixed decomposition."""
+    """Sender-receiver submatrix from one fixed decomposition.
+
+    A scalar t gives the (n_s, n_s) block and float probabilities; a 1-D
+    time array gives the (T, n_s, n_s) stack and (T,) probability arrays.
+    """
 
     def __init__(self, dec: SpectralDecomposition, n_s: int):
         n = dec.n
         if not 1 <= n_s <= n // 2:
             raise ValueError(f"need 1 <= n_s <= N/2, got n_s={n_s}, N={n}")
         self.dec = dec
-        self.rows = dec.eigenvectors[:n_s, :]
+        self.rows = np.arange(n_s)
         # receiver sites ordered N, N-1, ..., N+1-n_s to put mirrors on the diagonal
-        self.cols = dec.eigenvectors[n - n_s:, :][::-1]
+        self.cols = np.arange(n - 1, n - 1 - n_s, -1)
         self.n_s = n_s
 
-    def submatrix(self, t: float) -> np.ndarray:
-        return (self.rows * self.dec.phases(t)) @ self.cols.T
+    def submatrix(self, t) -> np.ndarray:
+        t = np.asarray(t, dtype=float)
+        block = propagator_block(self.dec, self.rows, self.cols, t.reshape(-1))
+        return block.reshape(t.shape + block.shape[1:])
 
-    def p_fermion(self, t: float) -> float:
+    def p_fermion(self, t):
         return _checked_prob(fermion_prob(self.submatrix(t)))
 
-    def p_boson(self, t: float) -> float:
+    def p_boson(self, t):
         return _checked_prob(boson_prob(self.submatrix(t)))
 
 
-def _checked_prob(p: float) -> float:
-    if p < -PROB_TOL or p > 1.0 + PROB_TOL:
-        raise NumericalConsistencyError(f"probability {p} outside [0, 1] beyond tolerance")
-    return min(max(p, 0.0), 1.0)
+def _checked_prob(p):
+    """Clamp roundoff into [0, 1]; raise on NaN, inf or a real excursion.
+
+    A float gives a float, an array an array.
+    """
+    p = np.asarray(p, dtype=float)
+    bad = ~((p >= -PROB_TOL) & (p <= 1.0 + PROB_TOL))
+    if np.any(bad):
+        raise NumericalConsistencyError(
+            f"probability {p[bad].flat[0]} is not finite or lies outside [0, 1] "
+            "beyond tolerance")
+    p = np.clip(p, 0.0, 1.0)
+    return float(p) if p.ndim == 0 else p
 
 
-def scan_transfer(spec: ChainSpec, t_grid: np.ndarray) -> TransferCurve:
+def scan_transfer(spec: ChainSpec, t_grid: np.ndarray,
+                  dec: SpectralDecomposition | None = None) -> TransferCurve:
     """Fermion and boson transfer probabilities over an explicit time grid."""
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or (len(t_grid) > 1 and not np.all(np.diff(t_grid) > 0)):
         raise ValueError("time grid must be one-dimensional and strictly increasing")
-    ev = SubmatrixEvaluator(decompose_chain(spec), spec.n_s)
+    if dec is None:
+        dec = decompose_chain(spec)
+    ev = SubmatrixEvaluator(dec, spec.n_s)
     p_f = np.empty(len(t_grid))
     p_b = np.empty(len(t_grid))
-    for idx, t in enumerate(t_grid):
-        sub = ev.submatrix(t)
-        p_f[idx] = _checked_prob(fermion_prob(sub))
-        p_b[idx] = _checked_prob(boson_prob(sub))
+    # blocks are made and reduced chunk by chunk, so only the two
+    # probability curves grow with the grid
+    for part in time_chunks(len(t_grid), spec.n_s ** 2):
+        sub = ev.submatrix(t_grid[part])
+        p_f[part] = _checked_prob(fermion_prob(sub))
+        p_b[part] = _checked_prob(boson_prob(sub))
     return TransferCurve(times=t_grid, p_fermion=p_f, p_boson=p_b)
 
 
@@ -246,12 +340,13 @@ def _window_max(f, center: float, j: float) -> tuple[float, float]:
     also ripples with period ~ 2 pi / J, so the final candidate needs a
     sweep dense on that scale.  The golden polish is bracketed by one
     window step, inside which the curve is unimodal; the sampled maximum
-    wins if the polish lands lower.
+    wins if the polish lands lower.  f takes the whole window as one time
+    array, and single times during the polish.
     """
     half_window = PEAK_WINDOW_PERIODS * 2.0 * math.pi / j
     step = 2.0 * math.pi / (j * PEAK_POINTS_PER_PERIOD)
     grid = np.arange(max(0.0, center - half_window), center + half_window, step)
-    values = np.array([f(t) for t in grid])
+    values = f(grid)
     k = int(np.argmax(values))
     t, p = _golden_max(f, grid[max(0, k - 1)], grid[min(len(grid) - 1, k + 1)])
     if values[k] > p:
@@ -305,7 +400,7 @@ def plan_scan_grid(spec: ChainSpec, dec: SpectralDecomposition | None = None,
         horizon = HORIZON_FACTOR * math.pi / (2.0 * delta_slow)
     coarse = np.arange(0.0, horizon + 0.5 * coarse_step, coarse_step)
     ev = SubmatrixEvaluator(dec, spec.n_s)
-    p_coarse = np.array([ev.p_fermion(t) for t in coarse])
+    p_coarse = ev.p_fermion(coarse)
     centers = {
         float(coarse[int(np.argmax(p_coarse))]),
         min(horizon, math.pi / (2.0 * delta_slow)),
@@ -333,7 +428,7 @@ def find_transfer_peak(spec: ChainSpec, horizon: float | None = None) -> PeakRep
     dec = decompose_chain(spec)
     grid, meta = plan_scan_grid(spec, dec, horizon=horizon)
     ev = SubmatrixEvaluator(dec, spec.n_s)
-    curve = scan_transfer(spec, grid)
+    curve = scan_transfer(spec, grid, dec)
     k = int(np.argmax(curve.p_fermion))
     lo = grid[max(0, k - 1)]
     hi = grid[min(len(grid) - 1, k + 1)]
@@ -375,7 +470,7 @@ def scan_max_probability(spec: ChainSpec, t_max: float,
     if n_points > 200_000:
         step = t_max / 200_000
     grid = np.arange(0.0, t_max + 0.5 * step, step)
-    curve = scan_transfer(spec, grid)
+    curve = scan_transfer(spec, grid, dec)
     p = curve.p_fermion
     ev = SubmatrixEvaluator(dec, spec.n_s)
     interior = np.nonzero((p[1:-1] >= p[:-2]) & (p[1:-1] >= p[2:]))[0] + 1

@@ -19,10 +19,8 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
@@ -282,14 +280,12 @@ def cmd_scaling(args) -> int:
     base = ChainSpec(n_s=args.ns, n_w=20 * args.lmin + args.branch, j0=args.j0)
     lengths = [20 * l + args.branch for l in range(args.lmin, args.lmax + 1)]
 
-    def point(n_w: int):
+    rows = []
+    for n_w in lengths:
         spec = replace(base, n_w=n_w)
         tau_pred = predict_transfer_time(spec)
         peak = find_transfer_peak(spec)
-        return n_w, peak.t_fermion, tau_pred
-
-    with ThreadPoolExecutor(max_workers=max(1, args.threads)) as pool:
-        rows = list(pool.map(point, lengths))
+        rows.append((n_w, peak.t_fermion, tau_pred))
 
     log_nw = np.log([r[0] for r in rows])
     exponent_exact = float(np.polyfit(log_nw, np.log([r[1] for r in rows]), 1)[0])
@@ -316,9 +312,9 @@ def _oracle_suite() -> float:
                 ev = SubmatrixEvaluator(decompose_chain(spec), spec.n_s)
                 for statistics in ("fermion", "boson"):
                     probe = replace(spec, statistics=statistics)
-                    for t in times:
-                        p_amp = ev.p_fermion(t) if statistics == "fermion" else ev.p_boson(t)
-                        worst = max(worst, abs(p_amp - oracle_transfer_prob(probe, float(t))))
+                    p_amp = ev.p_fermion(times) if statistics == "fermion" else ev.p_boson(times)
+                    for t, p in zip(times, p_amp):
+                        worst = max(worst, abs(p - oracle_transfer_prob(probe, float(t))))
     return worst
 
 
@@ -528,8 +524,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lmax", type=int, default=5)
     p.add_argument("--branch", type=int, choices=(1, 17), default=1,
                    help="wire-length family n_w = 20*l + branch")
-    p.add_argument("--threads", type=int,
-                   default=int(os.environ.get("PPXFER_THREADS", "1")))
     _add_output_flag(p)
     p.set_defaults(func=cmd_scaling)
 

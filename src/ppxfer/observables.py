@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .amplitudes import SubmatrixEvaluator, plan_scan_grid
+from .amplitudes import SubmatrixEvaluator, plan_scan_grid, propagator_block, time_chunks
 from .chain import ChainSpec
 from .spectral import SpectralDecomposition, decompose_chain
 
@@ -37,7 +37,30 @@ class BatteryReport:
 
 def _sender_rows(dec: SpectralDecomposition, n_s: int, t: float) -> np.ndarray:
     """Amplitudes f_i^j(t) for senders i = 1..n_s to every site j."""
-    return (dec.eigenvectors[:n_s, :] * dec.phases(t)) @ dec.eigenvectors.T
+    return propagator_block(dec, np.arange(n_s), np.arange(dec.n), [t])[0]
+
+
+def _energy_sites(spec: ChainSpec) -> np.ndarray:
+    """0-based receiver sites in order, then the junction sites n_s, n_s+1
+    and n_s+n_w (1-based): every column the battery energies read."""
+    receivers = np.arange(spec.n_s + spec.n_w, spec.n_sites)
+    return np.concatenate([receivers, [spec.n_s - 1, spec.n_s, spec.n_s + spec.n_w - 1]])
+
+
+def _hop_energy(spec: ChainSpec, block: np.ndarray) -> np.ndarray:
+    """Receiver-bond hopping energy from a (T, n_s, _energy_sites) stack."""
+    recv = block[:, :, :spec.n_r]
+    overlaps = np.sum(np.conj(recv[:, :, :-1]) * recv[:, :, 1:], axis=1)
+    return np.sum(spec.j * overlaps.real, axis=1)
+
+
+def _switch_energy(spec: ChainSpec, block: np.ndarray) -> np.ndarray:
+    """Junction-bond hopping energy from a (T, n_s, _energy_sites) stack."""
+    first_receiver = block[:, :, 0]
+    last_sender, first_wire, last_wire = (block[:, :, spec.n_r + k] for k in range(3))
+    total = (np.sum(np.conj(last_sender) * first_wire, axis=1)
+             + np.sum(np.conj(last_wire) * first_receiver, axis=1))
+    return spec.j0 * total.real
 
 
 def occupation(spec: ChainSpec, t: float, site: int,
@@ -80,14 +103,8 @@ def interaction_energy(spec: ChainSpec, t: float,
     """
     if dec is None:
         dec = decompose_chain(spec)
-    rows = _sender_rows(dec, spec.n_s, t)
-    n = dec.n
-    first = n - spec.n_r + 1  # 1-based first receiver site
-    total = 0.0
-    for i in range(first, n):
-        overlap = np.sum(np.conj(rows[:, i - 1]) * rows[:, i])
-        total += (spec.j / 2.0) * 2.0 * float(overlap.real)
-    return total
+    block = propagator_block(dec, np.arange(spec.n_s), _energy_sites(spec), [t])
+    return float(_hop_energy(spec, block)[0])
 
 
 def switching_energy(spec: ChainSpec, tau: float,
@@ -100,15 +117,8 @@ def switching_energy(spec: ChainSpec, tau: float,
     """
     if dec is None:
         dec = decompose_chain(spec)
-    rows = _sender_rows(dec, spec.n_s, tau)
-    last_sender = spec.n_s            # 1-based junction sites
-    first_wire = spec.n_s + 1
-    last_wire = spec.n_s + spec.n_w
-    first_receiver = spec.n_s + spec.n_w + 1
-    total = 0.0 + 0.0j
-    total += np.sum(np.conj(rows[:, last_sender - 1]) * rows[:, first_wire - 1])
-    total += np.sum(np.conj(rows[:, last_wire - 1]) * rows[:, first_receiver - 1])
-    return (spec.j0 / 2.0) * 2.0 * float(total.real)
+    block = propagator_block(dec, np.arange(spec.n_s), _energy_sites(spec), [tau])
+    return float(_switch_energy(spec, block)[0])
 
 
 def battery_metrics(spec: ChainSpec, t_grid: np.ndarray | None = None) -> BatteryReport:
@@ -124,15 +134,17 @@ def battery_metrics(spec: ChainSpec, t_grid: np.ndarray | None = None) -> Batter
         t_grid, _ = plan_scan_grid(spec, dec)
     t_grid = np.asarray(t_grid, dtype=float)
     n_b = spec.n_r
-    ev = SubmatrixEvaluator(dec, spec.n_s)
+    senders = np.arange(spec.n_s)
+    sites = _energy_sites(spec)
     e_onsite = np.empty(len(t_grid))
     e_hop = np.empty(len(t_grid))
     d_sw = np.empty(len(t_grid))
-    for idx, t in enumerate(t_grid):
-        occ_b = float(np.sum(np.abs(ev.submatrix(t)) ** 2))
-        e_onsite[idx] = spec.h * (occ_b - n_b / 2.0)
-        e_hop[idx] = interaction_energy(spec, t, dec)
-        d_sw[idx] = switching_energy(spec, t, dec)
+    for part in time_chunks(len(t_grid), spec.n_s * len(sites)):
+        block = propagator_block(dec, senders, sites, t_grid[part])
+        occ_b = np.sum(np.abs(block[:, :, :n_b]) ** 2, axis=(1, 2))
+        e_onsite[part] = spec.h * (occ_b - n_b / 2.0)
+        e_hop[part] = _hop_energy(spec, block)
+        d_sw[part] = _switch_energy(spec, block)
     e_b = e_hop + e_onsite
     with np.errstate(divide="ignore", invalid="ignore"):
         p_s = np.where(t_grid > 0, e_b / t_grid, 0.0)

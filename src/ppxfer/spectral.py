@@ -48,13 +48,18 @@ class SpectralDecomposition:
     def n(self) -> int:
         return len(self.eigenvalues)
 
-    def phases(self, t: float) -> np.ndarray:
-        """exp(-i w_k t) for all levels, exact-conjugate over +/- pairs."""
+    def phases(self, t) -> np.ndarray:
+        """exp(-i w_k t) for all levels, exact-conjugate over +/- pairs.
+
+        A scalar t gives shape (N,); a time array of shape (T,) gives (T, N)
+        with the same per-element arithmetic, so row k is bitwise phases(t[k]).
+        """
+        t = np.asarray(t, dtype=float)[..., None]
         if self.bare_eigenvalues is None:
             return np.exp(-1j * self.eigenvalues * t)
         base = np.exp(-1j * self.bare_eigenvalues * t)
         if self.offset:
-            base = base * complex(np.exp(-1j * self.offset * t))
+            base = base * np.exp(-1j * self.offset * t)
         return base
 
 

@@ -15,12 +15,14 @@ from ppxfer import (
     scan_transfer,
 )
 from ppxfer.amplitudes import (
+    CHUNK_ELEMENTS,
     _checked_prob,
     amplitude,
     amplitude_matrix,
     boson_prob,
     fermion_prob,
     plan_scan_grid,
+    propagator_block,
     single_particle_bound,
     sr_submatrix,
 )
@@ -233,6 +235,45 @@ def test_boson_prob_matches_brute_force_permanent():
         assert boson_prob(m) == pytest.approx(expected, rel=1e-10, abs=1e-14)
 
 
+def brute_force_determinant(m):
+    n = len(m)
+    total = 0.0 + 0.0j
+    for sigma in itertools.permutations(range(n)):
+        inversions = sum(sigma[a] > sigma[b] for a in range(n) for b in range(a + 1, n))
+        term = -1.0 if inversions % 2 else 1.0
+        for i, j in enumerate(sigma):
+            term *= m[i, j]
+        total += term
+    return total
+
+
+def test_stacked_probabilities_match_brute_force_and_single_blocks():
+    # Stacks mix blocks that need row swaps (a zero leading entry), exactly
+    # singular blocks (a zero row, two equal columns) and regular ones; each
+    # entry must equal the brute-force value and, bitwise, the same block
+    # evaluated on its own.
+    rng = np.random.default_rng(17)
+    for n in (1, 2, 3, 4, 5):
+        stack = 0.4 * (rng.normal(size=(24, n, n)) + 1j * rng.normal(size=(24, n, n)))
+        stack[::3, 0, 0] = 0.0
+        stack[1::6, n - 1, :] = 0.0  # elimination meets an exactly zero pivot
+        if n > 1:
+            stack[2::6, :, 1] = stack[2::6, :, 0]
+        p_f = fermion_prob(stack)
+        p_b = boson_prob(stack)
+        assert p_f.shape == p_b.shape == (24,)
+        for k, m in enumerate(stack):
+            assert p_f[k] == pytest.approx(abs(brute_force_determinant(m)) ** 2,
+                                           rel=1e-10, abs=1e-14)
+            assert p_b[k] == pytest.approx(abs(brute_force_permanent(m)) ** 2,
+                                           rel=1e-10, abs=1e-14)
+            assert p_f[k] == fermion_prob(m)
+            assert p_b[k] == boson_prob(m)
+        assert np.all(p_f[1::6] == 0.0)
+        if n > 1:
+            assert np.all(p_f[2::6] < 1e-28)
+
+
 def test_boson_prob_rejects_non_square_and_oversized():
     with pytest.raises(ValueError):
         boson_prob(np.zeros((3, 2)))
@@ -248,6 +289,66 @@ def test_checked_prob_clamps_roundoff_and_flags_blowups():
         _checked_prob(1.0 + 1e-8)
     with pytest.raises(NumericalConsistencyError):
         _checked_prob(-1e-8)
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(NumericalConsistencyError):
+            _checked_prob(bad)
+        with pytest.raises(NumericalConsistencyError):
+            _checked_prob(np.array([0.5, bad, 0.25]))
+    clamped = _checked_prob(np.array([1.0 + 1e-10, -5e-10, 0.5]))
+    assert clamped.tolist() == [1.0, 0.0, 0.5]
+
+
+def direct_block(dec, rows, cols, t):
+    # V diag(exp(-i w t)) V^T from the full eigenvalues, one time at a time
+    f = dec.eigenvectors @ np.diag(np.exp(-1j * dec.eigenvalues * t)) @ dec.eigenvectors.T
+    return f[np.ix_(rows, cols)]
+
+
+@pytest.mark.parametrize("h", [0.0, 1.7])
+def test_propagator_block_matches_direct_construction(h):
+    # Random chains, times up to 1e6, and grids one short of, equal to and
+    # one past a chunk, so both a partial and a full last chunk are covered.
+    rng = np.random.default_rng(29)
+    for _ in range(3):
+        spec = ChainSpec(n_s=int(rng.integers(1, 4)), n_w=int(rng.integers(2, 12)),
+                         j0=float(rng.uniform(0.01, 0.1)), h=h)
+        dec = decompose_chain(spec)
+        rows = np.arange(spec.n_s)
+        cols = rng.permutation(dec.n)[:5]
+        chunk = CHUNK_ELEMENTS // (len(rows) * dec.n)
+        # the direct route folds h into each level, so its phases carry a
+        # rounding error of ~eps * (1 + |h|) * t per level
+        tol = 8 * dec.n * np.finfo(float).eps * (1.0 + h) * 1e6
+        for length in (chunk - 1, chunk, chunk + 1):
+            times = np.sort(rng.uniform(0.0, 1e6, length))
+            block = propagator_block(dec, rows, cols, times)
+            assert block.shape == (length, len(rows), len(cols))
+            for k in (0, chunk - 2, length - 1):
+                assert np.max(np.abs(block[k] - direct_block(dec, rows, cols, times[k]))) < tol
+
+
+def test_propagator_block_rejects_non_vector_times():
+    dec = two_site_decomposition()
+    with pytest.raises(ValueError):
+        propagator_block(dec, [0], [1], np.zeros((2, 2)))
+
+
+def test_grid_evaluation_matches_point_by_point():
+    # One array call over a grid spanning several chunks against one call
+    # per time, for the scan curves and the evaluator's probabilities.
+    spec = ChainSpec(n_s=3, n_w=9, j0=0.05, h=0.4)
+    dec = decompose_chain(spec)
+    ev = SubmatrixEvaluator(dec, 3)
+    grid = np.linspace(0.0, 5e4, 3 * CHUNK_ELEMENTS // 9 + 5)
+    curve = scan_transfer(spec, grid, dec)
+    p_f = np.array([ev.p_fermion(t) for t in grid])
+    p_b = np.array([ev.p_boson(t) for t in grid])
+    assert np.max(np.abs(curve.p_fermion - p_f)) <= 1e-15
+    assert np.max(np.abs(curve.p_boson - p_b)) <= 1e-15
+    assert np.max(np.abs(ev.p_fermion(grid) - p_f)) <= 1e-15
+    blocks = ev.submatrix(grid)
+    for k in (0, 1, len(grid) // 2, len(grid) - 1):
+        assert np.max(np.abs(blocks[k] - ev.submatrix(grid[k]))) <= 1e-15
 
 
 def test_scan_transfer_validates_grid():

@@ -170,8 +170,7 @@ def test_perturbation_json_payload(capsys):
     assert multiplicities == [2, 2, 3]
 
 
-def test_scaling_small_family(capsys, monkeypatch):
-    monkeypatch.setenv("PPXFER_THREADS", "2")
+def test_scaling_small_family(capsys):
     code, out, _ = run_cli(
         capsys,
         ["scaling", "--ns", "1", "--j0", "0.01", "--lmin", "1", "--lmax", "2"],

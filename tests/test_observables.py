@@ -131,6 +131,29 @@ def test_on_site_defect_breaks_the_energy_zeros():
     assert worst_sw > 1e-8
 
 
+def test_bond_energies_match_direct_construction_with_defect():
+    # With an on-site defect both energies are nonzero, so this pins which
+    # bonds each one reads: the n_r - 1 receiver bonds for the interaction
+    # energy, the two junction bonds for the switching energy.
+    spec = ChainSpec(n_s=3, n_w=6, j0=0.1)
+    profile = build_profile(spec)
+    dec = defected_decomposition(spec)
+    n = dec.n
+
+    def bond_sum(rows, bonds):
+        return sum(profile.hop[b] * float(np.sum(np.conj(rows[:, b]) * rows[:, b + 1]).real)
+                   for b in bonds)
+
+    for t in (13.4, 57.0, 120.0):
+        phases = np.exp(-1j * dec.eigenvalues * t)
+        rows = (dec.eigenvectors[:3, :] * phases) @ dec.eigenvectors.T
+        e_int = bond_sum(rows, range(n - spec.n_r, n - 1))
+        e_sw = bond_sum(rows, (spec.n_s - 1, spec.n_s + spec.n_w - 1))
+        assert abs(e_int) > 1e-6 and abs(e_sw) > 1e-6
+        assert interaction_energy(spec, t, dec) == pytest.approx(e_int, rel=1e-9, abs=1e-14)
+        assert switching_energy(spec, t, dec) == pytest.approx(e_sw, rel=1e-9, abs=1e-14)
+
+
 def test_total_energy_is_conserved_with_defect():
     # <H> built from the same amplitudes must be time-independent even on
     # a defected (non-mirror, non-bipartite) chain.
@@ -182,6 +205,21 @@ def test_battery_extrema_are_consistent_with_their_grids():
     assert rep.p_bar <= rep.p_tilde
     # Charging gain is bounded by flipping every battery site.
     assert rep.e_bar - rep.e_b[0] <= 2 * 2.0 + 1e-9
+
+
+def test_battery_grid_matches_point_by_point_observables():
+    # The grid is evaluated chunk by chunk; samples on both sides of each
+    # chunk boundary must equal the single-time observables.
+    spec = ChainSpec(n_s=2, n_w=6, j0=0.05, h=2.0)
+    dec = decompose_chain(spec)
+    grid = np.linspace(0.0, 4e4, 2000)
+    rep = battery_metrics(spec, grid)
+    for k in (0, 818, 819, 820, 1638, 1639, 1999):
+        t = float(grid[k])
+        e_onsite = spec.h * magnetization_receiver(spec, t, dec)
+        assert rep.e_onsite[k] == pytest.approx(e_onsite, abs=1e-13)
+        assert abs(rep.e_hop[k] - interaction_energy(spec, t, dec)) <= 1e-15
+        assert abs(rep.delta_e_sw[k] - switching_energy(spec, t, dec)) <= 1e-15
 
 
 def test_battery_accepts_explicit_grid():
