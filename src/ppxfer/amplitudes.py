@@ -10,10 +10,11 @@ cluster-scale alignment factor, and a dense bare-J window sweep with a
 golden-section polish nails the maximum through the band-scale ripple.
 
 Every grid (scan, coarse pass, window sweep, battery samples) is evaluated
-as one array call: `propagator_block` builds the (T, rows, cols) stack of
-propagator blocks chunk by chunk over the time axis, and `fermion_prob` /
-`boson_prob` reduce a whole stack at once.  Only the golden polish goes
-one time at a time, through the same kernel.
+in array calls along the time axis, not one time point at a time:
+`propagator_block` builds the (T, rows, cols) stack of propagator blocks in
+chunks of about CHUNK_ELEMENTS complex numbers, and `fermion_prob` /
+`boson_prob` reduce a whole stack at once.  Only the golden polish goes one
+time at a time, through the same kernel.
 """
 
 from __future__ import annotations

@@ -144,7 +144,7 @@ def cmd_transfer(args) -> int:
         grid = _uniform_grid(args.tmax, args.samples)
     else:
         grid, _ = plan_scan_grid(spec, dec)
-    curve = scan_transfer(spec, grid)
+    curve = scan_transfer(spec, grid, dec)
 
     summary: dict = {"config": json.loads(spec.to_json())}
     try:

@@ -40,22 +40,25 @@ def _sender_rows(dec: SpectralDecomposition, n_s: int, t: float) -> np.ndarray:
     return propagator_block(dec, np.arange(n_s), np.arange(dec.n), [t])[0]
 
 
-def _energy_sites(spec: ChainSpec) -> np.ndarray:
-    """0-based receiver sites in order, then the junction sites n_s, n_s+1
-    and n_s+n_w (1-based): every column the battery energies read."""
+def _energy_block(spec: ChainSpec, dec: SpectralDecomposition, times) -> np.ndarray:
+    """Sender amplitudes on every column the battery energies read: the
+    receiver sites in order, then the junction sites n_s, n_s+1 and n_s+n_w
+    (1-based).  A (T, n_s, n_r + 3) stack."""
     receivers = np.arange(spec.n_s + spec.n_w, spec.n_sites)
-    return np.concatenate([receivers, [spec.n_s - 1, spec.n_s, spec.n_s + spec.n_w - 1]])
+    junction = [spec.n_s - 1, spec.n_s, spec.n_s + spec.n_w - 1]
+    return propagator_block(dec, np.arange(spec.n_s), np.concatenate([receivers, junction]),
+                            times)
 
 
 def _hop_energy(spec: ChainSpec, block: np.ndarray) -> np.ndarray:
-    """Receiver-bond hopping energy from a (T, n_s, _energy_sites) stack."""
+    """Receiver-bond hopping energy from an `_energy_block` stack."""
     recv = block[:, :, :spec.n_r]
     overlaps = np.sum(np.conj(recv[:, :, :-1]) * recv[:, :, 1:], axis=1)
     return np.sum(spec.j * overlaps.real, axis=1)
 
 
 def _switch_energy(spec: ChainSpec, block: np.ndarray) -> np.ndarray:
-    """Junction-bond hopping energy from a (T, n_s, _energy_sites) stack."""
+    """Junction-bond hopping energy from an `_energy_block` stack."""
     first_receiver = block[:, :, 0]
     last_sender, first_wire, last_wire = (block[:, :, spec.n_r + k] for k in range(3))
     total = (np.sum(np.conj(last_sender) * first_wire, axis=1)
@@ -103,8 +106,7 @@ def interaction_energy(spec: ChainSpec, t: float,
     """
     if dec is None:
         dec = decompose_chain(spec)
-    block = propagator_block(dec, np.arange(spec.n_s), _energy_sites(spec), [t])
-    return float(_hop_energy(spec, block)[0])
+    return float(_hop_energy(spec, _energy_block(spec, dec, [t]))[0])
 
 
 def switching_energy(spec: ChainSpec, tau: float,
@@ -117,8 +119,7 @@ def switching_energy(spec: ChainSpec, tau: float,
     """
     if dec is None:
         dec = decompose_chain(spec)
-    block = propagator_block(dec, np.arange(spec.n_s), _energy_sites(spec), [tau])
-    return float(_switch_energy(spec, block)[0])
+    return float(_switch_energy(spec, _energy_block(spec, dec, [tau]))[0])
 
 
 def battery_metrics(spec: ChainSpec, t_grid: np.ndarray | None = None) -> BatteryReport:
@@ -134,13 +135,11 @@ def battery_metrics(spec: ChainSpec, t_grid: np.ndarray | None = None) -> Batter
         t_grid, _ = plan_scan_grid(spec, dec)
     t_grid = np.asarray(t_grid, dtype=float)
     n_b = spec.n_r
-    senders = np.arange(spec.n_s)
-    sites = _energy_sites(spec)
     e_onsite = np.empty(len(t_grid))
     e_hop = np.empty(len(t_grid))
     d_sw = np.empty(len(t_grid))
-    for part in time_chunks(len(t_grid), spec.n_s * len(sites)):
-        block = propagator_block(dec, senders, sites, t_grid[part])
+    for part in time_chunks(len(t_grid), spec.n_s * (n_b + 3)):
+        block = _energy_block(spec, dec, t_grid[part])
         occ_b = np.sum(np.abs(block[:, :, :n_b]) ** 2, axis=(1, 2))
         e_onsite[part] = spec.h * (occ_b - n_b / 2.0)
         e_hop[part] = _hop_energy(spec, block)
