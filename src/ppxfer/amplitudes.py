@@ -312,21 +312,32 @@ def scan_transfer(spec: ChainSpec, t_grid: np.ndarray,
 
 
 def _golden_max(f, a: float, b: float, iters: int = GOLDEN_ITERS) -> tuple[float, float]:
-    """Golden-section maximum of f on [a, b]; returns (argmax, max)."""
+    """Golden-section maximum of f on [a, b]; returns (argmax, max).
+
+    Once the bracket has shrunk to adjacent floats the probes repeat
+    earlier times, so f is evaluated once per distinct t.
+    """
+    seen = {}
+
+    def probe(t):
+        if t not in seen:
+            seen[t] = f(t)
+        return seen[t]
+
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     x1 = b - invphi * (b - a)
     x2 = a + invphi * (b - a)
-    f1, f2 = f(x1), f(x2)
+    f1, f2 = probe(x1), probe(x2)
     best_x, best_f = (x1, f1) if f1 >= f2 else (x2, f2)
     for _ in range(iters):
         if f1 < f2:
             a, x1, f1 = x1, x2, f2
             x2 = a + invphi * (b - a)
-            f2 = f(x2)
+            f2 = probe(x2)
         else:
             b, x2, f2 = x2, x1, f1
             x1 = b - invphi * (b - a)
-            f1 = f(x1)
+            f1 = probe(x1)
         if f1 >= best_f:
             best_x, best_f = x1, f1
         if f2 >= best_f:

@@ -10,12 +10,23 @@ energy h on the diagonal.
 from __future__ import annotations
 
 import json
+import math
+import numbers
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
 WEAK_COUPLING_LIMIT = 0.1
+
+
+def _size(name: str, value) -> int:
+    """An integral size as an int; bools and fractional values are refused."""
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        return int(value)
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -36,10 +47,14 @@ class ChainSpec:
     n_r: int = field(init=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "n_s", _size("n_s", self.n_s))
+        object.__setattr__(self, "n_w", _size("n_w", self.n_w))
         if self.n_s < 1 or self.n_w < 1:
             raise ValueError(f"block/wire sizes must be positive, got n_s={self.n_s}, n_w={self.n_w}")
-        if not self.j0 > 0:
-            raise ValueError(f"j0 must be positive, got {self.j0}")
+        if not (self.j0 > 0 and math.isfinite(self.j0)):
+            raise ValueError(f"j0 must be positive and finite, got {self.j0}")
+        if not math.isfinite(self.h):
+            raise ValueError(f"h must be finite, got {self.h}")
         if self.statistics not in ("fermion", "boson"):
             raise ValueError(f"statistics must be 'fermion' or 'boson', got {self.statistics!r}")
         if self.j0 > WEAK_COUPLING_LIMIT * self.j:
@@ -80,8 +95,8 @@ class ChainSpec:
         if missing:
             raise ValueError(f"missing config keys: {sorted(missing)}")
         return cls(
-            n_s=int(data["n_s"]),
-            n_w=int(data["n_w"]),
+            n_s=data["n_s"],
+            n_w=data["n_w"],
             j0=float(data["j0"]),
             h=float(data.get("h", 0.0)),
             statistics=str(data.get("statistics", "fermion")),

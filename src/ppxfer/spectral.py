@@ -1,15 +1,22 @@
 """Symmetric tridiagonal eigensolver and block spectra.
 
 Implicit-shift QL with accumulated eigenvectors, written against float64
-and a 30-sweep cap per eigenvalue.  Output is deterministic: eigenvalues
-ascending, each eigenvector's first nonzero component positive, and for
-mirror-symmetric (persymmetric) input every eigenvector is projected onto
-its parity branch so the symmetry holds bitwise, not just to rounding.
+and a 30-sweep cap per eigenvalue, in two passes: a scalar pass runs the
+recurrence on Python floats and records every Givens rotation, and an
+apply pass rotates the eigenvector columns in batches of rotations that
+touch disjoint columns, so each element sees the same arithmetic in the
+same order as rotating one pair at a time.
+
+Output is deterministic: eigenvalues ascending, each eigenvector's first
+nonzero component positive, and for mirror-symmetric (persymmetric) input
+every eigenvector is projected onto its parity branch so the symmetry
+holds bitwise, not just to rounding.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,9 +71,19 @@ class SpectralDecomposition:
 
 
 def _ql_implicit(d: np.ndarray, e: np.ndarray, z: np.ndarray) -> None:
-    """In-place implicit-shift QL on (diag d, subdiag e), rotating z columns."""
+    """In-place implicit-shift QL on (diag d, subdiag e), rotating z columns.
+
+    A scalar pass runs the recurrence on Python floats and records every
+    Givens rotation; an apply pass then rotates z one dependency step at a
+    time (see `_apply_rotations`).
+    """
     n = len(d)
-    e = np.append(e, 0.0)
+    d_out, d, e = d, d.tolist(), e.tolist() + [0.0]
+    # (column, step) and (c, s) of every rotation, interleaved
+    rotations, factors = array("l"), array("d")
+    record, record_cs = rotations.extend, factors.extend
+    # last[k]: step of the latest recorded rotation that touched column k
+    last = [0] * n
     for l in range(n):
         for sweep in range(MAX_SWEEPS + 1):
             for m in range(l, n):
@@ -109,12 +126,46 @@ def _ql_implicit(d: np.ndarray, e: np.ndarray, z: np.ndarray) -> None:
                 p = s * r
                 d[i + 1] = g + p
                 g = c * r - b
-                col = z[:, i + 1].copy()
-                z[:, i + 1] = s * z[:, i] + c * col
-                z[:, i] = c * z[:, i] - s * col
+                step = last[i] if last[i] > last[i + 1] else last[i + 1]
+                step += 1
+                last[i] = last[i + 1] = step
+                record((i, step))
+                record_cs((c, s))
             d[l] -= p
             e[l] = g
             e[m] = 0.0
+    d_out[:] = d
+    _apply_rotations(z, rotations, factors)
+
+
+def _apply_rotations(z: np.ndarray, rotations: array, factors: array) -> None:
+    """Rotate z's columns (i, i+1) by each recorded (c, s), batched by step.
+
+    `rotations` holds (i, step) pairs and `factors` the matching (c, s)
+    pairs, in recording order.  A rotation's step is one more than the
+    latest step that touched either of its columns, so rotations sharing a
+    step touch disjoint columns and every column sees its rotations in
+    recording order.  Each element therefore gets the same products and
+    sums in the same order as rotating one pair at a time: the result is
+    bitwise identical.
+    """
+    rotations = np.asarray(rotations).reshape(-1, 2)
+    factors = np.asarray(factors).reshape(-1, 2)
+    order = np.argsort(rotations[:, 1], kind="stable")
+    cols = rotations[order, 0]
+    nexts = cols + 1
+    cosines = factors[order, 0:1]
+    sines = factors[order, 1:2]
+    bounds = np.flatnonzero(np.diff(rotations[order, 1])) + 1
+    # rows of zt are the columns of z, so each gather reads contiguous rows
+    zt = np.ascontiguousarray(z.T)
+    for start, stop in zip(np.r_[0, bounds], np.r_[bounds, len(order)]):
+        i, j = cols[start:stop], nexts[start:stop]
+        c, s = cosines[start:stop], sines[start:stop]
+        lo, hi = zt[i], zt[j]
+        zt[j] = s * lo + c * hi
+        zt[i] = c * lo - s * hi
+    z[:] = zt.T
 
 
 def _is_tridiagonal(a: np.ndarray) -> bool:

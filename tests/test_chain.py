@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -21,6 +22,13 @@ def test_spec_basic_fields():
     dict(n_s=2, n_w=5, j0=0.0),
     dict(n_s=2, n_w=5, j0=-0.5),
     dict(n_s=2, n_w=5, j0=0.01, statistics="anyon"),
+    dict(n_s=2.7, n_w=5, j0=0.01),
+    dict(n_s=2, n_w=True, j0=0.01),
+    dict(n_s="2", n_w=5, j0=0.01),
+    dict(n_s=2, n_w=5, j0=math.inf),
+    dict(n_s=2, n_w=5, j0=math.nan),
+    dict(n_s=2, n_w=5, j0=0.01, h=math.nan),
+    dict(n_s=2, n_w=5, j0=0.01, h=-math.inf),
 ])
 def test_spec_rejects_invalid(bad):
     with pytest.raises(ValueError):
@@ -44,6 +52,23 @@ def test_json_rejects_unknown_and_missing_keys():
         ChainSpec.from_json(json.dumps({"n_s": 1, "n_w": 1, "j0": 0.01, "nr": 1}))
     with pytest.raises(ValueError):
         ChainSpec.from_json(json.dumps({"n_s": 1, "j0": 0.01}))
+
+
+@pytest.mark.parametrize("text, name", [
+    ('{"n_s": 2.7, "n_w": 5, "j0": 0.01}', "n_s"),
+    ('{"n_s": 2, "n_w": true, "j0": 0.01}', "n_w"),
+    ('{"n_s": 2, "n_w": 5, "j0": Infinity}', "j0"),
+    ('{"n_s": 2, "n_w": 5, "j0": 0.01, "h": NaN}', "h"),
+])
+def test_json_rejects_silent_values(text, name):
+    with pytest.raises(ValueError, match=rf"^{name} must be"):
+        ChainSpec.from_json(text)
+
+
+def test_json_takes_integral_float_sizes():
+    spec = ChainSpec.from_json('{"n_s": 2.0, "n_w": 5, "j0": 0.01}')
+    assert spec == ChainSpec(n_s=2, n_w=5, j0=0.01)
+    assert type(spec.n_s) is int
 
 
 def test_json_defaults():

@@ -222,6 +222,13 @@ def test_missing_config_file_is_a_config_error(tmp_path, capsys):
     assert code == EXIT_CONFIG
 
 
+def test_non_finite_onsite_energy_is_a_config_error(capsys):
+    code, out, err = run_cli(capsys, ["transfer", "--ns", "1", "--nw", "5", "--h", "nan"])
+    assert code == EXIT_CONFIG
+    assert out == ""
+    assert "h must be finite" in err
+
+
 def test_oracle_check_passes(capsys):
     code, out, _ = run_cli(capsys, ["oracle-check"])
     assert code == EXIT_OK

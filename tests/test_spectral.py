@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from ppxfer import spectral
 from ppxfer.chain import ChainSpec, CouplingProfile, adjacency_matrix, build_profile
 from ppxfer.spectral import (
     decompose_chain,
@@ -119,6 +120,42 @@ def test_rejects_non_tridiagonal_and_asymmetric():
         diagonalize(skew)  # not symmetric
     with pytest.raises(ValueError):
         diagonalize(np.ones((3, 2)))
+
+
+def rotate_one_at_a_time(z, rotations, factors):
+    """Reference apply pass: each recorded rotation in recording order."""
+    for k in range(0, len(rotations), 2):
+        i, c, s = rotations[k], factors[k], factors[k + 1]
+        col = z[:, i + 1].copy()
+        z[:, i + 1] = s * z[:, i] + c * col
+        z[:, i] = c * z[:, i] - s * col
+
+
+def test_batched_rotations_are_bitwise_sequential(monkeypatch):
+    rng = np.random.default_rng(21)
+    matrices = []
+    for n in range(1, 61):
+        d = rng.uniform(-1, 1, n)
+        e = rng.uniform(-1, 1, n - 1)
+        if n % 3 == 0:
+            d[:] = 0.0
+        if n % 4 == 0:
+            e[rng.integers(0, n - 1, size=n // 4)] = 0.0
+        matrices.append(np.diag(d) + np.diag(e, 1) + np.diag(e, -1))
+    specs = [ChainSpec(n_s=4, n_w=101, j0=0.01), ChainSpec(n_s=2, n_w=102, j0=0.01)]
+    batched = [diagonalize(a) for a in matrices] + [decompose_chain(s) for s in specs]
+    monkeypatch.setattr(spectral, "_apply_rotations", rotate_one_at_a_time)
+    sequential = [diagonalize(a) for a in matrices] + [decompose_chain(s) for s in specs]
+    for got, want in zip(batched, sequential):
+        assert np.array_equal(got.eigenvalues, want.eigenvalues)
+        assert np.array_equal(got.eigenvectors, want.eigenvectors)
+        assert np.array_equal(got.parities, want.parities)
+
+
+def test_sweep_cap_raises(monkeypatch):
+    monkeypatch.setattr(spectral, "MAX_SWEEPS", 0)
+    with pytest.raises(RuntimeError, match="failed to converge"):
+        diagonalize(uniform_chain(3))
 
 
 def test_wire_spectrum_examples():
