@@ -48,25 +48,6 @@ class NumericalConsistencyError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class AmplitudeMatrix:
-    """F(t): entries[i-1, j-1] = f_i^j(t) = <j| exp(-i t H) |i>."""
-
-    t: float
-    entries: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return len(self.entries)
-
-    def entry(self, i: int, j: int) -> complex:
-        """1-based access f_i^j."""
-        n = self.n
-        if not (1 <= i <= n and 1 <= j <= n):
-            raise IndexError(f"site indices must lie in 1..{n}, got ({i}, {j})")
-        return self.entries[i - 1, j - 1]
-
-
-@dataclass(frozen=True)
 class TransferCurve:
     times: np.ndarray
     p_fermion: np.ndarray
@@ -115,31 +96,6 @@ def time_chunks(n_times: int, width: int) -> list[slice]:
     complex numbers when every time point carries `width` of them."""
     step = max(1, CHUNK_ELEMENTS // max(1, width))
     return [slice(start, start + step) for start in range(0, n_times, step)]
-
-
-def amplitude(dec: SpectralDecomposition, i: int, j: int, t: float) -> complex:
-    """f_i^j(t) as the full sum over eigenmodes, 1-based sites."""
-    n = dec.n
-    if not (1 <= i <= n and 1 <= j <= n):
-        raise IndexError(f"site indices must lie in 1..{n}, got ({i}, {j})")
-    return complex(propagator_block(dec, [i - 1], [j - 1], [t])[0, 0, 0])
-
-
-def amplitude_matrix(dec: SpectralDecomposition, t: float) -> AmplitudeMatrix:
-    sites = np.arange(dec.n)
-    return AmplitudeMatrix(t=float(t), entries=propagator_block(dec, sites, sites, [t])[0])
-
-
-def sr_submatrix(f: AmplitudeMatrix, n_s: int) -> np.ndarray:
-    """n_s x n_s block with entry (a, b) = f_a^{N+1-b} (1-based).
-
-    Mirror-site amplitudes land on the main diagonal; the arrangement is
-    symmetric (persymmetric as a sender-receiver block of F).
-    """
-    n = f.n
-    if not 1 <= n_s <= n // 2:
-        raise ValueError(f"need 1 <= n_s <= N/2, got n_s={n_s}, N={n}")
-    return f.entries[:n_s, n - n_s:][:, ::-1]
 
 
 def _square_stack(sub, cap: int, name: str) -> np.ndarray:
@@ -250,8 +206,11 @@ def single_particle_bound(n_s: int, i: int, j: int) -> float:
 class SubmatrixEvaluator:
     """Sender-receiver submatrix from one fixed decomposition.
 
-    A scalar t gives the (n_s, n_s) block and float probabilities; a 1-D
-    time array gives the (T, n_s, n_s) stack and (T,) probability arrays.
+    The n_s x n_s block has entry (a, b) = f_a^{N+1-b} (1-based): mirror-site
+    amplitudes land on the main diagonal, and for a mirror-symmetric chain
+    the block is symmetric.  A scalar t gives the (n_s, n_s) block and float
+    probabilities; a 1-D time array gives the (T, n_s, n_s) stack and (T,)
+    probability arrays.
     """
 
     def __init__(self, dec: SpectralDecomposition, n_s: int):
@@ -435,9 +394,11 @@ def plan_scan_grid(spec: ChainSpec, dec: SpectralDecomposition | None = None,
     return grid, meta
 
 
-def find_transfer_peak(spec: ChainSpec, horizon: float | None = None) -> PeakReport:
+def find_transfer_peak(spec: ChainSpec, horizon: float | None = None,
+                       dec: SpectralDecomposition | None = None) -> PeakReport:
     """Locate the fermion transfer peak and the boson peak in its window."""
-    dec = decompose_chain(spec)
+    if dec is None:
+        dec = decompose_chain(spec)
     grid, meta = plan_scan_grid(spec, dec, horizon=horizon)
     ev = SubmatrixEvaluator(dec, spec.n_s)
     curve = scan_transfer(spec, grid, dec)
@@ -467,15 +428,17 @@ def find_transfer_peak(spec: ChainSpec, horizon: float | None = None) -> PeakRep
     )
 
 
-def scan_max_probability(spec: ChainSpec, t_max: float,
-                         refine_top: int = 5) -> tuple[float, float, TransferCurve]:
+def scan_max_probability(spec: ChainSpec, t_max: float, refine_top: int = 5,
+                         dec: SpectralDecomposition | None = None
+                         ) -> tuple[float, float, TransferCurve]:
     """Maximum fermion probability over [0, t_max] with local-peak polish.
 
     Used for infeasible classes, where the curve is slow (all cluster
     amplitudes evolve on splitting time scales) and an envelope-scale grid
     suffices; the top local maxima get a golden-section refinement.
     """
-    dec = decompose_chain(spec)
+    if dec is None:
+        dec = decompose_chain(spec)
     _, delta_max = scan_scales(spec, dec)
     step = math.pi / (FINE_POINTS_PER_FAST_PERIOD * delta_max)
     n_points = int(t_max / step) + 2

@@ -29,6 +29,13 @@ def _size(name: str, value) -> int:
     raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
+def _real(name: str, value) -> float:
+    """A real number as a float; bools, strings and other non-numbers are refused."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        return float(value)
+    raise ValueError(f"{name} must be a real number, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ChainSpec:
     """Full experiment configuration.
@@ -49,6 +56,8 @@ class ChainSpec:
     def __post_init__(self):
         object.__setattr__(self, "n_s", _size("n_s", self.n_s))
         object.__setattr__(self, "n_w", _size("n_w", self.n_w))
+        object.__setattr__(self, "j0", _real("j0", self.j0))
+        object.__setattr__(self, "h", _real("h", self.h))
         if self.n_s < 1 or self.n_w < 1:
             raise ValueError(f"block/wire sizes must be positive, got n_s={self.n_s}, n_w={self.n_w}")
         if not (self.j0 > 0 and math.isfinite(self.j0)):
@@ -97,8 +106,8 @@ class ChainSpec:
         return cls(
             n_s=data["n_s"],
             n_w=data["n_w"],
-            j0=float(data["j0"]),
-            h=float(data.get("h", 0.0)),
+            j0=data["j0"],
+            h=data.get("h", 0.0),
             statistics=str(data.get("statistics", "fermion")),
         )
 

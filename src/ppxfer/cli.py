@@ -21,7 +21,7 @@ import json
 import math
 import sys
 import warnings
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -29,9 +29,9 @@ import numpy as np
 from .amplitudes import (
     NumericalConsistencyError,
     SubmatrixEvaluator,
-    amplitude_matrix,
     find_transfer_peak,
     plan_scan_grid,
+    propagator_block,
     scan_max_probability,
     scan_transfer,
 )
@@ -152,7 +152,7 @@ def cmd_transfer(args) -> int:
     except NoTransferPredicted:
         tau = None
     if tau is not None:
-        peak = find_transfer_peak(spec)
+        peak = find_transfer_peak(spec, dec=dec)
         summary.update(
             pp=True,
             predicted_tau=tau,
@@ -164,7 +164,7 @@ def cmd_transfer(args) -> int:
     else:
         deltas = distinct_splittings(find_clusters(dec, spec))
         tau_ref = math.pi / (2.0 * deltas[0][0])
-        t_best, p_best, _ = scan_max_probability(spec, 10.0 * tau_ref)
+        t_best, p_best, _ = scan_max_probability(spec, 10.0 * tau_ref, dec=dec)
         summary.update(
             pp=False,
             note="no PP",
@@ -194,17 +194,7 @@ def cmd_resonance(args) -> int:
         raise ValueError("give --nw, or both --nw-min and --nw-max")
     reports = [resonance_report(args.ns, n_w) for n_w in range(nw_min, nw_max + 1)]
     if args.format == "json":
-        payload = [
-            {
-                "n_s": r.n_s,
-                "n_w": r.n_w,
-                "residue": r.residue,
-                "n_res": r.n_res,
-                "pairs": [list(pair) for pair in r.pairs],
-                "feasibility": r.feasibility.value,
-            }
-            for r in reports
-        ]
+        payload = [{**asdict(r), "feasibility": r.feasibility.value} for r in reports]
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
         print(f"{'n_w':>5} {'residue':>7} {'n_res':>5} {'feasibility':<12} pairs")
@@ -219,32 +209,8 @@ def cmd_perturbation(args) -> int:
     report = perturbation_report(spec)
     payload = {
         "config": json.loads(spec.to_json()),
-        "clusters": [
-            {
-                "sender_mode": c.sender_mode,
-                "unperturbed_energy": c.unperturbed_energy,
-                "members": list(c.members),
-                "multiplicity": c.multiplicity,
-                "delta": c.delta,
-                "order": c.order,
-            }
-            for c in report.clusters
-        ],
-        "delta_star": report.delta_star,
-        "rule_of_thumb_holds": report.rule_of_thumb_holds,
-        "slow_modes": list(report.slow_modes),
-        "predicted_tau": report.predicted_tau,
-        "tau_alt": report.tau_alt,
+        **asdict(report),
         "feasibility": report.feasibility.value,
-        "ratios": [
-            {
-                "name": r.name,
-                "value": r.value,
-                "value_coarse": r.value_coarse,
-                "error": r.error,
-            }
-            for r in report.ratios
-        ],
     }
     text = json.dumps(payload, indent=2, sort_keys=True)
     if getattr(args, "output", None):
@@ -283,8 +249,9 @@ def cmd_scaling(args) -> int:
     rows = []
     for n_w in lengths:
         spec = replace(base, n_w=n_w)
-        tau_pred = predict_transfer_time(spec)
-        peak = find_transfer_peak(spec)
+        dec = decompose_chain(spec)
+        tau_pred = predict_transfer_time(spec, dec)
+        peak = find_transfer_peak(spec, dec=dec)
         rows.append((n_w, peak.t_fermion, tau_pred))
 
     log_nw = np.log([r[0] for r in rows])
@@ -335,9 +302,10 @@ def _check_structure() -> tuple[bool, str]:
     ]
     for spec in cases:
         dec = decompose_chain(spec)
+        sites = np.arange(dec.n)
         eye = np.eye(dec.n)
         for t in (0.9, 7.7, 31.0):
-            f = amplitude_matrix(dec, t).entries
+            f = propagator_block(dec, sites, sites, [t])[0]
             worst_u = max(worst_u, float(np.max(np.abs(f @ f.conj().T - eye))))
             worst_s = max(worst_s, float(np.max(np.abs(f - f.T))))
             worst_c = max(worst_c, float(np.max(np.abs(f - f[::-1, ::-1]))))
@@ -349,13 +317,13 @@ def _check_structure() -> tuple[bool, str]:
 def _check_parity_reality() -> tuple[bool, str]:
     spec = ChainSpec(n_s=2, n_w=5, j0=0.08)
     dec = decompose_chain(spec)
+    sites = np.arange(dec.n)
+    # entries with even index sum are real, odd ones imaginary
+    even = np.add.outer(sites, sites) % 2 == 0
     worst = 0.0
     for t in (0.9, 7.7, 31.0):
-        f = amplitude_matrix(dec, t).entries
-        for i in range(dec.n):
-            for j in range(dec.n):
-                off = abs(f[i, j].imag) if (i + j) % 2 == 0 else abs(f[i, j].real)
-                worst = max(worst, off)
+        f = propagator_block(dec, sites, sites, [t])[0]
+        worst = max(worst, float(np.max(np.where(even, np.abs(f.imag), np.abs(f.real)))))
     return worst < 1e-10, f"max off-pattern part {worst:.2e} at h=0"
 
 

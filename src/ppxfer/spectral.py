@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -36,20 +36,20 @@ class SpectralDecomposition:
     `parities` holds +1/-1 for symmetric/antisymmetric eigenvectors of a
     persymmetric matrix and 0 when the input had no mirror symmetry.
 
-    When the matrix was a uniform on-site term plus a zero-diagonal hopping
-    part, `offset` holds that uniform term and `bare_eigenvalues` the exact
-    levels of the hopping part alone, which come in exact +/- pairs.  Folding
-    the offset into each level before multiplying by t would round each level
-    differently and break that pairing by ~ulp(offset), an error the
-    propagator phases amplify linearly in t; `phases` therefore applies the
-    offset as one global factor instead.
+    `bare_eigenvalues` are the eigenvalues less the uniform on-site term
+    `offset` (0 unless `decompose_chain` peeled one off).  For a chain those
+    are the exact levels of the zero-diagonal hopping part, which come in
+    exact +/- pairs.  Folding the offset into each level before multiplying
+    by t would round each level differently and break that pairing by
+    ~ulp(offset), an error the propagator phases amplify linearly in t;
+    `phases` therefore applies the offset as one global factor instead.
     """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
     parities: np.ndarray
+    bare_eigenvalues: np.ndarray
     offset: float = 0.0
-    bare_eigenvalues: np.ndarray | None = None
 
     @property
     def n(self) -> int:
@@ -62,8 +62,6 @@ class SpectralDecomposition:
         with the same per-element arithmetic, so row k is bitwise phases(t[k]).
         """
         t = np.asarray(t, dtype=float)[..., None]
-        if self.bare_eigenvalues is None:
-            return np.exp(-1j * self.eigenvalues * t)
         base = np.exp(-1j * self.bare_eigenvalues * t)
         if self.offset:
             base = base * np.exp(-1j * self.offset * t)
@@ -243,7 +241,8 @@ def diagonalize(a: np.ndarray) -> SpectralDecomposition:
         parities = np.zeros(n)
     _reorthogonalize_clusters(w, z)
     _fix_signs(z)
-    return SpectralDecomposition(eigenvalues=w, eigenvectors=z, parities=parities)
+    return SpectralDecomposition(eigenvalues=w, eigenvectors=z, parities=parities,
+                                 bare_eigenvalues=w)
 
 
 def decompose_chain(spec: ChainSpec) -> SpectralDecomposition:
@@ -254,23 +253,8 @@ def decompose_chain(spec: ChainSpec) -> SpectralDecomposition:
     changing h therefore leaves the eigenvectors bitwise identical.
     """
     a = adjacency_matrix(build_profile(spec))
-    if spec.h != 0.0:
-        bare = diagonalize(a - spec.h * np.eye(len(a)))
-        return SpectralDecomposition(
-            eigenvalues=bare.eigenvalues + spec.h,
-            eigenvectors=bare.eigenvectors,
-            parities=bare.parities,
-            offset=spec.h,
-            bare_eigenvalues=bare.eigenvalues,
-        )
-    bare = diagonalize(a)
-    return SpectralDecomposition(
-        eigenvalues=bare.eigenvalues,
-        eigenvectors=bare.eigenvectors,
-        parities=bare.parities,
-        offset=0.0,
-        bare_eigenvalues=bare.eigenvalues,
-    )
+    bare = diagonalize(a - spec.h * np.eye(len(a)))
+    return replace(bare, eigenvalues=bare.eigenvalues + spec.h, offset=spec.h)
 
 
 def wire_spectrum(n_w: int, h: float = 0.0) -> np.ndarray:

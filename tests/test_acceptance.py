@@ -19,12 +19,12 @@ import numpy as np
 import pytest
 
 from ppxfer.amplitudes import (
-    amplitude_matrix,
+    SubmatrixEvaluator,
     boson_prob,
     fermion_prob,
     find_transfer_peak,
+    propagator_block,
     scan_max_probability,
-    sr_submatrix,
 )
 from ppxfer.chain import ChainSpec
 from ppxfer.observables import (
@@ -97,7 +97,7 @@ def test_acceptance_01_oracle_equivalence():
             for statistics in ("fermion", "boson"):
                 spec = _quiet_spec(n_s=n_s, n_w=n_w, j0=j0, statistics=statistics)
                 for t in times:
-                    sub = sr_submatrix(amplitude_matrix(dec, t), n_s)
+                    sub = SubmatrixEvaluator(dec, n_s).submatrix(t)
                     p = fermion_prob(sub) if statistics == "fermion" else boson_prob(sub)
                     reference = oracle_transfer_prob(spec, t)
                     assert abs(p - reference) < 1e-10, (
@@ -270,14 +270,14 @@ def test_acceptance_11_structural_invariants():
         ii, jj = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
         even = (ii + jj) % 2 == 0
         for t in rng.uniform(0.0, 150.0, size=40):
-            f = amplitude_matrix(dec, t).entries
+            f = propagator_block(dec, np.arange(n), np.arange(n), [t])[0]
             assert np.max(np.abs(f @ f.conj().T - np.eye(n))) < 1e-10
             assert np.max(np.abs(f - f.T)) <= 1e-12
             assert np.max(np.abs(f - f[::-1, ::-1])) <= 1e-12
             if h == 0.0:
                 leak = np.where(even, np.abs(f.imag), np.abs(f.real))
                 assert np.max(leak) < 1e-10
-            sub = sr_submatrix(amplitude_matrix(dec, t), n_s)
+            sub = SubmatrixEvaluator(dec, n_s).submatrix(t)
             for p in (fermion_prob(sub), boson_prob(sub)):
                 assert 0.0 <= p <= 1.0 + 1e-9
             pairs += 1

@@ -17,14 +17,11 @@ from ppxfer import (
 from ppxfer.amplitudes import (
     CHUNK_ELEMENTS,
     _checked_prob,
-    amplitude,
-    amplitude_matrix,
     boson_prob,
     fermion_prob,
     plan_scan_grid,
     propagator_block,
     single_particle_bound,
-    sr_submatrix,
 )
 from ppxfer.spectral import decompose_chain, diagonalize
 
@@ -39,18 +36,25 @@ def three_site_decomposition():
     return diagonalize(h)
 
 
+def full_propagator(dec, t):
+    """F(t) on every site pair: entry [i-1, j-1] = f_i^j(t)."""
+    sites = np.arange(dec.n)
+    return propagator_block(dec, sites, sites, [t])[0]
+
+
 def test_amplitude_matrix_is_identity_at_time_zero():
     dec = decompose_chain(ChainSpec(n_s=2, n_w=3, j0=0.05))
-    f = amplitude_matrix(dec, 0.0)
-    assert np.allclose(f.entries, np.eye(7), atol=1e-14)
+    f = full_propagator(dec, 0.0)
+    assert np.allclose(f, np.eye(7), atol=1e-14)
 
 
 def test_two_site_amplitudes_match_closed_form():
     # exp(-itH) on one bond: f_1^1 = cos(t/2), f_1^2 = -i sin(t/2).
     dec = two_site_decomposition()
     for t in (0.0, 0.3, 1.7, 4.0, 11.5):
-        assert amplitude(dec, 1, 1, t) == pytest.approx(np.cos(t / 2), abs=1e-12)
-        assert amplitude(dec, 1, 2, t) == pytest.approx(-1j * np.sin(t / 2), abs=1e-12)
+        f = full_propagator(dec, t)
+        assert f[0, 0] == pytest.approx(np.cos(t / 2), abs=1e-12)
+        assert f[0, 1] == pytest.approx(-1j * np.sin(t / 2), abs=1e-12)
 
 
 def test_three_site_end_to_end_amplitude_matches_closed_form():
@@ -58,37 +62,19 @@ def test_three_site_end_to_end_amplitude_matches_closed_form():
     dec = three_site_decomposition()
     for t in (0.0, 0.9, 2.2, 6.0, 17.3):
         expected = (np.cos(t / np.sqrt(2)) - 1.0) / 2.0
-        assert amplitude(dec, 1, 3, t) == pytest.approx(expected, abs=1e-12)
-
-
-def test_amplitude_rejects_out_of_range_sites():
-    dec = two_site_decomposition()
-    with pytest.raises(IndexError):
-        amplitude(dec, 0, 1, 1.0)
-    with pytest.raises(IndexError):
-        amplitude(dec, 1, 3, 1.0)
-
-
-def test_amplitude_matrix_entry_accessor_is_one_based():
-    dec = three_site_decomposition()
-    f = amplitude_matrix(dec, 1.3)
-    assert f.entry(1, 3) == f.entries[0, 2]
-    with pytest.raises(IndexError):
-        f.entry(4, 1)
-    with pytest.raises(IndexError):
-        f.entry(1, 0)
+        assert propagator_block(dec, [0], [2], [t])[0, 0, 0] == pytest.approx(expected, abs=1e-12)
 
 
 def test_amplitude_matrix_rows_have_unit_norm():
     dec = decompose_chain(ChainSpec(n_s=3, n_w=5, j0=0.02))
-    f = amplitude_matrix(dec, 3.7)
-    norms = np.sum(np.abs(f.entries) ** 2, axis=1)
+    f = full_propagator(dec, 3.7)
+    norms = np.sum(np.abs(f) ** 2, axis=1)
     assert np.allclose(norms, 1.0, atol=1e-12)
 
 
 def test_amplitude_matrix_is_unitary_on_larger_chain():
     dec = decompose_chain(ChainSpec(n_s=4, n_w=12, j0=0.03))
-    f = amplitude_matrix(dec, 9.1).entries
+    f = full_propagator(dec, 9.1)
     assert np.max(np.abs(f @ f.conj().T - np.eye(20))) < 1e-12
 
 
@@ -102,7 +88,7 @@ def test_structural_invariants_over_random_configurations():
         j0 = float(rng.uniform(0.005, 0.1))
         spec = ChainSpec(n_s=n_s, n_w=n_w, j0=j0)
         t = float(rng.uniform(0.0, 50.0))
-        f = amplitude_matrix(decompose_chain(spec), t).entries
+        f = full_propagator(decompose_chain(spec), t)
         n = len(f)
         assert np.max(np.abs(f @ f.conj().T - np.eye(n))) < 1e-11
         assert np.max(np.abs(f - f.T)) < 1e-12
@@ -117,49 +103,55 @@ def test_uniform_field_is_a_global_phase():
     spec0 = ChainSpec(n_s=2, n_w=4, j0=0.05, h=0.0)
     spec1 = ChainSpec(n_s=2, n_w=4, j0=0.05, h=0.8)
     for t in (0.7, 2.9, 13.4):
-        f0 = amplitude_matrix(decompose_chain(spec0), t).entries
-        f1 = amplitude_matrix(decompose_chain(spec1), t).entries
+        f0 = full_propagator(decompose_chain(spec0), t)
+        f1 = full_propagator(decompose_chain(spec1), t)
         assert np.max(np.abs(f1 - np.exp(-1j * 0.8 * t) * f0)) < 1e-12
 
 
 def test_sr_submatrix_reverses_receiver_columns():
     spec = ChainSpec(n_s=2, n_w=3, j0=0.05)
-    f = amplitude_matrix(decompose_chain(spec), 2.1)
-    sub = sr_submatrix(f, 2)
-    n = f.n
+    dec = decompose_chain(spec)
+    f = full_propagator(dec, 2.1)
+    sub = SubmatrixEvaluator(dec, 2).submatrix(2.1)
+    n = dec.n
     for a in range(1, 3):
         for b in range(1, 3):
-            assert sub[a - 1, b - 1] == f.entry(a, n + 1 - b)
+            assert sub[a - 1, b - 1] == pytest.approx(f[a - 1, n - b], abs=1e-15)
 
 
 def test_sr_submatrix_is_symmetric_for_mirror_chains():
     # f_a^{N+1-b} = f_b^{N+1-a} under mirror symmetry, so this layout is
     # symmetric and mirror-site amplitudes sit on the diagonal.
     spec = ChainSpec(n_s=3, n_w=7, j0=0.02)
-    f = amplitude_matrix(decompose_chain(spec), 5.3)
-    sub = sr_submatrix(f, 3)
+    sub = SubmatrixEvaluator(decompose_chain(spec), 3).submatrix(5.3)
     assert np.max(np.abs(sub - sub.T)) < 1e-12
 
 
 def test_sr_submatrix_vanishes_at_time_zero():
     spec = ChainSpec(n_s=2, n_w=2, j0=0.1)
-    f = amplitude_matrix(decompose_chain(spec), 0.0)
-    assert np.max(np.abs(sr_submatrix(f, 2))) < 1e-14
+    sub = SubmatrixEvaluator(decompose_chain(spec), 2).submatrix(0.0)
+    assert np.max(np.abs(sub)) < 1e-14
 
 
 def test_sr_submatrix_rejects_oversized_block():
     spec = ChainSpec(n_s=2, n_w=2, j0=0.1)
-    f = amplitude_matrix(decompose_chain(spec), 1.0)
+    dec = decompose_chain(spec)
     with pytest.raises(ValueError):
-        sr_submatrix(f, 4)
+        SubmatrixEvaluator(dec, 4)
+    with pytest.raises(ValueError):
+        SubmatrixEvaluator(dec, 0)
 
 
 def test_submatrix_evaluator_matches_direct_construction():
+    # reference: a slice of F on every site pair, V diag(exp(-i w t)) V^T
+    # from the full eigenvalues, receiver columns in reverse order
     spec = ChainSpec(n_s=3, n_w=6, j0=0.04)
     dec = decompose_chain(spec)
     ev = SubmatrixEvaluator(dec, 3)
+    v = dec.eigenvectors
     for t in (0.4, 3.3, 21.0):
-        direct = sr_submatrix(amplitude_matrix(dec, t), 3)
+        f = v @ np.diag(np.exp(-1j * dec.eigenvalues * t)) @ v.T
+        direct = f[:3, dec.n - 3:][:, ::-1]
         assert np.max(np.abs(ev.submatrix(t) - direct)) < 1e-14
 
 

@@ -29,6 +29,11 @@ def test_spec_basic_fields():
     dict(n_s=2, n_w=5, j0=math.nan),
     dict(n_s=2, n_w=5, j0=0.01, h=math.nan),
     dict(n_s=2, n_w=5, j0=0.01, h=-math.inf),
+    dict(n_s=2, n_w=5, j0=True),
+    dict(n_s=2, n_w=5, j0="0.01"),
+    dict(n_s=2, n_w=5, j0=0.01, h=False),
+    dict(n_s=2, n_w=5, j0=0.01, h="0.5"),
+    dict(n_s=2, n_w=5, j0=0.01, h=None),
 ])
 def test_spec_rejects_invalid(bad):
     with pytest.raises(ValueError):
@@ -59,6 +64,9 @@ def test_json_rejects_unknown_and_missing_keys():
     ('{"n_s": 2, "n_w": true, "j0": 0.01}', "n_w"),
     ('{"n_s": 2, "n_w": 5, "j0": Infinity}', "j0"),
     ('{"n_s": 2, "n_w": 5, "j0": 0.01, "h": NaN}', "h"),
+    ('{"n_s": 2, "n_w": 5, "j0": true}', "j0"),
+    ('{"n_s": 2, "n_w": 5, "j0": "0.01"}', "j0"),
+    ('{"n_s": 2, "n_w": 5, "j0": 0.01, "h": false}', "h"),
 ])
 def test_json_rejects_silent_values(text, name):
     with pytest.raises(ValueError, match=rf"^{name} must be"):
@@ -69,6 +77,13 @@ def test_json_takes_integral_float_sizes():
     spec = ChainSpec.from_json('{"n_s": 2.0, "n_w": 5, "j0": 0.01}')
     assert spec == ChainSpec(n_s=2, n_w=5, j0=0.01)
     assert type(spec.n_s) is int
+
+
+def test_spec_stores_couplings_as_floats():
+    spec = ChainSpec(n_s=2, n_w=5, j0=np.float64(0.01), h=1)
+    assert type(spec.j0) is float and type(spec.h) is float
+    assert spec.to_json() == ('{"h": 1.0, "j0": 0.01, "n_s": 2, "n_w": 5, '
+                              '"statistics": "fermion"}')
 
 
 def test_json_defaults():

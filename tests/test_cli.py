@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from ppxfer import amplitudes, cli, observables, perturbation, spectral
 from ppxfer.cli import EXIT_CONFIG, EXIT_FAIL, EXIT_OK, main
 
 
@@ -143,6 +144,8 @@ def test_resonance_json_range(capsys):
     )
     assert code == EXIT_OK
     payload = json.loads(out)
+    assert all(set(entry) == {"n_s", "n_w", "residue", "pairs", "n_res", "feasibility"}
+               for entry in payload)
     assert [entry["n_w"] for entry in payload] == [40, 41, 42, 43]
     assert [entry["n_res"] for entry in payload] == [0, 1, 0, 3]
     assert payload[1]["feasibility"] == "PP"
@@ -159,6 +162,13 @@ def test_perturbation_json_payload(capsys):
     code, out, _ = run_cli(capsys, ["perturbation", "--ns", "3", "--nw", "41"])
     assert code == EXIT_OK
     payload = json.loads(out)
+    assert set(payload) == {"config", "clusters", "delta_star", "rule_of_thumb_holds",
+                            "slow_modes", "predicted_tau", "tau_alt", "feasibility",
+                            "ratios"}
+    assert all(set(c) == {"sender_mode", "unperturbed_energy", "members", "multiplicity",
+                          "delta", "order"} for c in payload["clusters"])
+    assert all(set(r) == {"name", "value", "value_coarse", "error"}
+               for r in payload["ratios"])
     assert len(payload["clusters"]) == 3
     assert payload["feasibility"] == "PP"
     assert payload["rule_of_thumb_holds"] is True
@@ -184,6 +194,34 @@ def test_scaling_small_family(capsys):
     assert summary["branch"] == 1
     assert summary["exponent_exact"] > 0
     assert summary["exponent_predicted"] > 0
+
+
+def count_decompositions(monkeypatch):
+    """Count decompose_chain calls through every module that binds it."""
+    calls = []
+
+    def counted(spec):
+        calls.append((spec.n_s, spec.n_w))
+        return spectral.decompose_chain(spec)
+
+    for module in (amplitudes, cli, observables, perturbation):
+        monkeypatch.setattr(module, "decompose_chain", counted)
+    return calls
+
+
+@pytest.mark.parametrize("argv, chains, summary_pp", [
+    (["transfer", "--ns", "2", "--nw", "5", "--j0", "0.05"], [(2, 5)], True),
+    (["transfer", "--ns", "3", "--nw", "6", "--j0", "0.05"], [(3, 6)], False),
+    (["scaling", "--ns", "1", "--lmin", "1", "--lmax", "2"], [(1, 21), (1, 41)], None),
+])
+def test_each_chain_is_decomposed_once(monkeypatch, capsys, argv, chains, summary_pp):
+    calls = count_decompositions(monkeypatch)
+    code, out, _ = run_cli(capsys, argv)
+    assert code == EXIT_OK
+    assert calls == chains
+    if summary_pp is not None:
+        summary = json.loads(out.strip().split("\n")[-1][len("# summary: "):])
+        assert summary["pp"] is summary_pp
 
 
 def test_config_file_with_flag_override(tmp_path, capsys):
