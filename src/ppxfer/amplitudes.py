@@ -13,8 +13,10 @@ Every grid (scan, coarse pass, window sweep, battery samples) is evaluated
 in array calls along the time axis, not one time point at a time:
 `propagator_block` builds the (T, rows, cols) stack of propagator blocks in
 chunks of about CHUNK_ELEMENTS complex numbers, and `fermion_prob` /
-`boson_prob` reduce a whole stack at once.  Only the golden polish goes one
-time at a time, through the same kernel.
+`boson_prob` reduce a whole stack at once.  The golden polish evaluates
+each probe it has not seen together with every probe of its next
+GOLDEN_LOOKAHEAD iterations in one array call, and returns the bits of a
+one-probe-at-a-time search.
 """
 
 from __future__ import annotations
@@ -41,6 +43,7 @@ PEAK_WINDOW_PERIODS = 10            # dense peak-window half-width, in 2*pi/J
 PEAK_POINTS_PER_PERIOD = 64
 PEAK_WINDOW_HOPS = 8                # max dense-window ascent steps
 GOLDEN_ITERS = 60
+GOLDEN_LOOKAHEAD = 3                # golden iterations evaluated ahead of a missed probe
 
 
 class NumericalConsistencyError(RuntimeError):
@@ -273,30 +276,52 @@ def scan_transfer(spec: ChainSpec, t_grid: np.ndarray,
 def _golden_max(f, a: float, b: float, iters: int = GOLDEN_ITERS) -> tuple[float, float]:
     """Golden-section maximum of f on [a, b]; returns (argmax, max).
 
-    Once the bracket has shrunk to adjacent floats the probes repeat
-    earlier times, so f is evaluated once per distinct t.
+    f takes a 1-D time array and returns the values at those times.  Where
+    the next probe lands depends only on the bracket and on which way each
+    comparison goes, so a probe that is not yet known is evaluated in one
+    array call together with every probe the next GOLDEN_LOOKAHEAD
+    iterations can ask for, both ways of each comparison.  The loop then
+    consumes the same probes as a one-at-a-time search and returns the same
+    (t, value), provided f gives a time the same value alone or inside an
+    array (as `propagator_block` does).  f sees each distinct t once, which
+    also covers the repeats once the bracket has shrunk to adjacent floats.
     """
     seen = {}
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
 
-    def probe(t):
+    def evaluate(times, a, b, x1, x2):
+        # bracket (a, b) with inner probes x1 and x2, as in the loop below
+        brackets = [(a, b, x1, x2)]
+        for _ in range(GOLDEN_LOOKAHEAD):
+            reachable = []
+            for a, b, x1, x2 in brackets:
+                up = x1 + invphi * (b - x1)       # f1 < f2: a moves to x1
+                down = x2 - invphi * (x2 - a)     # otherwise: b moves to x2
+                reachable += [(x1, b, x2, up), (a, x2, down, x1)]
+                times += [up, down]
+            brackets = reachable
+        new = [t for t in dict.fromkeys(times) if t not in seen]
+        seen.update(zip(new, np.asarray(f(np.array(new))).tolist()))
+
+    def probe(t, *bracket):
         if t not in seen:
-            seen[t] = f(t)
+            evaluate([t], *bracket)
         return seen[t]
 
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
     x1 = b - invphi * (b - a)
     x2 = a + invphi * (b - a)
-    f1, f2 = probe(x1), probe(x2)
+    evaluate([x1, x2], a, b, x1, x2)
+    f1, f2 = seen[x1], seen[x2]
     best_x, best_f = (x1, f1) if f1 >= f2 else (x2, f2)
     for _ in range(iters):
         if f1 < f2:
             a, x1, f1 = x1, x2, f2
             x2 = a + invphi * (b - a)
-            f2 = probe(x2)
+            f2 = probe(x2, a, b, x1, x2)
         else:
             b, x2, f2 = x2, x1, f1
             x1 = b - invphi * (b - a)
-            f1 = probe(x1)
+            f1 = probe(x1, a, b, x1, x2)
         if f1 >= best_f:
             best_x, best_f = x1, f1
         if f2 >= best_f:
@@ -311,8 +336,8 @@ def _window_max(f, center: float, j: float) -> tuple[float, float]:
     also ripples with period ~ 2 pi / J, so the final candidate needs a
     sweep dense on that scale.  The golden polish is bracketed by one
     window step, inside which the curve is unimodal; the sampled maximum
-    wins if the polish lands lower.  f takes the whole window as one time
-    array, and single times during the polish.
+    wins if the polish lands lower.  f takes a 1-D time array: the whole
+    window, then the polish's look-ahead batches.
     """
     half_window = PEAK_WINDOW_PERIODS * 2.0 * math.pi / j
     step = 2.0 * math.pi / (j * PEAK_POINTS_PER_PERIOD)

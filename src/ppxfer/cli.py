@@ -17,6 +17,7 @@ and the full validation gate.  Output conventions:
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -119,8 +120,8 @@ def _emit(args, spec: ChainSpec, columns, rows, summary: dict | None) -> None:
 
 
 def _uniform_grid(t_max: float, samples: int) -> np.ndarray:
-    if t_max <= 0:
-        raise ValueError(f"tmax must be positive, got {t_max}")
+    if not (math.isfinite(t_max) and t_max > 0):
+        raise ValueError(f"tmax must be positive and finite, got {t_max}")
     if samples < 2:
         raise ValueError(f"samples must be at least 2, got {samples}")
     return np.linspace(0.0, t_max, samples)
@@ -267,8 +268,9 @@ def cmd_scaling(args) -> int:
     return EXIT_OK
 
 
-def _oracle_suite() -> float:
-    """Worst |det/perm probability - Fock probability| over the small grid."""
+def _oracle_suite(decompose) -> float:
+    """Worst |det/perm probability - Fock probability| over the small grid;
+    `decompose` maps a ChainSpec to its SpectralDecomposition."""
     times = np.linspace(0.0, ORACLE_HORIZON, ORACLE_TIMES)
     worst = 0.0
     with warnings.catch_warnings():
@@ -276,7 +278,7 @@ def _oracle_suite() -> float:
         for n_sites, n in ORACLE_CASES:
             for j0 in ORACLE_COUPLINGS:
                 spec = ChainSpec(n_s=n, n_w=n_sites - 2 * n, j0=j0)
-                ev = SubmatrixEvaluator(decompose_chain(spec), spec.n_s)
+                ev = SubmatrixEvaluator(decompose(spec), spec.n_s)
                 for statistics in ("fermion", "boson"):
                     probe = replace(spec, statistics=statistics)
                     p_amp = ev.p_fermion(times) if statistics == "fermion" else ev.p_boson(times)
@@ -286,7 +288,7 @@ def _oracle_suite() -> float:
 
 
 def cmd_oracle_check(args) -> int:
-    worst = _oracle_suite()
+    worst = _oracle_suite(decompose_chain)
     ok = worst < ORACLE_TOL
     print(f"{'PASS' if ok else 'FAIL'}  oracle equivalence: max deviation {worst:.3e}"
           f" (tolerance {ORACLE_TOL:g})")
@@ -376,11 +378,12 @@ def _check_energies(asymmetry: float) -> tuple[bool, str]:
     return worst < 1e-10, label
 
 
-def _check_statistics_independence() -> tuple[bool, str]:
+def _check_statistics_independence(decompose) -> tuple[bool, str]:
     spec = ChainSpec(n_s=2, n_w=2, j0=0.1)
+    dec = decompose(spec)
     worst = 0.0
     for site in range(1, spec.n_sites + 1):
-        amp = occupation(spec, 2.0, site)
+        amp = occupation(spec, 2.0, site, dec)
         for statistics in ("fermion", "boson"):
             probe = replace(spec, statistics=statistics)
             worst = max(worst, abs(amp - oracle_occupation(probe, 2.0, site)))
@@ -398,20 +401,23 @@ def _check_magnetization_identity() -> tuple[bool, str]:
     return worst <= 1e-12, f"Frobenius identity deviation {worst:.2e}"
 
 
-def _check_oracle() -> tuple[bool, str]:
-    worst = _oracle_suite()
+def _check_oracle(decompose) -> tuple[bool, str]:
+    worst = _oracle_suite(decompose)
     return worst < ORACLE_TOL, f"max deviation {worst:.3e}"
 
 
 def cmd_validate(args) -> int:
+    # the oracle suite and the statistics check share the (2,2) J0 = 0.1
+    # chain; one decomposition per distinct chain serves both
+    decompose = functools.cache(decompose_chain)
     checks = [
         ("propagator structure", _check_structure),
         ("parity reality", _check_parity_reality),
-        ("oracle equivalence", _check_oracle),
+        ("oracle equivalence", lambda: _check_oracle(decompose)),
         ("resonance table", _check_table),
         ("splitting ratios", _check_ratios),
         ("zero energies", lambda: _check_energies(args.asymmetry)),
-        ("statistics independence", _check_statistics_independence),
+        ("statistics independence", lambda: _check_statistics_independence(decompose)),
         ("magnetization identity", _check_magnetization_identity),
     ]
     failures = 0

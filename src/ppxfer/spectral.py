@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -55,14 +56,35 @@ class SpectralDecomposition:
     def n(self) -> int:
         return len(self.eigenvalues)
 
+    @cached_property
+    def _paired(self) -> bool:
+        """Whether the bare levels are exact +/- pairs, w_k = -w_{N-1-k}."""
+        w = self.bare_eigenvalues
+        return bool(np.array_equal(w, -w[::-1]))
+
     def phases(self, t) -> np.ndarray:
         """exp(-i w_k t) for all levels, exact-conjugate over +/- pairs.
 
         A scalar t gives shape (N,); a time array of shape (T,) gives (T, N)
         with the same per-element arithmetic, so row k is bitwise phases(t[k]).
+
+        When the bare levels pair exactly, exp is evaluated on the upper
+        half only (the middle zero level included) and the lower half is
+        its reversed conjugate: the same bits as the direct expression, whose
+        sin/cos are odd/even bitwise, once the -0.0 imaginary parts that
+        conj makes at t = 0 are turned back into the direct +0.0.
         """
         t = np.asarray(t, dtype=float)[..., None]
-        base = np.exp(-1j * self.bare_eigenvalues * t)
+        w = self.bare_eigenvalues
+        if self._paired:
+            half = len(w) // 2
+            base = np.empty(t.shape[:-1] + w.shape, dtype=complex)
+            base[..., half:] = np.exp(-1j * w[half:] * t)
+            lower = base[..., :half]
+            np.conjugate(base[..., len(w) - half:][..., ::-1], out=lower)
+            lower.imag += 0.0
+        else:
+            base = np.exp(-1j * w * t)
         if self.offset:
             base = base * np.exp(-1j * self.offset * t)
         return base

@@ -1,6 +1,7 @@
 """Tests for time-evolution amplitudes, many-body probabilities, and peak search."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -16,7 +17,9 @@ from ppxfer import (
 )
 from ppxfer.amplitudes import (
     CHUNK_ELEMENTS,
+    GOLDEN_ITERS,
     _checked_prob,
+    _golden_max,
     boson_prob,
     fermion_prob,
     plan_scan_grid,
@@ -399,6 +402,67 @@ def test_scan_max_probability_polishes_grid_maximum():
     assert 0.0 <= p_best <= 1.0
     assert 0.0 <= t_best <= 300.0
     assert len(curve.times) <= 200_002
+
+
+def sequential_golden_max(f, a, b, iters=GOLDEN_ITERS):
+    """The golden-section search one scalar probe at a time: the reference
+    the look-ahead polish must reproduce bit for bit."""
+    seen = {}
+
+    def probe(t):
+        if t not in seen:
+            seen[t] = f(t)
+        return seen[t]
+
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    x1 = b - invphi * (b - a)
+    x2 = a + invphi * (b - a)
+    f1, f2 = probe(x1), probe(x2)
+    best_x, best_f = (x1, f1) if f1 >= f2 else (x2, f2)
+    for _ in range(iters):
+        if f1 < f2:
+            a, x1, f1 = x1, x2, f2
+            x2 = a + invphi * (b - a)
+            f2 = probe(x2)
+        else:
+            b, x2, f2 = x2, x1, f1
+            x1 = b - invphi * (b - a)
+            f1 = probe(x1)
+        if f1 >= best_f:
+            best_x, best_f = x1, f1
+        if f2 >= best_f:
+            best_x, best_f = x2, f2
+    return best_x, best_f
+
+
+def golden_cases():
+    for n_s, n_w, center in ((4, 81, 379138.0), (2, 102, 61837.46)):
+        ev = SubmatrixEvaluator(decompose_chain(ChainSpec(n_s=n_s, n_w=n_w, j0=0.01)), n_s)
+        step = 2.0 * math.pi / 64
+        for f in (ev.p_fermion, ev.p_boson):
+            for shift in (0.0, 1.3, 17.0):
+                t = np.float64(center + shift)
+                yield f, t - step, t + step
+    yield lambda t: np.floor(4.0 * t), 0.0, 3.0            # ties f1 == f2
+    yield lambda t: np.full(np.shape(t), 0.25), -1.0, 1.0  # constant
+    yield lambda t: np.sin(40.0 * t), 0.0, 3.0             # many maxima
+    yield lambda t: -(t - 1.0) ** 2, 1.0, math.nextafter(1.0, 2.0)  # adjacent floats
+
+
+def test_golden_lookahead_matches_sequential_search():
+    max_calls = math.ceil((GOLDEN_ITERS + 2) / 3) + 1
+    for f, a, b in golden_cases():
+        calls = []
+
+        def counted(times):
+            assert np.ndim(times) == 1
+            calls.append(len(times))
+            return f(times)
+
+        t, p = _golden_max(counted, a, b)
+        t_ref, p_ref = sequential_golden_max(f, a, b)
+        assert (float(t).hex(), float(p).hex()) == (float(t_ref).hex(), float(p_ref).hex())
+        assert 1 <= len(calls) <= max_calls
 
 
 def test_single_particle_bound_values():

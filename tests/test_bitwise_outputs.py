@@ -1,0 +1,54 @@
+"""Bitwise regression guard for the peak search and the CLI.
+
+Every pinned value was produced by commit 473b880 (before the paired-level
+phases and the look-ahead golden polish), with Python 3.11, numpy 2.4 and
+OpenBLAS on x86-64.  A change that claims to leave outputs unchanged must
+keep these exact bits: peaks as `float.hex` of (t_fermion, p_fermion,
+t_boson, p_boson), CLI runs as the sha256 of stdout.  A change that moves
+outputs on purpose re-pins the values here and lists each one it moved.
+"""
+
+import contextlib
+import hashlib
+import io
+
+import pytest
+
+from ppxfer import ChainSpec, find_transfer_peak
+from ppxfer.cli import EXIT_OK, main
+
+PEAKS = {
+    (2, 41): ("0x1.a0564539354fcp+11", "0x1.ff53eb23aca9fp-1",
+              "0x1.a040d3e3201b0p+11", "0x1.ff537d824c757p-1"),
+    (3, 41): ("0x1.5720851ceed86p+17", "0x1.fed19d9f8dfb3p-1",
+              "0x1.5724b1d75daf8p+17", "0x1.fead4578a1633p-1"),
+    (4, 101): ("0x1.71a34fc0b6ccap+18", "0x1.faf2e367be2f7p-1",
+               "0x1.719c087150d7bp+18", "0x1.fa592a92ca2d1p-1"),
+}
+
+STDOUT_SHA256 = {
+    "transfer --ns 2 --nw 41 --j0 0.01":
+        "563216b7ec05929529a2eaa5cb0fc5b555529df2f514bd777d23d39b7465bcc1",
+    "battery --nb 4 --nw 32 --j0 0.01":
+        "9887ab97f52817c276178b61cfdc53b6f5edb0cc1136848aaed38aca8fef39b0",
+    "spectrum --ns 4 --nw 101 --j0 0.01":
+        "c84986e888ade8c67372254d4228b67e4e61bce6609491509c6d37b0367cc29f",
+}
+
+
+@pytest.mark.parametrize("chain", sorted(PEAKS), ids=lambda c: f"{c[0]}-{c[1]}")
+def test_peak_reports_keep_their_bits(chain):
+    n_s, n_w = chain
+    report = find_transfer_peak(ChainSpec(n_s=n_s, n_w=n_w, j0=0.01))
+    got = tuple(float(x).hex() for x in (report.t_fermion, report.p_fermion,
+                                          report.t_boson, report.p_boson))
+    assert got == PEAKS[chain]
+
+
+@pytest.mark.parametrize("command", sorted(STDOUT_SHA256))
+def test_cli_stdout_keeps_its_bytes(command):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(command.split())
+    assert code == EXIT_OK
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == STDOUT_SHA256[command]

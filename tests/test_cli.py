@@ -1,6 +1,7 @@
 """Tests for the command-line interface: formats, exit codes, determinism."""
 
 import json
+import sys
 
 import pytest
 
@@ -197,14 +198,19 @@ def test_scaling_small_family(capsys):
 
 
 def count_decompositions(monkeypatch):
-    """Count decompose_chain calls through every module that binds it."""
+    """Record the spec of every decompose_chain call, through every module
+    that binds it."""
     calls = []
+    original = spectral.decompose_chain
 
     def counted(spec):
-        calls.append((spec.n_s, spec.n_w))
-        return spectral.decompose_chain(spec)
+        calls.append(spec)
+        return original(spec)
 
-    for module in (amplitudes, cli, observables, perturbation):
+    holders = [m for key, m in list(sys.modules.items())
+               if key.startswith("ppxfer") and vars(m).get("decompose_chain") is original]
+    assert {amplitudes, cli, observables, perturbation} <= set(holders)
+    for module in holders:
         monkeypatch.setattr(module, "decompose_chain", counted)
     return calls
 
@@ -218,10 +224,17 @@ def test_each_chain_is_decomposed_once(monkeypatch, capsys, argv, chains, summar
     calls = count_decompositions(monkeypatch)
     code, out, _ = run_cli(capsys, argv)
     assert code == EXIT_OK
-    assert calls == chains
+    assert [(spec.n_s, spec.n_w) for spec in calls] == chains
     if summary_pp is not None:
         summary = json.loads(out.strip().split("\n")[-1][len("# summary: "):])
         assert summary["pp"] is summary_pp
+
+
+def test_validate_decomposes_each_distinct_chain_once(monkeypatch, capsys):
+    calls = count_decompositions(monkeypatch)
+    code, _, _ = run_cli(capsys, ["validate"])
+    assert code == EXIT_OK
+    assert len(calls) == len(set(calls)) == 17
 
 
 def test_config_file_with_flag_override(tmp_path, capsys):
@@ -265,6 +278,18 @@ def test_non_finite_onsite_energy_is_a_config_error(capsys):
     assert code == EXIT_CONFIG
     assert out == ""
     assert "h must be finite" in err
+
+
+@pytest.mark.parametrize("command", [
+    ["transfer", "--ns", "1", "--nw", "5", "--j0", "0.1"],
+    ["battery", "--nb", "2", "--nw", "16", "--j0", "0.01"],
+])
+@pytest.mark.parametrize("tmax", ["nan", "inf", "-inf"])
+def test_non_finite_tmax_is_a_config_error(capsys, command, tmax):
+    code, out, err = run_cli(capsys, command + [f"--tmax={tmax}"])
+    assert code == EXIT_CONFIG
+    assert out == ""
+    assert "tmax must be positive and finite" in err
 
 
 def test_oracle_check_passes(capsys):

@@ -180,3 +180,40 @@ def test_sender_spectrum_examples():
     assert math.isclose(max(sender_spectrum(4)), (math.sqrt(5) + 1) / 4, rel_tol=1e-14)
     dec = diagonalize(uniform_chain(4))
     assert np.allclose(np.sort(sender_spectrum(4)), dec.eigenvalues, atol=1e-11)
+
+
+def direct_phases(dec, t):
+    """exp(-i w_k t) on every level directly, times the offset factor."""
+    t = np.asarray(t, dtype=float)[..., None]
+    base = np.exp(-1j * dec.bare_eigenvalues * t)
+    if dec.offset:
+        base = base * np.exp(-1j * dec.offset * t)
+    return base
+
+
+PHASE_TIMES = (0.0, 0.3, 61837.46, 1e6, np.linspace(0.0, 1e6, 97))
+
+
+def assert_same_bits(a, b):
+    # the uint64 view makes the sign of a zero count
+    assert a.shape == b.shape
+    assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+@pytest.mark.parametrize("h", [0.0, 0.7, -1.3])
+@pytest.mark.parametrize("n_s", [1, 2, 3, 4])
+def test_paired_phases_keep_the_bits_of_the_direct_expression(n_s, h):
+    for n_w in (1, 2, 5, 8, 41, 102):   # N = 2 n_s + n_w odd and even
+        dec = decompose_chain(ChainSpec(n_s=n_s, n_w=n_w, j0=0.01, h=h))
+        assert dec._paired
+        for t in PHASE_TIMES:
+            assert_same_bits(dec.phases(t), direct_phases(dec, t))
+
+
+def test_unpaired_phases_keep_the_bits_of_the_direct_expression():
+    a = uniform_chain(7)
+    a[2, 2] = 0.4        # an on-site defect breaks the +/- pairing
+    dec = diagonalize(a)
+    assert not dec._paired
+    for t in PHASE_TIMES:
+        assert_same_bits(dec.phases(t), direct_phases(dec, t))
