@@ -44,6 +44,7 @@ PEAK_POINTS_PER_PERIOD = 64
 PEAK_WINDOW_HOPS = 8                # max dense-window ascent steps
 GOLDEN_ITERS = 60
 GOLDEN_LOOKAHEAD = 3                # golden iterations evaluated ahead of a missed probe
+REFINE_TOP = 5                      # local maxima polished by scan_max_probability
 
 
 class NumericalConsistencyError(RuntimeError):
@@ -253,12 +254,19 @@ def _checked_prob(p):
     return float(p) if p.ndim == 0 else p
 
 
+def _checked_grid(t_grid) -> np.ndarray:
+    """An explicit time grid as a float array; raise unless it is 1-D,
+    finite and strictly increasing."""
+    t_grid = np.asarray(t_grid, dtype=float)
+    if t_grid.ndim != 1 or not np.all(np.isfinite(t_grid)) or np.any(np.diff(t_grid) <= 0):
+        raise ValueError("time grid must be one-dimensional, finite and strictly increasing")
+    return t_grid
+
+
 def scan_transfer(spec: ChainSpec, t_grid: np.ndarray,
                   dec: SpectralDecomposition | None = None) -> TransferCurve:
     """Fermion and boson transfer probabilities over an explicit time grid."""
-    t_grid = np.asarray(t_grid, dtype=float)
-    if t_grid.ndim != 1 or (len(t_grid) > 1 and not np.all(np.diff(t_grid) > 0)):
-        raise ValueError("time grid must be one-dimensional and strictly increasing")
+    t_grid = _checked_grid(t_grid)
     if dec is None:
         dec = decompose_chain(spec)
     ev = SubmatrixEvaluator(dec, spec.n_s)
@@ -273,7 +281,7 @@ def scan_transfer(spec: ChainSpec, t_grid: np.ndarray,
     return TransferCurve(times=t_grid, p_fermion=p_f, p_boson=p_b)
 
 
-def _golden_max(f, a: float, b: float, iters: int = GOLDEN_ITERS) -> tuple[float, float]:
+def _golden_max(f, a: float, b: float) -> tuple[float, float]:
     """Golden-section maximum of f on [a, b]; returns (argmax, max).
 
     f takes a 1-D time array and returns the values at those times.  Where
@@ -313,7 +321,7 @@ def _golden_max(f, a: float, b: float, iters: int = GOLDEN_ITERS) -> tuple[float
     evaluate([x1, x2], a, b, x1, x2)
     f1, f2 = seen[x1], seen[x2]
     best_x, best_f = (x1, f1) if f1 >= f2 else (x2, f2)
-    for _ in range(iters):
+    for _ in range(GOLDEN_ITERS):
         if f1 < f2:
             a, x1, f1 = x1, x2, f2
             x2 = a + invphi * (b - a)
@@ -366,10 +374,8 @@ def _window_ascent(f, start: float, j: float) -> tuple[float, float]:
     return t, p
 
 
-def scan_scales(spec: ChainSpec, dec: SpectralDecomposition | None = None) -> tuple[float, float]:
+def scan_scales(spec: ChainSpec, dec: SpectralDecomposition) -> tuple[float, float]:
     """(delta_slow, delta_max): slowest distinct and fastest cluster splitting."""
-    if dec is None:
-        dec = decompose_chain(spec)
     clusters = perturbation.find_clusters(dec, spec)
     values = perturbation.distinct_splittings(clusters)
     delta_slow = values[0][0]
@@ -377,8 +383,8 @@ def scan_scales(spec: ChainSpec, dec: SpectralDecomposition | None = None) -> tu
     return delta_slow, delta_max
 
 
-def plan_scan_grid(spec: ChainSpec, dec: SpectralDecomposition | None = None,
-                   horizon: float | None = None) -> tuple[np.ndarray, dict]:
+def plan_scan_grid(spec: ChainSpec,
+                   dec: SpectralDecomposition | None = None) -> tuple[np.ndarray, dict]:
     """Two-tier grid: coarse envelope samples plus fine patches at peak candidates.
 
     Patches go around the coarse fermion-probability argmax and around the
@@ -392,8 +398,7 @@ def plan_scan_grid(spec: ChainSpec, dec: SpectralDecomposition | None = None,
         dec = decompose_chain(spec)
     delta_slow, delta_max = scan_scales(spec, dec)
     coarse_step = math.pi / (COARSE_POINTS_PER_SLOW_PERIOD * delta_slow)
-    if horizon is None:
-        horizon = HORIZON_FACTOR * math.pi / (2.0 * delta_slow)
+    horizon = HORIZON_FACTOR * math.pi / (2.0 * delta_slow)
     coarse = np.arange(0.0, horizon + 0.5 * coarse_step, coarse_step)
     ev = SubmatrixEvaluator(dec, spec.n_s)
     p_coarse = ev.p_fermion(coarse)
@@ -419,12 +424,11 @@ def plan_scan_grid(spec: ChainSpec, dec: SpectralDecomposition | None = None,
     return grid, meta
 
 
-def find_transfer_peak(spec: ChainSpec, horizon: float | None = None,
-                       dec: SpectralDecomposition | None = None) -> PeakReport:
+def find_transfer_peak(spec: ChainSpec, dec: SpectralDecomposition | None = None) -> PeakReport:
     """Locate the fermion transfer peak and the boson peak in its window."""
     if dec is None:
         dec = decompose_chain(spec)
-    grid, meta = plan_scan_grid(spec, dec, horizon=horizon)
+    grid, meta = plan_scan_grid(spec, dec)
     ev = SubmatrixEvaluator(dec, spec.n_s)
     curve = scan_transfer(spec, grid, dec)
     k = int(np.argmax(curve.p_fermion))
@@ -453,14 +457,13 @@ def find_transfer_peak(spec: ChainSpec, horizon: float | None = None,
     )
 
 
-def scan_max_probability(spec: ChainSpec, t_max: float, refine_top: int = 5,
-                         dec: SpectralDecomposition | None = None
+def scan_max_probability(spec: ChainSpec, t_max: float, dec: SpectralDecomposition | None = None
                          ) -> tuple[float, float, TransferCurve]:
     """Maximum fermion probability over [0, t_max] with local-peak polish.
 
     Used for infeasible classes, where the curve is slow (all cluster
     amplitudes evolve on splitting time scales) and an envelope-scale grid
-    suffices; the top local maxima get a golden-section refinement.
+    suffices; the REFINE_TOP highest local maxima get a golden-section polish.
     """
     if dec is None:
         dec = decompose_chain(spec)
@@ -474,7 +477,7 @@ def scan_max_probability(spec: ChainSpec, t_max: float, refine_top: int = 5,
     p = curve.p_fermion
     ev = SubmatrixEvaluator(dec, spec.n_s)
     interior = np.nonzero((p[1:-1] >= p[:-2]) & (p[1:-1] >= p[2:]))[0] + 1
-    tops = interior[np.argsort(p[interior])][-refine_top:] if len(interior) else []
+    tops = interior[np.argsort(p[interior])][-REFINE_TOP:] if len(interior) else []
     best_t, best_p = float(grid[int(np.argmax(p))]), float(np.max(p))
     for idx in tops:
         t_r, p_r = _golden_max(ev.p_fermion, grid[idx - 1], grid[idx + 1])

@@ -14,6 +14,7 @@ import math
 import numbers
 import warnings
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -50,7 +51,7 @@ class ChainSpec:
     j0: float
     h: float = 0.0
     statistics: str = "fermion"
-    j: float = 1.0  # testing hook only; the physical unit is J = 1
+    j: ClassVar[float] = 1.0  # the bulk hopping, the unit of energy and time
     n_r: int = field(init=False)
 
     def __post_init__(self):

@@ -34,6 +34,7 @@ from .amplitudes import (
     plan_scan_grid,
     propagator_block,
     scan_max_probability,
+    scan_scales,
     scan_transfer,
 )
 from .chain import ChainSpec, CouplingProfile, adjacency_matrix, build_profile
@@ -47,8 +48,6 @@ from .observables import (
 from .oracle import oracle_occupation, oracle_transfer_prob
 from .perturbation import (
     NoTransferPredicted,
-    distinct_splittings,
-    find_clusters,
     perturbation_report,
     predict_transfer_time,
     ratio_diagnostics,
@@ -140,12 +139,8 @@ def cmd_spectrum(args) -> int:
 
 def cmd_transfer(args) -> int:
     spec, stats = _spec_from_args(args)
+    grid = None if args.tmax is None else _uniform_grid(args.tmax, args.samples)
     dec = decompose_chain(spec)
-    if args.tmax is not None:
-        grid = _uniform_grid(args.tmax, args.samples)
-    else:
-        grid, _ = plan_scan_grid(spec, dec)
-    curve = scan_transfer(spec, grid, dec)
 
     summary: dict = {"config": json.loads(spec.to_json())}
     try:
@@ -163,8 +158,7 @@ def cmd_transfer(args) -> int:
             peak_boson=peak.p_boson,
         )
     else:
-        deltas = distinct_splittings(find_clusters(dec, spec))
-        tau_ref = math.pi / (2.0 * deltas[0][0])
+        tau_ref = math.pi / (2.0 * scan_scales(spec, dec)[0])
         t_best, p_best, _ = scan_max_probability(spec, 10.0 * tau_ref, dec=dec)
         summary.update(
             pp=False,
@@ -174,6 +168,10 @@ def cmd_transfer(args) -> int:
             peak_time_fermion=t_best,
             peak_fermion=p_best,
         )
+    # without --tmax a PP run's curve is the planned-grid scan of its peak search
+    if grid is None and tau is None:
+        grid, _ = plan_scan_grid(spec, dec)
+    curve = peak.curve if grid is None else scan_transfer(spec, grid, dec)
 
     if stats == "fermion":
         columns = ("t", "p_fermion")
@@ -193,6 +191,8 @@ def cmd_resonance(args) -> int:
     nw_max = args.nw if args.nw_max is None else args.nw_max
     if nw_min is None or nw_max is None:
         raise ValueError("give --nw, or both --nw-min and --nw-max")
+    if nw_min > nw_max:
+        raise ValueError(f"empty wire-length range {nw_min}..{nw_max}")
     reports = [resonance_report(args.ns, n_w) for n_w in range(nw_min, nw_max + 1)]
     if args.format == "json":
         payload = [{**asdict(r), "feasibility": r.feasibility.value} for r in reports]
@@ -242,8 +242,8 @@ def cmd_battery(args) -> int:
 
 
 def cmd_scaling(args) -> int:
-    if args.lmin < 1 or args.lmax < args.lmin:
-        raise ValueError("need 1 <= lmin <= lmax")
+    if args.lmin < 1 or args.lmax <= args.lmin:
+        raise ValueError("need 1 <= lmin < lmax: the exponent fit takes two or more lengths")
     base = ChainSpec(n_s=args.ns, n_w=20 * args.lmin + args.branch, j0=args.j0)
     lengths = [20 * l + args.branch for l in range(args.lmin, args.lmax + 1)]
 
@@ -282,8 +282,8 @@ def _oracle_suite(decompose) -> float:
                 for statistics in ("fermion", "boson"):
                     probe = replace(spec, statistics=statistics)
                     p_amp = ev.p_fermion(times) if statistics == "fermion" else ev.p_boson(times)
-                    for t, p in zip(times, p_amp):
-                        worst = max(worst, abs(p - oracle_transfer_prob(probe, float(t))))
+                    p_fock = oracle_transfer_prob(probe, times)
+                    worst = max(worst, float(np.max(np.abs(p_amp - p_fock))))
     return worst
 
 
@@ -306,8 +306,7 @@ def _check_structure() -> tuple[bool, str]:
         dec = decompose_chain(spec)
         sites = np.arange(dec.n)
         eye = np.eye(dec.n)
-        for t in (0.9, 7.7, 31.0):
-            f = propagator_block(dec, sites, sites, [t])[0]
+        for f in propagator_block(dec, sites, sites, [0.9, 7.7, 31.0]):
             worst_u = max(worst_u, float(np.max(np.abs(f @ f.conj().T - eye))))
             worst_s = max(worst_s, float(np.max(np.abs(f - f.T))))
             worst_c = max(worst_c, float(np.max(np.abs(f - f[::-1, ::-1]))))
@@ -323,8 +322,7 @@ def _check_parity_reality() -> tuple[bool, str]:
     # entries with even index sum are real, odd ones imaginary
     even = np.add.outer(sites, sites) % 2 == 0
     worst = 0.0
-    for t in (0.9, 7.7, 31.0):
-        f = propagator_block(dec, sites, sites, [t])[0]
+    for f in propagator_block(dec, sites, sites, [0.9, 7.7, 31.0]):
         worst = max(worst, float(np.max(np.where(even, np.abs(f.imag), np.abs(f.real)))))
     return worst < 1e-10, f"max off-pattern part {worst:.2e} at h=0"
 

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .amplitudes import SubmatrixEvaluator, plan_scan_grid, propagator_block, time_chunks
+from .amplitudes import (SubmatrixEvaluator, _checked_grid, plan_scan_grid, propagator_block,
+                         time_chunks)
 from .chain import ChainSpec
 from .spectral import SpectralDecomposition, decompose_chain
 
@@ -123,7 +124,11 @@ def switching_energy(spec: ChainSpec, tau: float,
 
 
 def battery_metrics(spec: ChainSpec, t_grid: np.ndarray | None = None) -> BatteryReport:
-    """Charging figures of merit with the receiver block as the battery."""
+    """Charging figures of merit with the receiver block as the battery.
+
+    An explicit t_grid must be 1-D, finite and strictly increasing, so that
+    "earliest grid time attaining" is well defined.
+    """
     if spec.h <= 1.0:
         warnings.warn(
             f"h={spec.h} <= 1: the fully-charged block is not the top of the "
@@ -133,7 +138,7 @@ def battery_metrics(spec: ChainSpec, t_grid: np.ndarray | None = None) -> Batter
     dec = decompose_chain(spec)
     if t_grid is None:
         t_grid, _ = plan_scan_grid(spec, dec)
-    t_grid = np.asarray(t_grid, dtype=float)
+    t_grid = _checked_grid(t_grid)
     n_b = spec.n_r
     e_onsite = np.empty(len(t_grid))
     e_hop = np.empty(len(t_grid))

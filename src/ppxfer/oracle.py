@@ -141,12 +141,16 @@ def _edge_states(basis: SectorBasis):
     return basis.index[sender], basis.index[receiver]
 
 
-def oracle_transfer_prob(spec: ChainSpec, t: float) -> float:
-    """|<receiver block| exp(-i t H) |sender block>|^2 in the full sector."""
+def oracle_transfer_prob(spec: ChainSpec, t):
+    """|<receiver block| exp(-i t H) |sender block>|^2 in the full sector:
+    a float for a scalar t, an array of its shape for a time array."""
+    times = np.asarray(t, dtype=float)
     basis, energies, modes = _sector_setup(spec)
     i_send, i_recv = _edge_states(basis)
-    amp = np.sum(modes[i_recv] * np.exp(-1j * energies * t) * modes[i_send])
-    return float(abs(amp) ** 2)
+    phases = np.exp(-1j * energies * times[..., None])
+    amp = np.sum(modes[i_recv] * phases * modes[i_send], axis=-1)
+    p = np.float_power(np.hypot(amp.real, amp.imag), 2)  # the bits of abs(amp) ** 2
+    return float(p) if p.ndim == 0 else p
 
 
 def oracle_occupation(spec: ChainSpec, t: float, site: int) -> float:

@@ -23,6 +23,7 @@ from .spectral import SpectralDecomposition, decompose_chain, sender_spectrum
 
 RULE_OF_THUMB_THETA = 0.2
 SPLIT_GROUP_RTOL = 1e-3
+RATIO_COUPLINGS = (1e-3, 1e-4)   # coarse and fine J0 of the ratio extrapolation
 
 
 class ClusterAmbiguityError(RuntimeError):
@@ -125,7 +126,7 @@ def find_clusters(dec: SpectralDecomposition, spec: ChainSpec) -> list[LevelClus
     return clusters
 
 
-def distinct_splittings(clusters, rtol: float = SPLIT_GROUP_RTOL):
+def distinct_splittings(clusters):
     """Group cluster splittings into distinct values, ascending.
 
     Mirror-image clusters carry equal deltas by spectral antisymmetry;
@@ -135,7 +136,7 @@ def distinct_splittings(clusters, rtol: float = SPLIT_GROUP_RTOL):
     pairs = sorted((c.delta, c.sender_mode) for c in clusters)
     groups = []
     for delta, mode in pairs:
-        if groups and delta <= groups[-1][0] * (1.0 + rtol):
+        if groups and delta <= groups[-1][0] * (1.0 + SPLIT_GROUP_RTOL):
             groups[-1][1].append(mode)
         else:
             groups.append([delta, [mode]])
@@ -204,7 +205,7 @@ def _top_two_clusters(clusters):
     return by_energy[0], by_energy[1]
 
 
-def ratio_diagnostics(spec: ChainSpec, j0_pair=(1e-3, 1e-4)) -> list[RatioEstimate]:
+def ratio_diagnostics(spec: ChainSpec) -> list[RatioEstimate]:
     """Splitting ratio of the top cluster to the second-from-top.
 
     For 3-excitation non-resonant classes this is the half-gap of the
@@ -214,15 +215,13 @@ def ratio_diagnostics(spec: ChainSpec, j0_pair=(1e-3, 1e-4)) -> list[RatioEstima
     """
     if spec.n_s < 2:
         return []
-    coarse_j0, fine_j0 = sorted(j0_pair, reverse=True)
 
     def top_ratio(j0: float) -> float:
         probe = replace(spec, j0=j0)
         top, second = _top_two_clusters(find_clusters(decompose_chain(probe), probe))
         return top.delta / second.delta
 
-    coarse = top_ratio(coarse_j0)
-    fine = top_ratio(fine_j0)
+    coarse, fine = (top_ratio(j0) for j0 in RATIO_COUPLINGS)
     return [
         RatioEstimate(
             name="splitting_ratio_top_over_second",
@@ -326,5 +325,5 @@ def perturbation_report(spec: ChainSpec) -> PerturbationReport:
         predicted_tau=tau,
         tau_alt=tau_alt,
         feasibility=feasibility,
-        ratios=tuple(ratio_diagnostics(spec)) if spec.n_s >= 2 else (),
+        ratios=tuple(ratio_diagnostics(spec)),
     )

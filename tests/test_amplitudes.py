@@ -354,6 +354,10 @@ def test_scan_transfer_validates_grid():
         scan_transfer(spec, np.array([1.0, 1.0]))
     with pytest.raises(ValueError):
         scan_transfer(spec, np.array([2.0, 1.0]))
+    with pytest.raises(ValueError):
+        scan_transfer(spec, np.array([0.0, 1.0, np.inf]))
+    with pytest.raises(ValueError):
+        scan_transfer(spec, np.array([0.0, np.nan, 2.0]))
 
 
 def test_scan_transfer_starts_at_zero_probability():

@@ -1,6 +1,9 @@
 """The public names exported by the package."""
 
+import inspect
+
 import ppxfer
+from ppxfer import amplitudes, perturbation
 
 REMOVED = ("AmplitudeMatrix", "amplitude", "amplitude_matrix", "sr_submatrix")
 
@@ -17,3 +20,16 @@ def test_propagator_api_is_the_kernel_and_the_evaluator():
         assert name not in ppxfer.__all__
         assert not hasattr(ppxfer, name)
         assert not hasattr(ppxfer.amplitudes, name)
+
+
+def test_single_valued_options_are_not_parameters():
+    retired = [
+        (amplitudes.find_transfer_peak, "horizon"),
+        (amplitudes.plan_scan_grid, "horizon"),
+        (amplitudes.scan_max_probability, "refine_top"),
+        (amplitudes._golden_max, "iters"),
+        (perturbation.distinct_splittings, "rtol"),
+        (perturbation.ratio_diagnostics, "j0_pair"),
+    ]
+    for func, name in retired:
+        assert name not in inspect.signature(func).parameters, (func.__name__, name)

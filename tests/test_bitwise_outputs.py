@@ -1,8 +1,11 @@
 """Bitwise regression guard for the peak search and the CLI.
 
 Every pinned value was produced by commit 473b880 (before the paired-level
-phases and the look-ahead golden polish), with Python 3.11, numpy 2.4 and
-OpenBLAS on x86-64.  A change that claims to leave outputs unchanged must
+phases and the look-ahead golden polish), except the `validate`,
+`oracle-check` and non-PP `transfer --ns 3 --nw 40` hashes, which come
+from commit da5c416 (before the array-valued Fock oracle); all with
+Python 3.11, numpy 2.4 and OpenBLAS on x86-64, and the same with 1 or 2
+OpenBLAS threads.  A change that claims to leave outputs unchanged must
 keep these exact bits: peaks as `float.hex` of (t_fermion, p_fermion,
 t_boson, p_boson), CLI runs as the sha256 of stdout.  A change that moves
 outputs on purpose re-pins the values here and lists each one it moved.
@@ -33,6 +36,12 @@ STDOUT_SHA256 = {
         "9887ab97f52817c276178b61cfdc53b6f5edb0cc1136848aaed38aca8fef39b0",
     "spectrum --ns 4 --nw 101 --j0 0.01":
         "c84986e888ade8c67372254d4228b67e4e61bce6609491509c6d37b0367cc29f",
+    "transfer --ns 3 --nw 40 --j0 0.01":
+        "026e4cdfaf392c716effc504ccd08e5d6885ab6cadadacc62cc9e136a496bf43",
+    "validate":
+        "39dfe435333da8958d23ed36b03fa80fe46486107c317aaf5a2a5e5562a9f8fd",
+    "oracle-check":
+        "90a64ddb69890cc1e4246941bd9a39b70758123e4458ffc777ede61678de40c8",
 }
 
 

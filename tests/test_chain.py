@@ -40,6 +40,13 @@ def test_spec_rejects_invalid(bad):
         ChainSpec(**bad)
 
 
+def test_bulk_hopping_is_a_constant_not_a_field():
+    spec = ChainSpec(n_s=2, n_w=5, j0=0.01)
+    assert spec.j == ChainSpec.j == 1.0
+    with pytest.raises(TypeError):
+        ChainSpec(2, 5, 0.01, j=2.0)
+
+
 def test_spec_warns_outside_weak_coupling():
     with pytest.warns(UserWarning):
         ChainSpec(n_s=1, n_w=3, j0=0.5)

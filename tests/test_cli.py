@@ -2,10 +2,11 @@
 
 import json
 import sys
+import warnings
 
 import pytest
 
-from ppxfer import amplitudes, cli, observables, perturbation, spectral
+from ppxfer import amplitudes, cli, observables, oracle, perturbation, spectral
 from ppxfer.cli import EXIT_CONFIG, EXIT_FAIL, EXIT_OK, main
 
 
@@ -137,6 +138,13 @@ def test_resonance_text_table(capsys):
     assert "(k=2,q=21)" in lines[1]
 
 
+def test_resonance_empty_range_is_a_config_error(capsys):
+    code, out, err = run_cli(capsys, ["resonance", "--ns", "3", "--nw-min", "44", "--nw-max", "40"])
+    assert code == EXIT_CONFIG
+    assert out == ""
+    assert "empty wire-length range" in err
+
+
 def test_resonance_json_range(capsys):
     code, out, _ = run_cli(
         capsys,
@@ -197,22 +205,38 @@ def test_scaling_small_family(capsys):
     assert summary["exponent_predicted"] > 0
 
 
-def count_decompositions(monkeypatch):
-    """Record the spec of every decompose_chain call, through every module
-    that binds it."""
-    calls = []
-    original = spectral.decompose_chain
+@pytest.mark.parametrize("lmax", ["1", "0"])
+def test_scaling_needs_two_lengths(capsys, lmax):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, ["scaling", "--ns", "1", "--lmin", "1", "--lmax", lmax])
+    assert code == EXIT_CONFIG
+    assert out == ""
+    assert "two or more lengths" in err
 
-    def counted(spec):
-        calls.append(spec)
-        return original(spec)
+
+def count_calls(monkeypatch, owner, name, binders):
+    """Record the first argument of every call to owner.name, through every
+    ppxfer module that binds it; binders must be among those modules."""
+    calls = []
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return original(*args, **kwargs)
 
     holders = [m for key, m in list(sys.modules.items())
-               if key.startswith("ppxfer") and vars(m).get("decompose_chain") is original]
-    assert {amplitudes, cli, observables, perturbation} <= set(holders)
+               if key.startswith("ppxfer") and vars(m).get(name) is original]
+    assert set(binders) <= set(holders)
     for module in holders:
-        monkeypatch.setattr(module, "decompose_chain", counted)
+        monkeypatch.setattr(module, name, counted)
     return calls
+
+
+def count_decompositions(monkeypatch):
+    """Record the spec of every decompose_chain call."""
+    return count_calls(monkeypatch, spectral, "decompose_chain",
+                       {amplitudes, cli, observables, perturbation})
 
 
 @pytest.mark.parametrize("argv, chains, summary_pp", [
@@ -235,6 +259,25 @@ def test_validate_decomposes_each_distinct_chain_once(monkeypatch, capsys):
     code, _, _ = run_cli(capsys, ["validate"])
     assert code == EXIT_OK
     assert len(calls) == len(set(calls)) == 17
+
+
+def test_transfer_plans_and_scans_its_grid_once(monkeypatch, capsys):
+    planned = count_calls(monkeypatch, amplitudes, "plan_scan_grid",
+                          {amplitudes, cli, observables})
+    scanned = count_calls(monkeypatch, amplitudes, "scan_transfer", {amplitudes, cli})
+    code, out, _ = run_cli(capsys, ["transfer", "--ns", "2", "--nw", "41"])
+    assert code == EXIT_OK
+    assert json.loads(out.strip().split("\n")[-1][len("# summary: "):])["pp"] is True
+    assert len(planned) == len(scanned) == 1
+
+
+@pytest.mark.parametrize("command, builds", [("oracle-check", 12), ("validate", 24)])
+def test_gate_builds_each_oracle_sector_once_per_use(monkeypatch, capsys, command, builds):
+    # 12 sectors in the oracle suite; validate adds 12 single-time occupation probes
+    calls = count_calls(monkeypatch, oracle, "build_sector_hamiltonian", {oracle})
+    code, _, _ = run_cli(capsys, [command])
+    assert code == EXIT_OK
+    assert len(calls) == builds
 
 
 def test_config_file_with_flag_override(tmp_path, capsys):

@@ -7,7 +7,10 @@ import pytest
 
 from ppxfer import ChainSpec
 from ppxfer.chain import CouplingProfile, adjacency_matrix, build_profile
+from ppxfer.cli import ORACLE_CASES, ORACLE_COUPLINGS, ORACLE_HORIZON, ORACLE_TIMES
 from ppxfer.oracle import (
+    _edge_states,
+    _sector_setup,
     build_sector_hamiltonian,
     enumerate_basis,
     oracle_occupation,
@@ -127,6 +130,27 @@ def test_transfer_probability_stays_in_unit_interval():
         for t in rng.uniform(0.0, 40.0, size=8):
             p = oracle_transfer_prob(spec, float(t))
             assert 0.0 <= p <= 1.0 + 1e-12
+
+
+@pytest.mark.filterwarnings("ignore:j0=")
+@pytest.mark.parametrize("statistics", ["fermion", "boson"])
+@pytest.mark.parametrize("n_sites, n, j0", [
+    (n_sites, n, j0) for n_sites, n in ORACLE_CASES for j0 in ORACLE_COUPLINGS])
+def test_array_oracle_keeps_the_bits_of_single_times(n_sites, n, j0, statistics):
+    spec = ChainSpec(n_s=n, n_w=n_sites - 2 * n, j0=j0, statistics=statistics)
+    rng = np.random.default_rng(n_sites)
+    times = np.concatenate([np.linspace(0.0, ORACLE_HORIZON, ORACLE_TIMES),
+                            rng.uniform(0.0, 1e4, 16), [1e6]])
+    p = oracle_transfer_prob(spec, times)
+    assert p.shape == times.shape
+    basis, energies, modes = _sector_setup(spec)
+    i_send, i_recv = _edge_states(basis)
+    for t, got in zip(times, p):
+        alone = oracle_transfer_prob(spec, float(t))
+        assert isinstance(alone, float)
+        # the single-time expression written out, with the scalar abs and square
+        amp = np.sum(modes[i_recv] * np.exp(-1j * energies * float(t)) * modes[i_send])
+        assert float(got).hex() == alone.hex() == float(abs(amp) ** 2).hex()
 
 
 def test_occupation_at_time_zero_marks_sender_block():
