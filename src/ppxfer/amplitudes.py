@@ -263,12 +263,9 @@ def _checked_grid(t_grid) -> np.ndarray:
     return t_grid
 
 
-def scan_transfer(spec: ChainSpec, t_grid: np.ndarray,
-                  dec: SpectralDecomposition | None = None) -> TransferCurve:
+def scan_transfer(spec: ChainSpec, t_grid: np.ndarray, dec: SpectralDecomposition) -> TransferCurve:
     """Fermion and boson transfer probabilities over an explicit time grid."""
     t_grid = _checked_grid(t_grid)
-    if dec is None:
-        dec = decompose_chain(spec)
     ev = SubmatrixEvaluator(dec, spec.n_s)
     p_f = np.empty(len(t_grid))
     p_b = np.empty(len(t_grid))
@@ -383,8 +380,7 @@ def scan_scales(spec: ChainSpec, dec: SpectralDecomposition) -> tuple[float, flo
     return delta_slow, delta_max
 
 
-def plan_scan_grid(spec: ChainSpec,
-                   dec: SpectralDecomposition | None = None) -> tuple[np.ndarray, dict]:
+def plan_scan_grid(spec: ChainSpec, dec: SpectralDecomposition) -> tuple[np.ndarray, dict]:
     """Two-tier grid: coarse envelope samples plus fine patches at peak candidates.
 
     Patches go around the coarse fermion-probability argmax and around the
@@ -394,8 +390,6 @@ def plan_scan_grid(spec: ChainSpec,
     cover where a perturbatively-perfect peak must lie (doublet-limited
     transfer peaks at the former, trio-limited at the latter).
     """
-    if dec is None:
-        dec = decompose_chain(spec)
     delta_slow, delta_max = scan_scales(spec, dec)
     coarse_step = math.pi / (COARSE_POINTS_PER_SLOW_PERIOD * delta_slow)
     horizon = HORIZON_FACTOR * math.pi / (2.0 * delta_slow)
@@ -457,7 +451,7 @@ def find_transfer_peak(spec: ChainSpec, dec: SpectralDecomposition | None = None
     )
 
 
-def scan_max_probability(spec: ChainSpec, t_max: float, dec: SpectralDecomposition | None = None
+def scan_max_probability(spec: ChainSpec, t_max: float, dec: SpectralDecomposition
                          ) -> tuple[float, float, TransferCurve]:
     """Maximum fermion probability over [0, t_max] with local-peak polish.
 
@@ -465,8 +459,6 @@ def scan_max_probability(spec: ChainSpec, t_max: float, dec: SpectralDecompositi
     amplitudes evolve on splitting time scales) and an envelope-scale grid
     suffices; the REFINE_TOP highest local maxima get a golden-section polish.
     """
-    if dec is None:
-        dec = decompose_chain(spec)
     _, delta_max = scan_scales(spec, dec)
     step = math.pi / (FINE_POINTS_PER_FAST_PERIOD * delta_max)
     n_points = int(t_max / step) + 2

@@ -115,7 +115,8 @@ class ChainSpec:
 
 @dataclass(frozen=True)
 class CouplingProfile:
-    """Physical couplings J_i (length N-1) and on-site energies (length N)."""
+    """Physical couplings J_i (length N-1) and on-site energies (length N),
+    all finite: twice the off-diagonal and the diagonal of the chain matrix."""
 
     hop: np.ndarray
     onsite: np.ndarray
@@ -125,6 +126,8 @@ class CouplingProfile:
         onsite = np.asarray(self.onsite, dtype=float)
         if hop.ndim != 1 or onsite.ndim != 1 or len(onsite) != len(hop) + 1:
             raise ValueError("profile needs N-1 hoppings and N on-site energies")
+        if not (np.all(np.isfinite(hop)) and np.all(np.isfinite(onsite))):
+            raise ValueError("profile hoppings and on-site energies must be finite")
         object.__setattr__(self, "hop", hop)
         object.__setattr__(self, "onsite", onsite)
 

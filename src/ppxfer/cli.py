@@ -37,7 +37,7 @@ from .amplitudes import (
     scan_scales,
     scan_transfer,
 )
-from .chain import ChainSpec, CouplingProfile, adjacency_matrix, build_profile
+from .chain import ChainSpec, CouplingProfile, build_profile
 from .observables import (
     battery_metrics,
     interaction_energy,
@@ -365,7 +365,7 @@ def _check_energies(asymmetry: float) -> tuple[bool, str]:
         onsite = profile.onsite.copy()
         onsite[-1] += asymmetry
         profile = CouplingProfile(hop=profile.hop, onsite=onsite)
-    dec = diagonalize(adjacency_matrix(profile))
+    dec = diagonalize(profile)
     worst = 0.0
     for t in (0.7, 3.1, 12.9, 44.2):
         worst = max(worst, abs(interaction_energy(spec, t, dec)))
@@ -379,12 +379,12 @@ def _check_energies(asymmetry: float) -> tuple[bool, str]:
 def _check_statistics_independence(decompose) -> tuple[bool, str]:
     spec = ChainSpec(n_s=2, n_w=2, j0=0.1)
     dec = decompose(spec)
+    sites = np.arange(1, spec.n_sites + 1)
+    amps = np.array([occupation(spec, 2.0, site, dec) for site in sites])
     worst = 0.0
-    for site in range(1, spec.n_sites + 1):
-        amp = occupation(spec, 2.0, site, dec)
-        for statistics in ("fermion", "boson"):
-            probe = replace(spec, statistics=statistics)
-            worst = max(worst, abs(amp - oracle_occupation(probe, 2.0, site)))
+    for statistics in ("fermion", "boson"):
+        fock = oracle_occupation(replace(spec, statistics=statistics), 2.0, sites)
+        worst = max(worst, float(np.max(np.abs(amps - fock))))
     return worst < 1e-10, f"occupation vs both oracles, max deviation {worst:.2e}"
 
 
@@ -517,7 +517,7 @@ def main(argv=None) -> int:
     except NumericalConsistencyError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, KeyError, OSError, json.JSONDecodeError, NoTransferPredicted) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

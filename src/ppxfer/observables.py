@@ -67,59 +67,44 @@ def _switch_energy(spec: ChainSpec, block: np.ndarray) -> np.ndarray:
     return spec.j0 * total.real
 
 
-def occupation(spec: ChainSpec, t: float, site: int,
-               dec: SpectralDecomposition | None = None) -> float:
+def occupation(spec: ChainSpec, t: float, site: int, dec: SpectralDecomposition) -> float:
     """<n_site(t)> = sum over senders i of |f_i^site(t)|^2, 1-based site."""
-    if dec is None:
-        dec = decompose_chain(spec)
     if not 1 <= site <= dec.n:
         raise ValueError(f"site must lie in 1..{dec.n}, got {site}")
     rows = _sender_rows(dec, spec.n_s, t)
     return float(np.sum(np.abs(rows[:, site - 1]) ** 2))
 
 
-def occupation_profile(spec: ChainSpec, t: float,
-                       dec: SpectralDecomposition | None = None) -> np.ndarray:
+def occupation_profile(spec: ChainSpec, t: float, dec: SpectralDecomposition) -> np.ndarray:
     """<n_j(t)> for every site j at once."""
-    if dec is None:
-        dec = decompose_chain(spec)
     rows = _sender_rows(dec, spec.n_s, t)
     return np.sum(np.abs(rows) ** 2, axis=0)
 
 
-def magnetization_receiver(spec: ChainSpec, t: float,
-                           dec: SpectralDecomposition | None = None) -> float:
+def magnetization_receiver(spec: ChainSpec, t: float, dec: SpectralDecomposition) -> float:
     """Receiver-block magnetization: squared Frobenius norm of the
     sender-receiver submatrix minus n_r/2."""
-    if dec is None:
-        dec = decompose_chain(spec)
     sub = SubmatrixEvaluator(dec, spec.n_s).submatrix(t)
     return float(np.sum(np.abs(sub) ** 2) - spec.n_r / 2.0)
 
 
-def interaction_energy(spec: ChainSpec, t: float,
-                       dec: SpectralDecomposition | None = None) -> float:
+def interaction_energy(spec: ChainSpec, t: float, dec: SpectralDecomposition) -> float:
     """Hopping energy stored on receiver-block bonds.
 
     Zero for any uniform-h hopping chain: the sublattice sign structure
     makes every (f_s^i)* f_s^{i+1} purely imaginary (uniform h cancels in
     the product), so only an on-site defect can make this nonzero.
     """
-    if dec is None:
-        dec = decompose_chain(spec)
     return float(_hop_energy(spec, _energy_block(spec, dec, [t]))[0])
 
 
-def switching_energy(spec: ChainSpec, tau: float,
-                     dec: SpectralDecomposition | None = None) -> float:
+def switching_energy(spec: ChainSpec, tau: float, dec: SpectralDecomposition) -> float:
     """Energy cost of switching the two J0 junction bonds off at time tau.
 
     The initial-state term vanishes exactly (the blocks start disjoint),
     leaving the junction-bond hopping expectation at tau, which is zero
     for the same sublattice-parity reason as the interaction energy.
     """
-    if dec is None:
-        dec = decompose_chain(spec)
     return float(_switch_energy(spec, _energy_block(spec, dec, [tau]))[0])
 
 

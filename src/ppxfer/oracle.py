@@ -153,13 +153,18 @@ def oracle_transfer_prob(spec: ChainSpec, t):
     return float(p) if p.ndim == 0 else p
 
 
-def oracle_occupation(spec: ChainSpec, t: float, site: int) -> float:
-    """<n_site(t)> (1-based site) evolved in the sector basis."""
+def oracle_occupation(spec: ChainSpec, t: float, site):
+    """<n_site(t)> (1-based site) evolved in the sector basis: a float for
+    one site, an array for a 1-D site array, from one sector build."""
+    sites = np.atleast_1d(site).tolist()
     basis, energies, modes = _sector_setup(spec)
-    if not 1 <= site <= basis.n_sites:
-        raise ValueError(f"site must lie in 1..{basis.n_sites}, got {site}")
     i_send, _ = _edge_states(basis)
     psi = modes @ (np.exp(-1j * energies * t) * modes[i_send])
     weights = np.abs(psi) ** 2
-    occs = np.array([basis.occupation_of(s, site) for s in basis.states], dtype=float)
-    return float(np.dot(weights, occs))
+    values = []
+    for k in sites:
+        if not 1 <= k <= basis.n_sites:
+            raise ValueError(f"site must lie in 1..{basis.n_sites}, got {k}")
+        occs = np.array([basis.occupation_of(s, k) for s in basis.states], dtype=float)
+        values.append(np.dot(weights, occs))
+    return float(values[0]) if np.ndim(site) == 0 else np.array(values)

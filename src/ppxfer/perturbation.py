@@ -232,7 +232,7 @@ def ratio_diagnostics(spec: ChainSpec) -> list[RatioEstimate]:
     ]
 
 
-def envelope_3ex(spec: ChainSpec, t, dec: SpectralDecomposition | None = None):
+def envelope_3ex(spec: ChainSpec, t, dec: SpectralDecomposition):
     """Probability envelope of the 3-excitation transfer curve.
 
     Resonant wire lengths (n_w = 4l+1): sin^4(delta* t), the square of the
@@ -242,8 +242,6 @@ def envelope_3ex(spec: ChainSpec, t, dec: SpectralDecomposition | None = None):
     """
     if spec.n_s != 3:
         raise ValueError(f"envelope defined for n_s=3 only, got {spec.n_s}")
-    if dec is None:
-        dec = decompose_chain(spec)
     clusters = find_clusters(dec, spec)
     t = np.asarray(t, dtype=float)
     if any(c.multiplicity == 3 for c in clusters) and spec.n_w % 4 == 1:

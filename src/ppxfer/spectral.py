@@ -1,5 +1,11 @@
 """Symmetric tridiagonal eigensolver and block spectra.
 
+The eigensolver reads a chain's coupling profile directly: its on-site
+energies are the diagonal and its halved hoppings the off-diagonal, so no
+dense matrix is built or scanned for structure.  The profile also states
+the two symmetries the output enforces: a zero diagonal (bipartite chain,
+exact +/- level pairs) and mirror symmetry (exact eigenvector parities).
+
 Implicit-shift QL with accumulated eigenvectors, written against float64
 and a 30-sweep cap per eigenvalue, in two passes: a scalar pass runs the
 recurrence on Python floats and records every Givens rotation, and an
@@ -8,9 +14,9 @@ touch disjoint columns, so each element sees the same arithmetic in the
 same order as rotating one pair at a time.
 
 Output is deterministic: eigenvalues ascending, each eigenvector's first
-nonzero component positive, and for mirror-symmetric (persymmetric) input
-every eigenvector is projected onto its parity branch so the symmetry
-holds bitwise, not just to rounding.
+nonzero component positive, and for a mirror-symmetric profile every
+eigenvector is projected onto its parity branch so the symmetry holds
+bitwise, not just to rounding.
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .chain import ChainSpec, adjacency_matrix, build_profile
+from .chain import ChainSpec, CouplingProfile, build_profile
 
 MACHEP = 2.0 ** -52
 MAX_SWEEPS = 30
@@ -188,11 +194,6 @@ def _apply_rotations(z: np.ndarray, rotations: array, factors: array) -> None:
     z[:] = zt.T
 
 
-def _is_tridiagonal(a: np.ndarray) -> bool:
-    mask = np.abs(np.subtract.outer(np.arange(len(a)), np.arange(len(a)))) > 1
-    return not np.any(a[mask])
-
-
 def _purify_parity(z: np.ndarray) -> np.ndarray:
     """Project each column onto its dominant mirror-parity branch."""
     parities = np.empty(z.shape[1])
@@ -230,25 +231,19 @@ def _fix_signs(z: np.ndarray) -> None:
             z[:, k] = -col
 
 
-def diagonalize(a: np.ndarray) -> SpectralDecomposition:
-    a = np.asarray(a, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError("matrix must be square")
-    if not np.array_equal(a, a.T):
-        raise ValueError("matrix must be symmetric")
-    if not _is_tridiagonal(a):
-        raise ValueError("matrix must be tridiagonal")
-    n = len(a)
-    d = np.diag(a).astype(float).copy()
-    e = np.diag(a, -1).astype(float).copy()
-    z = np.eye(n)
+def diagonalize(profile: CouplingProfile) -> SpectralDecomposition:
+    """Spectrum of the chain matrix with `profile.onsite` on the diagonal
+    and `profile.hop / 2` off it."""
+    d = profile.onsite.copy()
+    e = profile.hop / 2.0
+    z = np.eye(profile.n_sites)
     _ql_implicit(d, e, z)
 
     order = np.argsort(d, kind="stable")
     w = d[order]
     z = z[:, order]
 
-    if not np.any(np.diag(a)):
+    if not np.any(profile.onsite):
         # A zero diagonal makes the chain bipartite, so the exact spectrum
         # is antisymmetric: levels come in +/- pairs (plus a zero for odd
         # dimension).  The QL output pairs only to roundoff, and that tiny
@@ -256,11 +251,10 @@ def diagonalize(a: np.ndarray) -> SpectralDecomposition:
         # enforce the pairing exactly on the sorted levels.
         w = 0.5 * (w - w[::-1])
 
-    persymmetric = np.array_equal(a, a[::-1, ::-1].T)
-    if persymmetric:
+    if profile.is_mirror_symmetric():
         parities = _purify_parity(z)
     else:
-        parities = np.zeros(n)
+        parities = np.zeros(profile.n_sites)
     _reorthogonalize_clusters(w, z)
     _fix_signs(z)
     return SpectralDecomposition(eigenvalues=w, eigenvectors=z, parities=parities,
@@ -268,14 +262,15 @@ def diagonalize(a: np.ndarray) -> SpectralDecomposition:
 
 
 def decompose_chain(spec: ChainSpec) -> SpectralDecomposition:
-    """Profile -> matrix -> decomposition for a chain configuration.
+    """Profile -> decomposition for a chain configuration.
 
     The uniform on-site energy commutes with the hopping part, so it is
-    peeled off before the eigensolve and added back to the eigenvalues;
-    changing h therefore leaves the eigenvectors bitwise identical.
+    peeled off the on-site vector (h - h is exactly 0.0) before the
+    eigensolve and added back to the eigenvalues; changing h therefore
+    leaves the eigenvectors bitwise identical.
     """
-    a = adjacency_matrix(build_profile(spec))
-    bare = diagonalize(a - spec.h * np.eye(len(a)))
+    profile = build_profile(spec)
+    bare = diagonalize(CouplingProfile(hop=profile.hop, onsite=profile.onsite - spec.h))
     return replace(bare, eigenvalues=bare.eigenvalues + spec.h, offset=spec.h)
 
 

@@ -150,7 +150,7 @@ def test_acceptance_04_three_excitation_peak_and_envelope(three_excitation_peak)
     t = report.curve.times
     interior = np.nonzero((p[1:-1] >= p[:-2]) & (p[1:-1] >= p[2:]))[0] + 1
     assert len(interior) > 0
-    env = envelope_3ex(spec, t[interior])
+    env = envelope_3ex(spec, t[interior], decompose_chain(spec))
     worst = float(np.min(env - p[interior]))
     assert worst >= -0.05, f"envelope undershoots a curve peak by {-worst}"
 
@@ -159,10 +159,11 @@ def test_acceptance_05_infeasible_classes_stay_below_ceiling():
     """n_s=3 with n_w in {40, 42, 43}: no sampled probability reaches 0.9."""
     for n_w in (40, 42, 43):
         spec = ChainSpec(n_s=3, n_w=n_w, j0=0.01)
-        clusters = find_clusters(decompose_chain(spec), spec)
+        dec = decompose_chain(spec)
+        clusters = find_clusters(dec, spec)
         delta_min = distinct_splittings(clusters)[0][0]
         t_max = 10.0 * math.pi / (2.0 * delta_min)
-        _, best_fermion, curve = scan_max_probability(spec, t_max)
+        _, best_fermion, curve = scan_max_probability(spec, t_max, dec)
         best = max(best_fermion, float(np.max(curve.p_boson)))
         assert best < 0.9, f"n_w={n_w}: reached {best} over [0, {t_max}]"
 
@@ -226,10 +227,10 @@ def test_acceptance_08_transfer_time_scaling(n_s):
 def test_acceptance_09_receiver_magnetization(three_excitation_peak):
     """Receiver magnetization saturates at the peak; Frobenius identity holds."""
     spec, report = three_excitation_peak
-    mag = magnetization_receiver(spec, report.t_fermion)
+    dec = decompose_chain(spec)
+    mag = magnetization_receiver(spec, report.t_fermion, dec)
     floor = spec.n_r / 2.0 - 0.02
     assert mag >= floor, f"magnetization {mag} below {floor}"
-    dec = decompose_chain(spec)
     rng = np.random.default_rng(20260819)
     receiver = list(spec.receiver_sites())
     for t in rng.uniform(0.0, report.horizon, size=100):

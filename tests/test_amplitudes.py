@@ -8,6 +8,7 @@ import pytest
 
 from ppxfer import (
     ChainSpec,
+    CouplingProfile,
     NumericalConsistencyError,
     SubmatrixEvaluator,
     find_transfer_peak,
@@ -31,12 +32,11 @@ from ppxfer.spectral import decompose_chain, diagonalize
 
 def two_site_decomposition():
     # Single bond at coupling 1: H = [[0, 1/2], [1/2, 0]].
-    return diagonalize(np.array([[0.0, 0.5], [0.5, 0.0]]))
+    return diagonalize(CouplingProfile(hop=[1.0], onsite=[0.0, 0.0]))
 
 
 def three_site_decomposition():
-    h = 0.5 * np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
-    return diagonalize(h)
+    return diagonalize(CouplingProfile(hop=[1.0, 1.0], onsite=[0.0, 0.0, 0.0]))
 
 
 def full_propagator(dec, t):
@@ -348,23 +348,24 @@ def test_grid_evaluation_matches_point_by_point():
 
 def test_scan_transfer_validates_grid():
     spec = ChainSpec(n_s=1, n_w=2, j0=0.1)
+    dec = decompose_chain(spec)
     with pytest.raises(ValueError):
-        scan_transfer(spec, np.array([[0.0, 1.0]]))
+        scan_transfer(spec, np.array([[0.0, 1.0]]), dec)
     with pytest.raises(ValueError):
-        scan_transfer(spec, np.array([1.0, 1.0]))
+        scan_transfer(spec, np.array([1.0, 1.0]), dec)
     with pytest.raises(ValueError):
-        scan_transfer(spec, np.array([2.0, 1.0]))
+        scan_transfer(spec, np.array([2.0, 1.0]), dec)
     with pytest.raises(ValueError):
-        scan_transfer(spec, np.array([0.0, 1.0, np.inf]))
+        scan_transfer(spec, np.array([0.0, 1.0, np.inf]), dec)
     with pytest.raises(ValueError):
-        scan_transfer(spec, np.array([0.0, np.nan, 2.0]))
+        scan_transfer(spec, np.array([0.0, np.nan, 2.0]), dec)
 
 
 def test_scan_transfer_starts_at_zero_probability():
     # At t = 0 the sender-receiver block is a corner of the identity, so
     # both probabilities vanish up to eigensolver roundoff raised to 2*n_s.
     spec = ChainSpec(n_s=2, n_w=3, j0=0.05)
-    curve = scan_transfer(spec, np.array([0.0, 1.0, 2.0]))
+    curve = scan_transfer(spec, np.array([0.0, 1.0, 2.0]), decompose_chain(spec))
     assert curve.p_fermion[0] < 1e-30
     assert curve.p_boson[0] < 1e-30
     assert np.all(curve.p_fermion <= 1.0)
@@ -374,13 +375,13 @@ def test_scan_transfer_starts_at_zero_probability():
 def test_single_excitation_statistics_coincide():
     # A 1x1 block has det = perm, so the two curves are identical.
     spec = ChainSpec(n_s=1, n_w=4, j0=0.08)
-    curve = scan_transfer(spec, np.linspace(0.0, 120.0, 600))
+    curve = scan_transfer(spec, np.linspace(0.0, 120.0, 600), decompose_chain(spec))
     assert np.array_equal(curve.p_fermion, curve.p_boson)
 
 
 def test_plan_scan_grid_structure():
     spec = ChainSpec(n_s=1, n_w=5, j0=0.1)
-    grid, meta = plan_scan_grid(spec)
+    grid, meta = plan_scan_grid(spec, decompose_chain(spec))
     assert grid[0] == 0.0
     assert np.all(np.diff(grid) > 0)
     assert grid[-1] <= meta["horizon"] + 1e-9
@@ -400,7 +401,7 @@ def test_find_transfer_peak_on_small_perfect_case():
 
 def test_scan_max_probability_polishes_grid_maximum():
     spec = ChainSpec(n_s=1, n_w=4, j0=0.1)
-    t_best, p_best, curve = scan_max_probability(spec, 300.0)
+    t_best, p_best, curve = scan_max_probability(spec, 300.0, decompose_chain(spec))
     # The polish step can only improve on the raw grid maximum.
     assert p_best >= float(np.max(curve.p_fermion)) - 1e-15
     assert 0.0 <= p_best <= 1.0

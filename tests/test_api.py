@@ -3,7 +3,7 @@
 import inspect
 
 import ppxfer
-from ppxfer import amplitudes, perturbation
+from ppxfer import amplitudes, observables, perturbation, spectral
 
 REMOVED = ("AmplitudeMatrix", "amplitude", "amplitude_matrix", "sr_submatrix")
 
@@ -33,3 +33,23 @@ def test_single_valued_options_are_not_parameters():
     ]
     for func, name in retired:
         assert name not in inspect.signature(func).parameters, (func.__name__, name)
+
+
+def test_only_the_two_entry_points_decompose_on_their_own():
+    kernels = [
+        amplitudes.scan_transfer, amplitudes.plan_scan_grid, amplitudes.scan_max_probability,
+        perturbation.envelope_3ex,
+        observables.occupation, observables.occupation_profile,
+        observables.magnetization_receiver, observables.interaction_energy,
+        observables.switching_energy,
+    ]
+    for func in kernels:
+        dec = inspect.signature(func).parameters["dec"]
+        assert dec.default is inspect.Parameter.empty, func.__name__
+    for func in (amplitudes.find_transfer_peak, perturbation.predict_transfer_time):
+        assert inspect.signature(func).parameters["dec"].default is None, func.__name__
+
+
+def test_eigensolver_reads_the_profile_not_a_matrix():
+    assert list(inspect.signature(spectral.diagonalize).parameters) == ["profile"]
+    assert not hasattr(spectral, "_is_tridiagonal")

@@ -125,6 +125,20 @@ def test_profile_shape_validation():
         CouplingProfile(hop=np.ones(3), onsite=np.zeros(3))
 
 
+BAD_PROFILES = {
+    **{f"hop-{bad}": ([1.0, bad], [0.0, 0.0, 0.0]) for bad in (math.nan, math.inf, -math.inf)},
+    **{f"onsite-{bad}": ([1.0], [bad, 0.0]) for bad in (math.nan, math.inf, -math.inf)},
+    "too-few-onsite": ([1.0, 1.0], [0.0, 0.0]),
+    "too-many-onsite": ([1.0], [0.0, 0.0, 0.0]),
+}
+
+
+@pytest.mark.parametrize("hop, onsite", BAD_PROFILES.values(), ids=BAD_PROFILES.keys())
+def test_profile_refuses_non_finite_or_mismatched_values(hop, onsite):
+    with pytest.raises(ValueError):
+        CouplingProfile(hop=hop, onsite=onsite)
+
+
 def test_adjacency_two_sites():
     a = adjacency_matrix(CouplingProfile(hop=np.array([1.0]), onsite=np.zeros(2)))
     assert np.array_equal(a, [[0.0, 0.5], [0.5, 0.0]])

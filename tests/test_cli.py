@@ -215,6 +215,16 @@ def test_scaling_needs_two_lengths(capsys, lmax):
     assert "two or more lengths" in err
 
 
+@pytest.mark.parametrize("n_s, n_w", [(5, 41), (6, 21)])
+def test_scaling_without_a_transfer_prediction_is_a_config_error(capsys, n_s, n_w):
+    # the family's first length has no PP prediction, so there is no tau to fit
+    code, out, err = run_cli(capsys, ["scaling", "--ns", str(n_s), "--lmax", "2"])
+    assert code == EXIT_CONFIG
+    assert out == ""
+    assert err.startswith(f"error: no PP transfer predicted for n_s={n_s}, n_w={n_w} ")
+    assert err.count("\n") == 1
+
+
 def count_calls(monkeypatch, owner, name, binders):
     """Record the first argument of every call to owner.name, through every
     ppxfer module that binds it; binders must be among those modules."""
@@ -271,9 +281,9 @@ def test_transfer_plans_and_scans_its_grid_once(monkeypatch, capsys):
     assert len(planned) == len(scanned) == 1
 
 
-@pytest.mark.parametrize("command, builds", [("oracle-check", 12), ("validate", 24)])
+@pytest.mark.parametrize("command, builds", [("oracle-check", 12), ("validate", 14)])
 def test_gate_builds_each_oracle_sector_once_per_use(monkeypatch, capsys, command, builds):
-    # 12 sectors in the oracle suite; validate adds 12 single-time occupation probes
+    # 12 sectors in the oracle suite; validate adds one occupation sector per statistics
     calls = count_calls(monkeypatch, oracle, "build_sector_hamiltonian", {oracle})
     code, _, _ = run_cli(capsys, [command])
     assert code == EXIT_OK

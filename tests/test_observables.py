@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from ppxfer import ChainSpec, occupation_profile
-from ppxfer.chain import CouplingProfile, adjacency_matrix, build_profile
+from ppxfer.chain import CouplingProfile, build_profile
 from ppxfer.observables import (
     battery_metrics,
     interaction_energy,
@@ -27,21 +27,23 @@ def defected_decomposition(spec, shift=0.02):
     profile = build_profile(spec)
     onsite = profile.onsite.copy()
     onsite[-1] += shift
-    return diagonalize(adjacency_matrix(CouplingProfile(onsite=onsite, hop=profile.hop)))
+    return diagonalize(CouplingProfile(onsite=onsite, hop=profile.hop))
 
 
 def test_occupation_marks_sender_block_at_time_zero():
     spec = ChainSpec(n_s=2, n_w=3, j0=0.05)
+    dec = decompose_chain(spec)
     for site in range(1, 8):
         expected = 1.0 if site <= 2 else 0.0
-        assert occupation(spec, 0.0, site) == pytest.approx(expected, abs=1e-12)
+        assert occupation(spec, 0.0, site, dec) == pytest.approx(expected, abs=1e-12)
 
 
 def test_occupation_total_is_conserved():
     spec = ChainSpec(n_s=3, n_w=5, j0=0.04)
+    dec = decompose_chain(spec)
     rng = np.random.default_rng(2)
     for t in rng.uniform(0.0, 80.0, size=6):
-        prof = occupation_profile(spec, float(t))
+        prof = occupation_profile(spec, float(t), dec)
         assert prof.shape == (11,)
         assert np.all(prof >= -1e-14)
         assert np.sum(prof) == pytest.approx(3.0, abs=1e-10)
@@ -50,9 +52,10 @@ def test_occupation_total_is_conserved():
 def test_occupation_profile_matches_sitewise_calls():
     spec = ChainSpec(n_s=2, n_w=2, j0=0.1)
     t = 4.2
-    prof = occupation_profile(spec, t)
+    dec = decompose_chain(spec)
+    prof = occupation_profile(spec, t, dec)
     for site in range(1, 7):
-        assert prof[site - 1] == pytest.approx(occupation(spec, t, site), abs=1e-14)
+        assert prof[site - 1] == pytest.approx(occupation(spec, t, site, dec), abs=1e-14)
 
 
 def test_occupation_matches_sector_oracle_for_both_statistics():
@@ -60,8 +63,9 @@ def test_occupation_matches_sector_oracle_for_both_statistics():
     # so a single amplitude-based value must match both sector evolutions.
     spec = ChainSpec(n_s=2, n_w=2, j0=0.1)
     t = 2.0
+    dec = decompose_chain(spec)
     for site in range(1, 7):
-        fast = occupation(spec, t, site)
+        fast = occupation(spec, t, site, dec)
         for stats in ("fermion", "boson"):
             probe = ChainSpec(n_s=2, n_w=2, j0=0.1, statistics=stats)
             assert fast == pytest.approx(oracle_occupation(probe, t, site), abs=1e-10)
@@ -69,15 +73,17 @@ def test_occupation_matches_sector_oracle_for_both_statistics():
 
 def test_occupation_rejects_out_of_range_site():
     spec = ChainSpec(n_s=1, n_w=1, j0=0.1)
+    dec = decompose_chain(spec)
     with pytest.raises(ValueError):
-        occupation(spec, 1.0, 0)
+        occupation(spec, 1.0, 0, dec)
     with pytest.raises(ValueError):
-        occupation(spec, 1.0, 4)
+        occupation(spec, 1.0, 4, dec)
 
 
 def test_magnetization_starts_at_empty_block_value():
     spec = ChainSpec(n_s=3, n_w=7, j0=0.02)
-    assert magnetization_receiver(spec, 0.0) == pytest.approx(-1.5, abs=1e-12)
+    dec = decompose_chain(spec)
+    assert magnetization_receiver(spec, 0.0, dec) == pytest.approx(-1.5, abs=1e-12)
 
 
 def test_magnetization_equals_receiver_occupation_minus_half_filling():
@@ -116,7 +122,7 @@ def test_hopping_energies_vanish_even_with_a_bond_defect():
     profile = build_profile(spec)
     hop = profile.hop.copy()
     hop[-1] += 0.02
-    dec = diagonalize(adjacency_matrix(CouplingProfile(onsite=profile.onsite, hop=hop)))
+    dec = diagonalize(CouplingProfile(onsite=profile.onsite, hop=hop))
     worst = max(abs(interaction_energy(spec, t, dec)) for t in np.linspace(0.0, 60.0, 40))
     assert worst < 1e-12
 
@@ -161,7 +167,7 @@ def test_total_energy_is_conserved_with_defect():
     profile = build_profile(spec)
     onsite = profile.onsite.copy()
     onsite[-1] += 0.02
-    dec = diagonalize(adjacency_matrix(CouplingProfile(onsite=onsite, hop=profile.hop)))
+    dec = diagonalize(CouplingProfile(onsite=onsite, hop=profile.hop))
 
     def total_energy(t):
         phases = np.exp(-1j * dec.eigenvalues * t)

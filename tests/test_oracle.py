@@ -188,3 +188,18 @@ def test_occupation_rejects_out_of_range_site():
         oracle_occupation(spec, 1.0, 0)
     with pytest.raises(ValueError):
         oracle_occupation(spec, 1.0, 4)
+
+
+@pytest.mark.parametrize("statistics", ["fermion", "boson"])
+def test_site_array_occupation_keeps_the_bits_of_single_sites(statistics):
+    spec = ChainSpec(n_s=2, n_w=3, j0=0.1, h=0.4, statistics=statistics)
+    with pytest.raises(ValueError):
+        oracle_occupation(spec, 1.0, np.array([1, 2, 8]))
+    sites = np.array([7, 1, 3, 3, 6])
+    for t in (0.0, 2.0, 913.7):
+        values = oracle_occupation(spec, t, sites)
+        assert values.shape == sites.shape
+        for site, got in zip(sites, values):
+            alone = oracle_occupation(spec, t, int(site))
+            assert isinstance(alone, float)
+            assert float(got).hex() == alone.hex()

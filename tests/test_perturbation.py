@@ -234,7 +234,8 @@ def test_envelope_off_resonant_class_stays_in_unit_interval():
 
 def test_envelope_rejects_other_block_sizes():
     with pytest.raises(ValueError):
-        envelope_3ex(ChainSpec(n_s=2, n_w=5, j0=0.01), 1.0)
+        spec = ChainSpec(n_s=2, n_w=5, j0=0.01)
+        envelope_3ex(spec, 1.0, decompose_chain(spec))
 
 
 def test_commensurability_half_is_infeasible_by_parity():

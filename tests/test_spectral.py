@@ -14,17 +14,18 @@ from ppxfer.spectral import (
 
 
 def uniform_chain(n, h=0.0):
-    return adjacency_matrix(CouplingProfile(hop=np.ones(n - 1), onsite=np.full(n, h)))
+    return CouplingProfile(hop=np.ones(n - 1), onsite=np.full(n, h))
 
 
-def random_tridiagonal(rng, n):
+def random_profile(rng, n):
+    """Diagonal d and off-diagonal e as a profile (hoppings 2e)."""
     d = rng.uniform(-1, 1, n)
     e = rng.uniform(0.05, 1, n - 1)
-    return np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
+    return CouplingProfile(hop=2.0 * e, onsite=d)
 
 
 def test_two_site_analytic():
-    dec = diagonalize(np.array([[0.0, 0.5], [0.5, 0.0]]))
+    dec = diagonalize(CouplingProfile(hop=[1.0], onsite=[0.0, 0.0]))
     assert np.allclose(dec.eigenvalues, [-0.5, 0.5], atol=1e-14)
     inv_sqrt2 = 1 / math.sqrt(2)
     # first nonzero component positive
@@ -43,8 +44,9 @@ def test_eigh_cross_check():
     rng = np.random.default_rng(11)
     for _ in range(25):
         n = int(rng.integers(2, 40))
-        a = random_tridiagonal(rng, n)
-        dec = diagonalize(a)
+        profile = random_profile(rng, n)
+        a = adjacency_matrix(profile)
+        dec = diagonalize(profile)
         ref = np.linalg.eigvalsh(a)
         assert np.allclose(dec.eigenvalues, ref, atol=1e-11)
 
@@ -53,8 +55,9 @@ def test_residual_orthonormality_trace():
     rng = np.random.default_rng(12)
     for _ in range(15):
         n = int(rng.integers(2, 40))
-        a = random_tridiagonal(rng, n)
-        dec = diagonalize(a)
+        profile = random_profile(rng, n)
+        a = adjacency_matrix(profile)
+        dec = diagonalize(profile)
         z = dec.eigenvectors
         residual = a @ z - z * dec.eigenvalues
         assert np.max(np.abs(residual)) < 1e-11 * max(1.0, np.max(np.abs(dec.eigenvalues)))
@@ -72,8 +75,7 @@ def test_mirror_property_and_parities():
 
 
 def test_no_parity_claim_without_mirror_symmetry():
-    a = np.diag([0.3, 0.0, 0.0]) + np.diag([0.5, 0.5], 1) + np.diag([0.5, 0.5], -1)
-    dec = diagonalize(a)
+    dec = diagonalize(CouplingProfile(hop=[1.0, 1.0], onsite=[0.3, 0.0, 0.0]))
     assert np.all(dec.parities == 0)
 
 
@@ -94,9 +96,9 @@ def test_h_shift_leaves_eigenvectors_identical():
 
 
 def test_deterministic_output():
-    a = random_tridiagonal(np.random.default_rng(3), 17)
-    d1 = diagonalize(a)
-    d2 = diagonalize(a)
+    profile = random_profile(np.random.default_rng(3), 17)
+    d1 = diagonalize(profile)
+    d2 = diagonalize(profile)
     assert np.array_equal(d1.eigenvalues, d2.eigenvalues)
     assert np.array_equal(d1.eigenvectors, d2.eigenvectors)
 
@@ -104,22 +106,11 @@ def test_deterministic_output():
 def test_sign_convention():
     rng = np.random.default_rng(4)
     for _ in range(10):
-        dec = diagonalize(random_tridiagonal(rng, int(rng.integers(2, 25))))
+        dec = diagonalize(random_profile(rng, int(rng.integers(2, 25))))
         for k in range(dec.n):
             col = dec.eigenvectors[:, k]
             first = col[np.flatnonzero(np.abs(col) > 1e-12)[0]]
             assert first > 0
-
-
-def test_rejects_non_tridiagonal_and_asymmetric():
-    full = np.ones((4, 4))
-    with pytest.raises(ValueError):
-        diagonalize(full)
-    skew = np.diag(np.ones(3), 1) * 0.5
-    with pytest.raises(ValueError):
-        diagonalize(skew)  # not symmetric
-    with pytest.raises(ValueError):
-        diagonalize(np.ones((3, 2)))
 
 
 def rotate_one_at_a_time(z, rotations, factors):
@@ -133,7 +124,7 @@ def rotate_one_at_a_time(z, rotations, factors):
 
 def test_batched_rotations_are_bitwise_sequential(monkeypatch):
     rng = np.random.default_rng(21)
-    matrices = []
+    profiles = []
     for n in range(1, 61):
         d = rng.uniform(-1, 1, n)
         e = rng.uniform(-1, 1, n - 1)
@@ -141,11 +132,11 @@ def test_batched_rotations_are_bitwise_sequential(monkeypatch):
             d[:] = 0.0
         if n % 4 == 0:
             e[rng.integers(0, n - 1, size=n // 4)] = 0.0
-        matrices.append(np.diag(d) + np.diag(e, 1) + np.diag(e, -1))
+        profiles.append(CouplingProfile(hop=2.0 * e, onsite=d))
     specs = [ChainSpec(n_s=4, n_w=101, j0=0.01), ChainSpec(n_s=2, n_w=102, j0=0.01)]
-    batched = [diagonalize(a) for a in matrices] + [decompose_chain(s) for s in specs]
+    batched = [diagonalize(p) for p in profiles] + [decompose_chain(s) for s in specs]
     monkeypatch.setattr(spectral, "_apply_rotations", rotate_one_at_a_time)
-    sequential = [diagonalize(a) for a in matrices] + [decompose_chain(s) for s in specs]
+    sequential = [diagonalize(p) for p in profiles] + [decompose_chain(s) for s in specs]
     for got, want in zip(batched, sequential):
         assert np.array_equal(got.eigenvalues, want.eigenvalues)
         assert np.array_equal(got.eigenvectors, want.eigenvectors)
@@ -211,9 +202,9 @@ def test_paired_phases_keep_the_bits_of_the_direct_expression(n_s, h):
 
 
 def test_unpaired_phases_keep_the_bits_of_the_direct_expression():
-    a = uniform_chain(7)
-    a[2, 2] = 0.4        # an on-site defect breaks the +/- pairing
-    dec = diagonalize(a)
+    onsite = np.zeros(7)
+    onsite[2] = 0.4      # an on-site defect breaks the +/- pairing
+    dec = diagonalize(CouplingProfile(hop=np.ones(6), onsite=onsite))
     assert not dec._paired
     for t in PHASE_TIMES:
         assert_same_bits(dec.phases(t), direct_phases(dec, t))
