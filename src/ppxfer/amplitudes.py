@@ -17,6 +17,15 @@ chunks of about CHUNK_ELEMENTS complex numbers, and `fermion_prob` /
 each probe it has not seen together with every probe of its next
 GOLDEN_LOOKAHEAD iterations in one array call, and returns the bits of a
 one-probe-at-a-time search.
+
+The dense window sweep is the one place a surrogate is allowed:
+`propagator_grid` builds the blocks of a uniform grid from two phase
+tables (about 2 sqrt(T) exps per level instead of T) and returns a
+rigorous bound on their distance from `propagator_block`'s values.  Its
+values only choose which grid points `propagator_block` evaluates: every
+point whose bounded surrogate probability could reach the maximum is
+evaluated exactly, so the sweep's maximum, its index and everything after
+it are those of an exact sweep.  No surrogate value is ever returned.
 """
 
 from __future__ import annotations
@@ -34,6 +43,7 @@ DET_DIM_CAP = 64
 PERM_DIM_CAP = 12
 PROB_TOL = 1e-9
 CHUNK_ELEMENTS = 1 << 13            # complex numbers per time chunk of a batched product
+UNIT_ROUNDOFF = 2.0 ** -53          # float64 round-to-nearest relative error
 
 COARSE_POINTS_PER_SLOW_PERIOD = 20  # coarse spacing pi/(20 delta*)
 FINE_POINTS_PER_FAST_PERIOD = 40    # fine spacing pi/(40 delta_max)
@@ -93,6 +103,82 @@ def propagator_block(dec: SpectralDecomposition, rows, cols, times) -> np.ndarra
     for part in time_chunks(len(times), left.size):
         out[part] = (left * dec.phases(times[part])[:, None, :]) @ right
     return out
+
+
+def _gamma(m: int) -> float:
+    """gamma_m = m u / (1 - m u): the relative error of m float64 roundings."""
+    return m * UNIT_ROUNDOFF / (1.0 - m * UNIT_ROUNDOFF)
+
+
+def propagator_grid(dec: SpectralDecomposition, rows, cols, times) -> tuple[np.ndarray, float]:
+    """`propagator_block` on a uniform time grid from two phase tables,
+    with a bound on the distance from `propagator_block`'s values.
+
+    Returns (blocks, bound): blocks has the (T, len(rows), len(cols)) shape
+    of `propagator_block(dec, rows, cols, times)` and every entry lies
+    within bound of it.  With B = ceil(sqrt(T)) and the grid's own step
+    d = t_1 - t_0, time t_{aB+b} is split into the anchor t_{aB} and the
+    shift b d, and exp(-i w (t_{aB} + b d)) is the product of two
+    `dec.phases` rows, so each level takes about 2 sqrt(T) exps instead of
+    T.  Entry (r, c) at t_{aB+b} is sum_k [V_rk V_ck phase_k(t_{aB})]
+    phase_k(b d): one complex matmul of the (pairs, N) anchor table with
+    the (N, B) shift table per anchor, built in chunks of about
+    CHUNK_ELEMENTS complex numbers.  Any 1-D grid is accepted; the less
+    uniform it is, the larger the bound.
+
+    The bound compares both computations with the exact
+    G_rc(t) = sum_k V_rk V_ck exp(-i (w_k + h) t), evaluated at the float
+    grid values from the float V, w and offset h.  Write u = 2^-53,
+    Omega = max_k |w_k| + |h|, S = max_rc sum_k |V_rk V_ck|, t_max =
+    max_j |t_j|, and D = max_j |t_j - (t_0 + j d)| (measured on the grid,
+    plus the rounding of that measurement).
+
+    - A `phases` entry rounds its argument once per exp (u |w t| and
+      u |h t|), each cos and sin is within one ulp (2u) of the true value
+      (libm), and the offset costs one complex product (sqrt(2) gamma_2).
+      So it lies within u Omega |t| + 9u of exp(-i (w + h) t).
+    - `propagator_block` scales V_r by the phases (u) and sums N products
+      with V_c (sqrt(2) gamma_N of sum_k |V_rk V_ck|): its distance from G
+      is at most S (u Omega t_max + 10u + sqrt(2) gamma_N).
+    - Here the anchor phase carries u Omega t_max + 9u, the shift phase
+      u Omega B |d| + 9u, and t_{aB} + b d is within 2D + u B |d| of t_j,
+      which moves the phase by Omega times that.  The products
+      V_rk V_ck and their scaling by the anchor phase round once each, and
+      the complex matmul adds sqrt(2) gamma_{N+2}: at most
+      S (u Omega (t_max + B |d|) + Omega (2D + u B |d|) + 20u
+      + sqrt(2) gamma_{N+2}) from G.
+    - The two add up to the returned
+      bound = S (2 Omega (u (t_max + B |d|) + D) + 32u + 2 sqrt(2) gamma_{N+2});
+      the 2u beyond the 30u listed covers the second-order terms.
+    """
+    times = np.asarray(times, dtype=float)
+    if times.ndim != 1 or not len(times):
+        raise ValueError("times must be a non-empty one-dimensional array")
+    n_times, n = len(times), dec.n
+    span = math.isqrt(n_times - 1) + 1
+    step = times[1] - times[0] if n_times > 1 else 0.0
+    left = dec.eigenvectors[rows, :]
+    right = dec.eigenvectors[cols, :]
+    pairs = (left[:, None, :] * right[None, :, :]).reshape(-1, n)
+    anchors = dec.phases(times[::span])
+    shifts = dec.phases(np.arange(span) * step).T
+    out = np.empty((len(anchors) * span, len(pairs)), dtype=complex)
+    for part in time_chunks(len(anchors), pairs.size):
+        table = (pairs * anchors[part, None, :]) @ shifts
+        out[part.start * span:part.stop * span] = table.transpose(0, 2, 1).reshape(-1, len(pairs))
+    blocks = out[:n_times].reshape(n_times, len(left), len(right))
+
+    u = UNIT_ROUNDOFF
+    from_start = times - times[0]
+    line = np.arange(n_times) * step
+    # D from the computed differences, plus their three roundings
+    drift = np.max(np.abs(from_start - line)) + 4.0 * u * np.max(np.abs(from_start) + np.abs(line))
+    weight = np.max(np.abs(left) @ np.abs(right).T) / (1.0 - _gamma(n))
+    omega = np.max(np.abs(dec.bare_eigenvalues)) + abs(dec.offset)
+    t_max = np.max(np.abs(times))
+    bound = weight * (2.0 * omega * (u * (t_max + span * abs(step)) + drift)
+                      + 32.0 * u + 2.0 * math.sqrt(2.0) * _gamma(n + 2))
+    return blocks, float(bound)
 
 
 def time_chunks(n_times: int, width: int) -> list[slice]:
@@ -334,28 +420,111 @@ def _golden_max(f, a: float, b: float) -> tuple[float, float]:
     return best_x, best_f
 
 
-def _window_max(f, center: float, j: float) -> tuple[float, float]:
-    """Maximum of f over a dense bare-J window around center.
+def _probability_slack(reduce, blocks: np.ndarray, bound: float) -> np.ndarray:
+    """Per block, a bound on |reduce(blocks) - reduce(exact blocks)|, when
+    every entry of the exact blocks lies within bound of blocks.
+
+    reduce is `fermion_prob` or `boson_prob`, and "exact blocks" are the
+    ones `propagator_block` returns; both sides are computed in float64.
+    Let n be the block size, u = 2^-53, and e the entry distance.
+
+    - Row sizes.  A row of either block is within sqrt(n) e (2-norm) and
+      n e (1-norm) of the same row here, whose norms are measured (with
+      their own rounding).  Let rho_r bound row r on both sides: 2-norms
+      for det, 1-norms for perm.
+    - Exact reductions.  det and perm are linear in each row.  Swapping
+      the rows one at a time gives
+      |x - y| <= c e sum_i prod_{l != i} rho_l, with c = sqrt(n) for det
+      and n for perm, while |det| <= prod rho (Hadamard) and
+      |perm| <= prod rho (1-norms, expanded term by term).
+    - LU.  Partial pivoting computes the LU of A + dA with
+      |dA| <= gamma_{16n} |L||U| (Higham Thm 9.3, with 16u per complex
+      multiply, Smith division or subtraction), |L| <= 1 and
+      |U_kc| <= 2^k max|A|, so each side adds at most
+      gamma_{16n} 2^n (max|blocks| + e) to every entry: e grows by twice
+      that before the step above.  The product of the pivots, `hypot` and
+      the square then add a relative 6(n+1)u to |det|^2.
+    - Ryser.  Each row sum w_r is updated 2^n times (u |w_r| each, with
+      |w_r| <= rho_r), the n-fold product adds sqrt(2) gamma_2 per factor
+      and the signed sum of 2^n terms sqrt(2) gamma_{2^n}: the computed
+      perm is within f = 2^n prod(rho) ((1 + 2^n u)^n - 1 + 4nu
+      + sqrt(2) gamma_{2^n}) of the exact one on each side; `hypot` and
+      the square add a relative 6u to |perm|^2.
+    - Squares.  With |x - y| <= m and |x|, |y| <= M,
+      ||x|^2 - |y|^2| <= 2 M m, plus the relative rounding on M^2 of each
+      side.  Clipping both sides into [0, 1] only shrinks the distance.
+    """
+    n = blocks.shape[-1]
+    u = UNIT_ROUNDOFF
+    size = np.abs(blocks)
+    if reduce is fermion_prob:
+        growth = _gamma(16 * n) * 2.0 ** n * (np.max(size) + bound)
+        reach = math.sqrt(n) * (bound + 2.0 * growth)
+        rows = np.sqrt(np.sum(size ** 2, axis=-1)) * (1.0 + _gamma(n + 4)) + reach
+        ryser = 0.0
+        relative = 6.0 * (n + 1) * u
+    else:
+        reach = n * bound
+        rows = np.sum(size, axis=-1) * (1.0 + _gamma(n + 1)) + reach
+        ryser = 2.0 ** n * ((1.0 + 2.0 ** n * u) ** n - 1.0 + 4.0 * n * u
+                            + math.sqrt(2.0) * _gamma(2 ** n))
+        relative = 6.0 * u
+    magnitude = np.prod(rows, axis=-1)
+    change = reach * magnitude * np.sum(1.0 / rows, axis=-1) + 2.0 * ryser * magnitude
+    magnitude = magnitude * (1.0 + ryser)
+    return 2.0 * magnitude * change + 2.0 * relative * magnitude ** 2
+
+
+def _certified_argmax(surrogate: np.ndarray, slack, exact) -> tuple[int, float]:
+    """(k, value) of the first largest exact value, from bounded surrogates.
+
+    Every exact value lies within slack (a scalar or one per point) of its
+    surrogate, so none exceeds surrogate + slack and the largest is at
+    least L = max(surrogate - slack).  A point with surrogate + slack < L
+    cannot reach the largest value, or tie with it; exact(indices) returns
+    the exact values of all the other points, in index order, and the
+    first of their maxima is the first-index argmax of the whole grid.  A
+    non-finite surrogate or slack rules nothing out.
+    """
+    keep = np.flatnonzero(~(surrogate + slack < np.max(surrogate - slack)))
+    values = exact(keep)
+    i = int(np.argmax(values))
+    return int(keep[i]), float(values[i])
+
+
+def _window_max(ev: SubmatrixEvaluator, reduce, center: float, j: float) -> tuple[float, float]:
+    """Maximum of one transfer probability over a dense bare-J window.
 
     The two-tier grid resolves splitting scales only, but the probability
     also ripples with period ~ 2 pi / J, so the final candidate needs a
-    sweep dense on that scale.  The golden polish is bracketed by one
-    window step, inside which the curve is unimodal; the sampled maximum
-    wins if the polish lands lower.  f takes a 1-D time array: the whole
-    window, then the polish's look-ahead batches.
+    sweep dense on that scale.  reduce is `fermion_prob` or `boson_prob`,
+    applied to ev's blocks.  The sweep is a surrogate: `propagator_grid`
+    gives the window's blocks with a bound on their distance from the
+    exact ones, and `_probability_slack` turns that into a bound on each
+    probability.  The surrogate only chooses which points to evaluate
+    exactly (those its bound cannot rule out, see `_certified_argmax`), so
+    the sampled maximum and its index are those of an exact sweep.  The
+    golden polish is bracketed by one window step, inside which the curve
+    is unimodal; the sampled maximum wins if the polish lands lower.
     """
     half_window = PEAK_WINDOW_PERIODS * 2.0 * math.pi / j
     step = 2.0 * math.pi / (j * PEAK_POINTS_PER_PERIOD)
     grid = np.arange(max(0.0, center - half_window), center + half_window, step)
-    values = f(grid)
-    k = int(np.argmax(values))
-    t, p = _golden_max(f, grid[max(0, k - 1)], grid[min(len(grid) - 1, k + 1)])
-    if values[k] > p:
-        return float(grid[k]), float(values[k])
+
+    def exact(times):
+        return _checked_prob(reduce(ev.submatrix(times)))
+
+    blocks, bound = propagator_grid(ev.dec, ev.rows, ev.cols, grid)
+    surrogate = np.clip(reduce(blocks), 0.0, 1.0)
+    slack = _probability_slack(reduce, blocks, bound)
+    k, p_k = _certified_argmax(surrogate, slack, lambda keep: exact(grid[keep]))
+    t, p = _golden_max(exact, grid[max(0, k - 1)], grid[min(len(grid) - 1, k + 1)])
+    if p_k > p:
+        return float(grid[k]), p_k
     return float(t), float(p)
 
 
-def _window_ascent(f, start: float, j: float) -> tuple[float, float]:
+def _window_ascent(ev: SubmatrixEvaluator, reduce, start: float, j: float) -> tuple[float, float]:
     """Iterate _window_max from start until the best point stops improving.
 
     A single sweep can return a window-edge point when the true maximum
@@ -364,7 +533,7 @@ def _window_ascent(f, start: float, j: float) -> tuple[float, float]:
     """
     t, p = start, -1.0
     for _ in range(PEAK_WINDOW_HOPS):
-        t_w, p_w = _window_max(f, t, j)
+        t_w, p_w = _window_max(ev, reduce, t, j)
         if p_w <= p:
             break
         t, p = t_w, p_w
@@ -434,10 +603,10 @@ def find_transfer_peak(spec: ChainSpec, dec: SpectralDecomposition | None = None
 
     # both statistics ripple on the bare-J scale inside the slow envelope,
     # so finish each with a dense window ascent from the best candidate
-    t_w, p_w = _window_ascent(ev.p_fermion, t_f, spec.j)
+    t_w, p_w = _window_ascent(ev, fermion_prob, t_f, spec.j)
     if p_w > p_f:
         t_f, p_f = t_w, p_w
-    t_b, p_b = _window_ascent(ev.p_boson, t_f, spec.j)
+    t_b, p_b = _window_ascent(ev, boson_prob, t_f, spec.j)
     return PeakReport(
         t_fermion=float(t_f),
         p_fermion=float(p_f),

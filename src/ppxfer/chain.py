@@ -37,6 +37,14 @@ def _real(name: str, value) -> float:
     raise ValueError(f"{name} must be a real number, got {value!r}")
 
 
+def _site(value, n_sites: int) -> int:
+    """A 1-based site index as an int; bools, non-integers and sites outside
+    1..n_sites are refused alike."""
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool) and 1 <= value <= n_sites:
+        return int(value)
+    raise ValueError(f"site must lie in 1..{n_sites}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ChainSpec:
     """Full experiment configuration.

@@ -17,7 +17,7 @@ import numpy as np
 
 from .amplitudes import (SubmatrixEvaluator, _checked_grid, plan_scan_grid, propagator_block,
                          time_chunks)
-from .chain import ChainSpec
+from .chain import ChainSpec, _site
 from .spectral import SpectralDecomposition, decompose_chain
 
 
@@ -69,8 +69,7 @@ def _switch_energy(spec: ChainSpec, block: np.ndarray) -> np.ndarray:
 
 def occupation(spec: ChainSpec, t: float, site: int, dec: SpectralDecomposition) -> float:
     """<n_site(t)> = sum over senders i of |f_i^site(t)|^2, 1-based site."""
-    if not 1 <= site <= dec.n:
-        raise ValueError(f"site must lie in 1..{dec.n}, got {site}")
+    site = _site(site, dec.n)
     rows = _sender_rows(dec, spec.n_s, t)
     return float(np.sum(np.abs(rows[:, site - 1]) ** 2))
 

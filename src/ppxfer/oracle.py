@@ -18,7 +18,7 @@ from math import comb
 
 import numpy as np
 
-from .chain import ChainSpec, CouplingProfile, build_profile
+from .chain import ChainSpec, CouplingProfile, _site, build_profile
 
 DIM_CAP = 100_000
 
@@ -156,15 +156,13 @@ def oracle_transfer_prob(spec: ChainSpec, t):
 def oracle_occupation(spec: ChainSpec, t: float, site):
     """<n_site(t)> (1-based site) evolved in the sector basis: a float for
     one site, an array for a 1-D site array, from one sector build."""
-    sites = np.atleast_1d(site).tolist()
+    sites = [_site(k, spec.n_sites) for k in np.atleast_1d(site).tolist()]
     basis, energies, modes = _sector_setup(spec)
     i_send, _ = _edge_states(basis)
     psi = modes @ (np.exp(-1j * energies * t) * modes[i_send])
     weights = np.abs(psi) ** 2
     values = []
     for k in sites:
-        if not 1 <= k <= basis.n_sites:
-            raise ValueError(f"site must lie in 1..{basis.n_sites}, got {k}")
         occs = np.array([basis.occupation_of(s, k) for s in basis.states], dtype=float)
         values.append(np.dot(weights, occs))
     return float(values[0]) if np.ndim(site) == 0 else np.array(values)

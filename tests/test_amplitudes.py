@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ppxfer import (
     ChainSpec,
@@ -16,15 +17,22 @@ from ppxfer import (
     scan_max_probability,
     scan_transfer,
 )
+from ppxfer import amplitudes
 from ppxfer.amplitudes import (
     CHUNK_ELEMENTS,
     GOLDEN_ITERS,
+    PEAK_POINTS_PER_PERIOD,
+    PEAK_WINDOW_PERIODS,
+    _certified_argmax,
     _checked_prob,
     _golden_max,
+    _probability_slack,
+    _window_max,
     boson_prob,
     fermion_prob,
     plan_scan_grid,
     propagator_block,
+    propagator_grid,
     single_particle_bound,
 )
 from ppxfer.spectral import decompose_chain, diagonalize
@@ -468,6 +476,115 @@ def test_golden_lookahead_matches_sequential_search():
         t_ref, p_ref = sequential_golden_max(f, a, b)
         assert (float(t).hex(), float(p).hex()) == (float(t_ref).hex(), float(p_ref).hex())
         assert 1 <= len(calls) <= max_calls
+
+
+def bound_cases():
+    """(evaluator, grid) pairs: n_s 1..4 with h 0, 0.7 and -1.3, one
+    on-site-defect (unpaired) spectrum, windows starting up to t = 1e6, and
+    grid lengths 1, 2, B^2 and B^2 + 1 (B = ceil(sqrt(T)))."""
+    rng = np.random.default_rng(41)
+    evaluators = []
+    for n_s in range(1, 5):
+        for h in (0.0, 0.7, -1.3):
+            spec = ChainSpec(n_s=n_s, n_w=int(rng.integers(1, 40)), j0=0.03, h=h)
+            evaluators.append(SubmatrixEvaluator(decompose_chain(spec), n_s))
+    onsite = np.zeros(11)
+    onsite[4] = 0.3
+    evaluators.append(SubmatrixEvaluator(diagonalize(CouplingProfile(hop=np.ones(10), onsite=onsite)), 3))
+    assert not evaluators[-1].dec._paired
+    for ev in evaluators:
+        for length in (1, 2, 49, 50):
+            start = float(rng.uniform(0.0, 1e6))
+            yield ev, start + float(rng.uniform(0.01, 0.2)) * np.arange(length)
+
+
+def test_propagator_grid_stays_within_its_bound():
+    # The measured distances stay below half of each bound: here entries
+    # reach at most 0.24 of `bound` and probabilities 0.07 of their slack
+    # (0.45 and 0.02 on the benchmark's peak windows near t = 3.8e5).
+    worst_entry = worst_prob = 0.0
+    for ev, grid in bound_cases():
+        blocks, bound = propagator_grid(ev.dec, ev.rows, ev.cols, grid)
+        exact = ev.submatrix(grid)
+        assert blocks.shape == exact.shape
+        worst_entry = max(worst_entry, np.max(np.abs(blocks - exact)) / bound)
+        for reduce in (fermion_prob, boson_prob):
+            surrogate = np.clip(reduce(blocks), 0.0, 1.0)
+            slack = _probability_slack(reduce, blocks, bound)
+            assert slack.shape == grid.shape
+            ratio = np.abs(surrogate - _checked_prob(reduce(exact))) / slack
+            worst_prob = max(worst_prob, np.max(ratio))
+    assert worst_entry <= 0.5
+    assert worst_prob <= 0.5
+
+
+def test_propagator_grid_chunks_like_one_product(monkeypatch):
+    ev = SubmatrixEvaluator(decompose_chain(ChainSpec(n_s=4, n_w=61, j0=0.01, h=0.7)), 4)
+    grid = np.arange(378000.0, 378125.0, 2.0 * math.pi / 64)
+    chunked, bound = propagator_grid(ev.dec, ev.rows, ev.cols, grid)
+    assert CHUNK_ELEMENTS < len(grid) * 16 * ev.dec.n
+    monkeypatch.setattr(amplitudes, "CHUNK_ELEMENTS", 1 << 40)
+    whole, whole_bound = propagator_grid(ev.dec, ev.rows, ev.cols, grid)
+    assert np.array_equal(chunked, whole) and bound == whole_bound
+
+
+def test_propagator_grid_rejects_empty_or_nested_times():
+    dec = two_site_decomposition()
+    for times in ([], np.zeros((2, 2))):
+        with pytest.raises(ValueError):
+            propagator_grid(dec, [0], [1], times)
+
+
+def test_certified_argmax_returns_the_exact_first_maximum():
+    # The surrogate's own argmax (index 4) is wrong by less than the slack,
+    # and indices 1 and 3 tie exactly: the first of them must come back.
+    exact = np.array([0.2, 0.9, 0.5, 0.9, 0.9 - 4e-10, 0.1])
+    surrogate = exact + np.array([0.0, -8e-10, 0.0, -5e-10, 9e-10, 0.0])
+    evaluated = []
+
+    def evaluate(keep):
+        evaluated.append(keep.tolist())
+        return exact[keep]
+
+    assert _certified_argmax(surrogate, 1e-9, evaluate) == (1, 0.9)
+    assert evaluated == [[1, 3, 4]]
+    # per-point slack; a tie between the first and the last point
+    slack = np.array([1e-9, 0.0, 0.0, 0.0, 0.0, 1e-9])
+    assert _certified_argmax(np.array([0.7, 0.1, 0.2, 0.3, 0.4, 0.7 + 5e-10]), slack,
+                             lambda keep: np.full(len(keep), 0.7)) == (0, 0.7)
+    # a NaN surrogate rules nothing out
+    evaluated.clear()
+    assert _certified_argmax(np.array([0.3, np.nan, 0.5]), 1e-9, evaluate) == (1, 0.9)
+    assert evaluated == [[0, 1, 2]]
+
+
+def exact_window_max(ev, reduce, center, j):
+    """The window sweep evaluated exactly at every point, as before the
+    surrogate: the reference `_window_max` must reproduce bit for bit."""
+    def exact(times):
+        return _checked_prob(reduce(ev.submatrix(times)))
+
+    half_window = PEAK_WINDOW_PERIODS * 2.0 * math.pi / j
+    step = 2.0 * math.pi / (j * PEAK_POINTS_PER_PERIOD)
+    grid = np.arange(max(0.0, center - half_window), center + half_window, step)
+    values = exact(grid)
+    k = int(np.argmax(values))
+    t, p = _golden_max(exact, grid[max(0, k - 1)], grid[min(len(grid) - 1, k + 1)])
+    if values[k] > p:
+        return float(grid[k]), float(values[k])
+    return float(t), float(p)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(n_s=st.integers(1, 3), n_w=st.integers(1, 12), j0=st.sampled_from([0.01, 0.03, 0.08]),
+       h=st.sampled_from([0.0, 0.7, -1.3]), center=st.floats(0.0, 2e5),
+       reduce=st.sampled_from([fermion_prob, boson_prob]))
+def test_certified_window_max_equals_a_full_exact_sweep(n_s, n_w, j0, h, center, reduce):
+    spec = ChainSpec(n_s=n_s, n_w=n_w, j0=j0, h=h)
+    ev = SubmatrixEvaluator(decompose_chain(spec), n_s)
+    got = _window_max(ev, reduce, center, spec.j)
+    want = exact_window_max(ev, reduce, center, spec.j)
+    assert [x.hex() for x in got] == [x.hex() for x in want]
 
 
 def test_single_particle_bound_values():

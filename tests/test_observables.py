@@ -80,6 +80,23 @@ def test_occupation_rejects_out_of_range_site():
         occupation(spec, 1.0, 4, dec)
 
 
+@pytest.mark.parametrize("site", [True, False, np.bool_(True), 2.5, 1.5, 2.0, np.float64(3.0), "2"])
+def test_occupation_refuses_non_integer_sites(site):
+    # A bool used to read as site 0 or 1 and a float raised IndexError or
+    # TypeError; both now get the out-of-range ValueError, while numpy
+    # integers keep working.
+    spec = ChainSpec(n_s=2, n_w=3, j0=0.05)
+    dec = decompose_chain(spec)
+    with pytest.raises(ValueError, match="site must lie in"):
+        occupation(spec, 1.0, site, dec)
+    with pytest.raises(ValueError, match="site must lie in"):
+        oracle_occupation(spec, 1.0, site)
+    with pytest.raises(ValueError, match="site must lie in"):
+        oracle_occupation(spec, 1.0, [site])
+    assert occupation(spec, 1.0, np.int64(3), dec) == occupation(spec, 1.0, 3, dec)
+    assert oracle_occupation(spec, 1.0, np.int32(3)) == oracle_occupation(spec, 1.0, 3)
+
+
 def test_magnetization_starts_at_empty_block_value():
     spec = ChainSpec(n_s=3, n_w=7, j0=0.02)
     dec = decompose_chain(spec)
