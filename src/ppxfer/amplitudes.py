@@ -504,6 +504,11 @@ def _window_max(ev: SubmatrixEvaluator, reduce, center: float, j: float) -> tupl
     probability.  The surrogate only chooses which points to evaluate
     exactly (those its bound cannot rule out, see `_certified_argmax`), so
     the sampled maximum and its index are those of an exact sweep.  The
+    slack scales with the blocks' row norms, so it rules out nearly every
+    point even where the probabilities are tiny; it rules out few where
+    the determinant or permanent cancels far below that row-norm bound (as
+    in some n_s = 8 windows), and such a sweep pays for the surrogate on
+    top of the exact evaluations, at most about twice one exact sweep.  The
     golden polish is bracketed by one window step, inside which the curve
     is unimodal; the sampled maximum wins if the polish lands lower.
     """
