@@ -55,6 +55,7 @@ PEAK_WINDOW_HOPS = 8                # max dense-window ascent steps
 GOLDEN_ITERS = 60
 GOLDEN_LOOKAHEAD = 3                # golden iterations evaluated ahead of a missed probe
 REFINE_TOP = 5                      # local maxima polished by scan_max_probability
+NON_PP_HORIZON_FACTOR = 10.0        # scan_max_probability horizon, in units of pi/(2 delta*)
 
 
 class NumericalConsistencyError(RuntimeError):
@@ -79,8 +80,6 @@ class PeakReport:
     curve: TransferCurve
     coarse_step: float
     horizon: float
-    delta_slow: float
-    delta_max: float
 
 
 def propagator_block(dec: SpectralDecomposition, rows, cols, times) -> np.ndarray:
@@ -92,11 +91,14 @@ def propagator_block(dec: SpectralDecomposition, rows, cols, times) -> np.ndarra
     the same expression (V_rows * phases(t)) @ V_cols^T, so a point agrees
     with the same point inside a grid; the (times, rows, N) intermediate is
     built one chunk of about CHUNK_ELEMENTS complex numbers at a time, so
-    scratch memory does not grow with the grid.
+    scratch memory does not grow with the grid.  A non-finite time raises
+    ValueError.
     """
     times = np.asarray(times, dtype=float)
     if times.ndim != 1:
         raise ValueError("times must be one-dimensional")
+    if not np.all(np.isfinite(times)):
+        raise ValueError("times must be finite")
     left = dec.eigenvectors[rows, :]
     right = dec.eigenvectors[cols, :].T
     out = np.empty((len(times), len(left), right.shape[1]), dtype=complex)
@@ -420,6 +422,15 @@ def _golden_max(f, a: float, b: float) -> tuple[float, float]:
     return best_x, best_f
 
 
+def _polish(f, grid: np.ndarray, k: int, p_k: float) -> tuple[float, float]:
+    """Golden-section polish of p_k = f(grid[k]) between grid[k]'s two
+    neighbours; grid[k] wins only when it is strictly higher."""
+    t, p = _golden_max(f, grid[max(0, k - 1)], grid[min(len(grid) - 1, k + 1)])
+    if p_k > p:
+        return float(grid[k]), float(p_k)
+    return float(t), float(p)
+
+
 def _probability_slack(reduce, blocks: np.ndarray, bound: float) -> np.ndarray:
     """Per block, a bound on |reduce(blocks) - reduce(exact blocks)|, when
     every entry of the exact blocks lies within bound of blocks.
@@ -523,10 +534,7 @@ def _window_max(ev: SubmatrixEvaluator, reduce, center: float, j: float) -> tupl
     surrogate = np.clip(reduce(blocks), 0.0, 1.0)
     slack = _probability_slack(reduce, blocks, bound)
     k, p_k = _certified_argmax(surrogate, slack, lambda keep: exact(grid[keep]))
-    t, p = _golden_max(exact, grid[max(0, k - 1)], grid[min(len(grid) - 1, k + 1)])
-    if p_k > p:
-        return float(grid[k]), p_k
-    return float(t), float(p)
+    return _polish(exact, grid, k, p_k)
 
 
 def _window_ascent(ev: SubmatrixEvaluator, reduce, start: float, j: float) -> tuple[float, float]:
@@ -600,11 +608,7 @@ def find_transfer_peak(spec: ChainSpec, dec: SpectralDecomposition | None = None
     ev = SubmatrixEvaluator(dec, spec.n_s)
     curve = scan_transfer(spec, grid, dec)
     k = int(np.argmax(curve.p_fermion))
-    lo = grid[max(0, k - 1)]
-    hi = grid[min(len(grid) - 1, k + 1)]
-    t_f, p_f = _golden_max(ev.p_fermion, lo, hi)
-    if curve.p_fermion[k] > p_f:
-        t_f, p_f = float(grid[k]), float(curve.p_fermion[k])
+    t_f, p_f = _polish(ev.p_fermion, grid, k, curve.p_fermion[k])
 
     # both statistics ripple on the bare-J scale inside the slow envelope,
     # so finish each with a dense window ascent from the best candidate
@@ -620,20 +624,19 @@ def find_transfer_peak(spec: ChainSpec, dec: SpectralDecomposition | None = None
         curve=curve,
         coarse_step=meta["coarse_step"],
         horizon=meta["horizon"],
-        delta_slow=meta["delta_slow"],
-        delta_max=meta["delta_max"],
     )
 
 
-def scan_max_probability(spec: ChainSpec, t_max: float, dec: SpectralDecomposition
+def scan_max_probability(spec: ChainSpec, dec: SpectralDecomposition
                          ) -> tuple[float, float, TransferCurve]:
-    """Maximum fermion probability over [0, t_max] with local-peak polish.
+    """Maximum fermion probability up to NON_PP_HORIZON_FACTOR pi/(2 delta*).
 
     Used for infeasible classes, where the curve is slow (all cluster
     amplitudes evolve on splitting time scales) and an envelope-scale grid
     suffices; the REFINE_TOP highest local maxima get a golden-section polish.
     """
-    _, delta_max = scan_scales(spec, dec)
+    delta_slow, delta_max = scan_scales(spec, dec)
+    t_max = NON_PP_HORIZON_FACTOR * (math.pi / (2.0 * delta_slow))
     step = math.pi / (FINE_POINTS_PER_FAST_PERIOD * delta_max)
     n_points = int(t_max / step) + 2
     if n_points > 200_000:
@@ -646,7 +649,7 @@ def scan_max_probability(spec: ChainSpec, t_max: float, dec: SpectralDecompositi
     tops = interior[np.argsort(p[interior])][-REFINE_TOP:] if len(interior) else []
     best_t, best_p = float(grid[int(np.argmax(p))]), float(np.max(p))
     for idx in tops:
-        t_r, p_r = _golden_max(ev.p_fermion, grid[idx - 1], grid[idx + 1])
+        t_r, p_r = _polish(ev.p_fermion, grid, idx, p[idx])
         if p_r > best_p:
             best_t, best_p = t_r, p_r
     return best_t, best_p, curve

@@ -93,6 +93,8 @@ def _spec_from_args(args) -> tuple[ChainSpec, str]:
         if value is not None:
             data[key] = value
     data.setdefault("j0", 0.01)
+    if args.command == "battery":
+        data.setdefault("h", 2.0)
     stats = str(data.get("statistics", "both" if hasattr(args, "stats") else "fermion"))
     data["statistics"] = "fermion" if stats == "both" else stats
     spec = ChainSpec.from_json(json.dumps(data))
@@ -159,7 +161,7 @@ def cmd_transfer(args) -> int:
         )
     else:
         tau_ref = math.pi / (2.0 * scan_scales(spec, dec)[0])
-        t_best, p_best, _ = scan_max_probability(spec, 10.0 * tau_ref, dec=dec)
+        t_best, p_best, _ = scan_max_probability(spec, dec)
         summary.update(
             pp=False,
             note="no PP",
@@ -430,7 +432,7 @@ def cmd_validate(args) -> int:
     return EXIT_OK
 
 
-def _add_spec_flags(p, h_default=None, ns_flag="--ns"):
+def _add_spec_flags(p, ns_flag="--ns"):
     p.add_argument("--config", default=None,
                    help="JSON file with n_s, n_w, j0, h, statistics")
     p.add_argument(ns_flag, dest="ns", type=int, default=None,
@@ -438,7 +440,8 @@ def _add_spec_flags(p, h_default=None, ns_flag="--ns"):
     p.add_argument("--nw", type=int, default=None, help="wire length")
     p.add_argument("--j0", type=float, default=None,
                    help="block-wire coupling (default 0.01)")
-    p.add_argument("--h", type=float, default=h_default, help="uniform on-site energy")
+    p.add_argument("--h", type=float, default=None,
+                   help="uniform on-site energy (default 0; battery 2.0)")
 
 
 def _add_output_flag(p):
@@ -483,7 +486,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_perturbation)
 
     p = sub.add_parser("battery", help="charging energetics of the receiver block")
-    _add_spec_flags(p, h_default=2.0, ns_flag="--nb")
+    _add_spec_flags(p, ns_flag="--nb")
     p.add_argument("--tmax", type=float, default=None)
     p.add_argument("--samples", type=int, default=2000)
     _add_output_flag(p)

@@ -141,10 +141,17 @@ def _edge_states(basis: SectorBasis):
     return basis.index[sender], basis.index[receiver]
 
 
+def _finite_times(t) -> np.ndarray:
+    times = np.asarray(t, dtype=float)
+    if not np.all(np.isfinite(times)):
+        raise ValueError("times must be finite")
+    return times
+
+
 def oracle_transfer_prob(spec: ChainSpec, t):
     """|<receiver block| exp(-i t H) |sender block>|^2 in the full sector:
     a float for a scalar t, an array of its shape for a time array."""
-    times = np.asarray(t, dtype=float)
+    times = _finite_times(t)
     basis, energies, modes = _sector_setup(spec)
     i_send, i_recv = _edge_states(basis)
     phases = np.exp(-1j * energies * times[..., None])
@@ -157,6 +164,7 @@ def oracle_occupation(spec: ChainSpec, t: float, site):
     """<n_site(t)> (1-based site) evolved in the sector basis: a float for
     one site, an array for a 1-D site array, from one sector build."""
     sites = [_site(k, spec.n_sites) for k in np.atleast_1d(site).tolist()]
+    _finite_times(t)
     basis, energies, modes = _sector_setup(spec)
     i_send, _ = _edge_states(basis)
     psi = modes @ (np.exp(-1j * energies * t) * modes[i_send])

@@ -155,6 +155,13 @@ def rule_of_thumb(clusters) -> RuleOfThumbResult:
     return RuleOfThumbResult(holds=holds, slow_modes=slow[1])
 
 
+def _pp_predicted(feasibility: Feasibility, rot: RuleOfThumbResult) -> bool:
+    """Whether a PP transfer time is predicted: never for class NONE,
+    otherwise when the rule of thumb holds or the class is quasi-PP."""
+    return feasibility != Feasibility.NONE and (
+        rot.holds or feasibility == Feasibility.QUASI_PP)
+
+
 def predict_transfer_time(spec: ChainSpec,
                           dec: SpectralDecomposition | None = None) -> float:
     """tau = pi/(2 delta*) with delta* the slowest splitting.
@@ -165,11 +172,7 @@ def predict_transfer_time(spec: ChainSpec,
     if dec is None:
         dec = decompose_chain(spec)
     clusters = find_clusters(dec, spec)
-    feasibility = pp_feasible(spec.n_s, spec.n_w)
-    rot = rule_of_thumb(clusters)
-    if feasibility == Feasibility.NONE or not (
-        rot.holds or feasibility == Feasibility.QUASI_PP
-    ):
+    if not _pp_predicted(pp_feasible(spec.n_s, spec.n_w), rule_of_thumb(clusters)):
         raise NoTransferPredicted(
             f"no PP transfer predicted for n_s={spec.n_s}, n_w={spec.n_w} "
             f"(class {spec.n_w % (spec.n_s + 1)} mod {spec.n_s + 1})"
@@ -309,19 +312,14 @@ def perturbation_report(spec: ChainSpec) -> PerturbationReport:
     rot = rule_of_thumb(clusters)
     delta_star = distinct_splittings(clusters)[0][0]
     feasibility = pp_feasible(spec.n_s, spec.n_w)
-    try:
-        tau = predict_transfer_time(spec, dec)
-        tau_alt = math.pi / delta_star
-    except NoTransferPredicted:
-        tau = None
-        tau_alt = None
+    predicted = _pp_predicted(feasibility, rot)
     return PerturbationReport(
         clusters=tuple(clusters),
         delta_star=delta_star,
         rule_of_thumb_holds=rot.holds,
         slow_modes=rot.slow_modes,
-        predicted_tau=tau,
-        tau_alt=tau_alt,
+        predicted_tau=math.pi / (2.0 * delta_star) if predicted else None,
+        tau_alt=math.pi / delta_star if predicted else None,
         feasibility=feasibility,
         ratios=tuple(ratio_diagnostics(spec)),
     )

@@ -96,15 +96,16 @@ class SpectralDecomposition:
         return base
 
 
-def _ql_implicit(d: np.ndarray, e: np.ndarray, z: np.ndarray) -> None:
-    """In-place implicit-shift QL on (diag d, subdiag e), rotating z columns.
+def _ql_implicit(d: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Implicit-shift QL on (diag d, subdiag e); returns (w, z), the
+    eigenvalues unsorted and eigenvector k in column k of z.
 
     A scalar pass runs the recurrence on Python floats and records every
-    Givens rotation; an apply pass then rotates z one dependency step at a
-    time (see `_apply_rotations`).
+    Givens rotation; an apply pass then rotates the identity into z one
+    dependency step at a time (see `_apply_rotations`).
     """
     n = len(d)
-    d_out, d, e = d, d.tolist(), e.tolist() + [0.0]
+    d, e = d.tolist(), e.tolist() + [0.0]
     # (column, step) and (c, s) of every rotation, interleaved
     rotations, factors = array("l"), array("d")
     record, record_cs = rotations.extend, factors.extend
@@ -160,12 +161,12 @@ def _ql_implicit(d: np.ndarray, e: np.ndarray, z: np.ndarray) -> None:
             d[l] -= p
             e[l] = g
             e[m] = 0.0
-    d_out[:] = d
-    _apply_rotations(z, rotations, factors)
+    return np.array(d), _apply_rotations(n, rotations, factors)
 
 
-def _apply_rotations(z: np.ndarray, rotations: array, factors: array) -> None:
-    """Rotate z's columns (i, i+1) by each recorded (c, s), batched by step.
+def _apply_rotations(n: int, rotations: array, factors: array) -> np.ndarray:
+    """The n x n identity with columns (i, i+1) rotated by each recorded
+    (c, s), batched by step.
 
     `rotations` holds (i, step) pairs and `factors` the matching (c, s)
     pairs, in recording order.  A rotation's step is one more than the
@@ -184,14 +185,15 @@ def _apply_rotations(z: np.ndarray, rotations: array, factors: array) -> None:
     sines = factors[order, 1:2]
     bounds = np.flatnonzero(np.diff(rotations[order, 1])) + 1
     # rows of zt are the columns of z, so each gather reads contiguous rows
-    zt = np.ascontiguousarray(z.T)
+    zt = np.eye(n)
     for start, stop in zip(np.r_[0, bounds], np.r_[bounds, len(order)]):
         i, j = cols[start:stop], nexts[start:stop]
         c, s = cosines[start:stop], sines[start:stop]
         lo, hi = zt[i], zt[j]
         zt[j] = s * lo + c * hi
         zt[i] = c * lo - s * hi
-    z[:] = zt.T
+    # C order: `_purify_parity`'s column dot products round by memory layout
+    return zt.T.copy()
 
 
 def _purify_parity(z: np.ndarray) -> np.ndarray:
@@ -234,11 +236,7 @@ def _fix_signs(z: np.ndarray) -> None:
 def diagonalize(profile: CouplingProfile) -> SpectralDecomposition:
     """Spectrum of the chain matrix with `profile.onsite` on the diagonal
     and `profile.hop / 2` off it."""
-    d = profile.onsite.copy()
-    e = profile.hop / 2.0
-    z = np.eye(profile.n_sites)
-    _ql_implicit(d, e, z)
-
+    d, z = _ql_implicit(profile.onsite, profile.hop / 2.0)
     order = np.argsort(d, kind="stable")
     w = d[order]
     z = z[:, order]

@@ -11,7 +11,6 @@ README, "Known deviations").
 
 from __future__ import annotations
 
-import math
 import time
 import warnings
 
@@ -35,9 +34,7 @@ from ppxfer.observables import (
 )
 from ppxfer.oracle import oracle_occupation, oracle_transfer_prob
 from ppxfer.perturbation import (
-    distinct_splittings,
     envelope_3ex,
-    find_clusters,
     predict_transfer_time,
     ratio_diagnostics,
     splitting_scaling,
@@ -159,13 +156,9 @@ def test_acceptance_05_infeasible_classes_stay_below_ceiling():
     """n_s=3 with n_w in {40, 42, 43}: no sampled probability reaches 0.9."""
     for n_w in (40, 42, 43):
         spec = ChainSpec(n_s=3, n_w=n_w, j0=0.01)
-        dec = decompose_chain(spec)
-        clusters = find_clusters(dec, spec)
-        delta_min = distinct_splittings(clusters)[0][0]
-        t_max = 10.0 * math.pi / (2.0 * delta_min)
-        _, best_fermion, curve = scan_max_probability(spec, t_max, dec)
+        _, best_fermion, curve = scan_max_probability(spec, decompose_chain(spec))
         best = max(best_fermion, float(np.max(curve.p_boson)))
-        assert best < 0.9, f"n_w={n_w}: reached {best} over [0, {t_max}]"
+        assert best < 0.9, f"n_w={n_w}: reached {best} over [0, {curve.times[-1]}]"
 
 
 def test_acceptance_06_splitting_ratio_limits():

@@ -21,6 +21,7 @@ from ppxfer import amplitudes
 from ppxfer.amplitudes import (
     CHUNK_ELEMENTS,
     GOLDEN_ITERS,
+    NON_PP_HORIZON_FACTOR,
     PEAK_POINTS_PER_PERIOD,
     PEAK_WINDOW_PERIODS,
     _certified_argmax,
@@ -33,6 +34,7 @@ from ppxfer.amplitudes import (
     plan_scan_grid,
     propagator_block,
     propagator_grid,
+    scan_scales,
     single_particle_bound,
 )
 from ppxfer.spectral import decompose_chain, diagonalize
@@ -409,12 +411,24 @@ def test_find_transfer_peak_on_small_perfect_case():
 
 def test_scan_max_probability_polishes_grid_maximum():
     spec = ChainSpec(n_s=1, n_w=4, j0=0.1)
-    t_best, p_best, curve = scan_max_probability(spec, 300.0, decompose_chain(spec))
+    t_best, p_best, curve = scan_max_probability(spec, decompose_chain(spec))
     # The polish step can only improve on the raw grid maximum.
     assert p_best >= float(np.max(curve.p_fermion)) - 1e-15
     assert 0.0 <= p_best <= 1.0
-    assert 0.0 <= t_best <= 300.0
+    assert 0.0 <= t_best <= curve.times[-1]
     assert len(curve.times) <= 200_002
+
+
+def test_scan_max_probability_coarsens_to_200k_steps():
+    # the fast splitting would ask for about 653k fine steps over the horizon
+    spec = ChainSpec(n_s=3, n_w=5, j0=0.001)
+    dec = decompose_chain(spec)
+    t_max = NON_PP_HORIZON_FACTOR * (math.pi / (2.0 * scan_scales(spec, dec)[0]))
+    _, p_best, curve = scan_max_probability(spec, dec)
+    assert len(curve.times) == 200_001
+    assert curve.times[1] == t_max / 200_000
+    assert curve.times[-1] == t_max
+    assert float(np.max(curve.p_fermion)) <= p_best <= 1.0
 
 
 def sequential_golden_max(f, a, b, iters=GOLDEN_ITERS):

@@ -3,7 +3,7 @@
 import inspect
 
 import ppxfer
-from ppxfer import amplitudes, observables, perturbation, spectral
+from ppxfer import amplitudes, cli, observables, perturbation, spectral
 
 REMOVED = ("AmplitudeMatrix", "amplitude", "amplitude_matrix", "sr_submatrix")
 
@@ -30,6 +30,8 @@ def test_single_valued_options_are_not_parameters():
         (amplitudes._golden_max, "iters"),
         (perturbation.distinct_splittings, "rtol"),
         (perturbation.ratio_diagnostics, "j0_pair"),
+        (amplitudes.scan_max_probability, "t_max"),
+        (cli._add_spec_flags, "h_default"),
     ]
     for func, name in retired:
         assert name not in inspect.signature(func).parameters, (func.__name__, name)

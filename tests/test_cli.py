@@ -6,8 +6,8 @@ import warnings
 
 import pytest
 
-from ppxfer import amplitudes, cli, observables, oracle, perturbation, spectral
-from ppxfer.cli import EXIT_CONFIG, EXIT_FAIL, EXIT_OK, main
+from ppxfer import ChainSpec, amplitudes, cli, observables, oracle, perturbation, spectral
+from ppxfer.cli import EXIT_CONFIG, EXIT_FAIL, EXIT_NUMERIC, EXIT_OK, main
 
 
 def run_cli(capsys, argv):
@@ -281,6 +281,27 @@ def test_transfer_plans_and_scans_its_grid_once(monkeypatch, capsys):
     assert len(planned) == len(scanned) == 1
 
 
+def test_perturbation_report_finds_each_chains_clusters_once(monkeypatch):
+    # the chain itself, then the two couplings of the ratio extrapolation
+    calls = count_calls(monkeypatch, perturbation, "find_clusters", {perturbation})
+    perturbation.perturbation_report(ChainSpec(n_s=3, n_w=41, j0=0.01))
+    assert len(calls) == 3
+
+
+@pytest.mark.parametrize("argv, searches, pp", [
+    # the prediction, then the grid plan
+    (["transfer", "--ns", "2", "--nw", "41"], 2, True),
+    # the prediction, tau_ref, the non-PP scan horizon, then the grid plan
+    (["transfer", "--ns", "3", "--nw", "40"], 4, False),
+])
+def test_transfer_cluster_searches(monkeypatch, capsys, argv, searches, pp):
+    calls = count_calls(monkeypatch, perturbation, "find_clusters", {perturbation})
+    code, out, _ = run_cli(capsys, argv)
+    assert code == EXIT_OK
+    assert json.loads(out.strip().split("\n")[-1][len("# summary: "):])["pp"] is pp
+    assert len(calls) == searches
+
+
 @pytest.mark.parametrize("command, builds", [("oracle-check", 12), ("validate", 14)])
 def test_gate_builds_each_oracle_sector_once_per_use(monkeypatch, capsys, command, builds):
     # 12 sectors in the oracle suite; validate adds one occupation sector per statistics
@@ -299,6 +320,71 @@ def test_config_file_with_flag_override(tmp_path, capsys):
     header = json.loads(out.split("\n")[0][len("# config: "):])
     assert header["n_w"] == 3  # flag wins over the file
     assert header["n_s"] == 1
+
+
+@pytest.mark.parametrize("config, flags, h", [
+    ({"n_s": 2, "n_w": 4, "h": 3.0}, [], 3.0),
+    ({"n_s": 2, "n_w": 4, "h": 3.0}, ["--h", "1.5"], 1.5),
+    ({"n_s": 2, "n_w": 4}, [], 2.0),
+], ids=["file", "flag-over-file", "battery-default"])
+def test_battery_takes_h_from_flag_then_file_then_its_default(tmp_path, capsys, config, flags, h):
+    cfg = tmp_path / "battery.json"
+    cfg.write_text(json.dumps(config))
+    code, out, _ = run_cli(capsys, ["battery", "--config", str(cfg),
+                                    "--tmax", "10", "--samples", "3"] + flags)
+    assert code == EXIT_OK
+    assert json.loads(out.split("\n")[0][len("# config: "):])["h"] == h
+
+
+def test_config_file_must_hold_an_object(tmp_path, capsys):
+    cfg = tmp_path / "list.json"
+    cfg.write_text("[1, 4]")
+    code, out, err = run_cli(capsys, ["spectrum", "--config", str(cfg)])
+    assert code == EXIT_CONFIG
+    assert out == ""
+    assert "config file must hold a JSON object" in err
+
+
+def test_one_sample_is_a_config_error(capsys):
+    code, out, err = run_cli(capsys, ["transfer", "--ns", "1", "--nw", "4", "--j0", "0.1",
+                                      "--tmax", "10", "--samples", "1"])
+    assert code == EXIT_CONFIG
+    assert out == ""
+    assert "samples must be at least 2" in err
+
+
+def test_numerical_inconsistency_exits_with_its_code(monkeypatch, capsys):
+    original = amplitudes.fermion_prob
+    monkeypatch.setattr(amplitudes, "fermion_prob", lambda sub: original(sub) + 2.0)
+    code, out, err = run_cli(capsys, ["transfer", "--ns", "1", "--nw", "4", "--j0", "0.1"])
+    assert code == EXIT_NUMERIC
+    assert out == ""
+    assert err.startswith("error: probability ")
+
+
+def test_transfer_boson_column_only(capsys):
+    argv = ["transfer", "--ns", "1", "--nw", "4", "--j0", "0.1", "--tmax", "20", "--samples", "5"]
+    columns = {}
+    for stats in ("boson", "fermion"):
+        code, out, _ = run_cli(capsys, argv + ["--stats", stats])
+        assert code == EXIT_OK
+        lines = out.strip().split("\n")
+        columns[stats] = lines[1], [row.split(",")[1] for row in lines[2:-1]]
+    assert columns["boson"][0] == "t,p_boson"
+    # one excitation: the two statistics agree
+    assert len(columns["boson"][1]) == 5
+    assert columns["boson"][1] == columns["fermion"][1]
+
+
+def test_perturbation_file_output_matches_stdout(tmp_path, capsys):
+    argv = ["perturbation", "--ns", "2", "--nw", "5", "--j0", "0.05"]
+    path = tmp_path / "report.json"
+    code, out, _ = run_cli(capsys, argv + ["-o", str(path)])
+    assert code == EXIT_OK
+    assert out == ""
+    code, out, _ = run_cli(capsys, argv)
+    assert code == EXIT_OK
+    assert path.read_text() == out
 
 
 def test_missing_geometry_is_a_config_error(capsys):

@@ -14,7 +14,7 @@ from ppxfer.observables import (
     occupation,
     switching_energy,
 )
-from ppxfer.oracle import oracle_occupation
+from ppxfer.oracle import oracle_occupation, oracle_transfer_prob
 from ppxfer.spectral import decompose_chain, diagonalize
 
 
@@ -264,3 +264,22 @@ def test_battery_warns_when_field_is_weak():
 def test_battery_rejects_bad_grids(grid):
     with pytest.raises(ValueError, match="time grid"):
         battery_metrics(ChainSpec(n_s=2, n_w=4, j0=0.01, h=2.0), grid)
+
+
+NON_FINITE_TIME_CALLS = {
+    "occupation": lambda spec, dec, t: occupation(spec, t, 1, dec),
+    "occupation_profile": lambda spec, dec, t: occupation_profile(spec, t, dec),
+    "magnetization_receiver": lambda spec, dec, t: magnetization_receiver(spec, t, dec),
+    "interaction_energy": lambda spec, dec, t: interaction_energy(spec, t, dec),
+    "switching_energy": lambda spec, dec, t: switching_energy(spec, t, dec),
+    "oracle_transfer_prob": lambda spec, dec, t: oracle_transfer_prob(spec, t),
+    "oracle_occupation": lambda spec, dec, t: oracle_occupation(spec, t, 1),
+}
+
+
+@pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("name", sorted(NON_FINITE_TIME_CALLS))
+def test_non_finite_times_raise(name, t):
+    spec = ChainSpec(n_s=2, n_w=3, j0=0.05)
+    with pytest.raises(ValueError, match="times must be finite"):
+        NON_FINITE_TIME_CALLS[name](spec, decompose_chain(spec), t)

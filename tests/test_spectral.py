@@ -113,13 +113,15 @@ def test_sign_convention():
             assert first > 0
 
 
-def rotate_one_at_a_time(z, rotations, factors):
+def rotate_one_at_a_time(n, rotations, factors):
     """Reference apply pass: each recorded rotation in recording order."""
+    z = np.eye(n)
     for k in range(0, len(rotations), 2):
         i, c, s = rotations[k], factors[k], factors[k + 1]
         col = z[:, i + 1].copy()
         z[:, i + 1] = s * z[:, i] + c * col
         z[:, i] = c * z[:, i] - s * col
+    return z
 
 
 def test_batched_rotations_are_bitwise_sequential(monkeypatch):
