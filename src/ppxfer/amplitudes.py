@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import ChainSpec
+from .chain import ChainSpec, _times
 from .spectral import SpectralDecomposition, decompose_chain
 from . import perturbation
 
@@ -83,28 +83,24 @@ class PeakReport:
 
 
 def propagator_block(dec: SpectralDecomposition, rows, cols, times) -> np.ndarray:
-    """F(t) on the sites rows x cols for every t in a 1-D time array.
+    """F(t) on the sites rows x cols: the (len(rows), len(cols)) block for
+    a scalar time, the (T, len(rows), len(cols)) stack for a 1-D time array.
 
-    rows and cols are 0-based site indices; the result has shape
-    (T, len(rows), len(cols)) with entry [k, a, b] = f_{rows[a]+1}^{cols[b]+1}(times[k]).
+    rows and cols are 0-based site indices; entry [k, a, b] of the stack is
+    f_{rows[a]+1}^{cols[b]+1}(times[k]).  Times follow `chain._times`.
     This is the one place eigenvectors meet phases.  Each time evaluates
     the same expression (V_rows * phases(t)) @ V_cols^T, so a point agrees
     with the same point inside a grid; the (times, rows, N) intermediate is
     built one chunk of about CHUNK_ELEMENTS complex numbers at a time, so
-    scratch memory does not grow with the grid.  A non-finite time raises
-    ValueError.
+    scratch memory does not grow with the grid.
     """
-    times = np.asarray(times, dtype=float)
-    if times.ndim != 1:
-        raise ValueError("times must be one-dimensional")
-    if not np.all(np.isfinite(times)):
-        raise ValueError("times must be finite")
+    times, scalar = _times(times)
     left = dec.eigenvectors[rows, :]
     right = dec.eigenvectors[cols, :].T
     out = np.empty((len(times), len(left), right.shape[1]), dtype=complex)
     for part in time_chunks(len(times), left.size):
-        out[part] = (left * dec.phases(times[part])[:, None, :]) @ right
-    return out
+        out[part] = (left * dec._phases(times[part])[:, None, :]) @ right
+    return out[0] if scalar else out
 
 
 def _gamma(m: int) -> float:
@@ -121,12 +117,12 @@ def propagator_grid(dec: SpectralDecomposition, rows, cols, times) -> tuple[np.n
     within bound of it.  With B = ceil(sqrt(T)) and the grid's own step
     d = t_1 - t_0, time t_{aB+b} is split into the anchor t_{aB} and the
     shift b d, and exp(-i w (t_{aB} + b d)) is the product of two
-    `dec.phases` rows, so each level takes about 2 sqrt(T) exps instead of
+    `dec._phases` rows, so each level takes about 2 sqrt(T) exps instead of
     T.  Entry (r, c) at t_{aB+b} is sum_k [V_rk V_ck phase_k(t_{aB})]
     phase_k(b d): one complex matmul of the (pairs, N) anchor table with
     the (N, B) shift table per anchor, built in chunks of about
-    CHUNK_ELEMENTS complex numbers.  Any 1-D grid is accepted; the less
-    uniform it is, the larger the bound.
+    CHUNK_ELEMENTS complex numbers.  Any time array `chain._times` accepts
+    is taken as a grid; the less uniform it is, the larger the bound.
 
     The bound compares both computations with the exact
     G_rc(t) = sum_k V_rk V_ck exp(-i (w_k + h) t), evaluated at the float
@@ -135,7 +131,7 @@ def propagator_grid(dec: SpectralDecomposition, rows, cols, times) -> tuple[np.n
     max_j |t_j|, and D = max_j |t_j - (t_0 + j d)| (measured on the grid,
     plus the rounding of that measurement).
 
-    - A `phases` entry rounds its argument once per exp (u |w t| and
+    - A `_phases` entry rounds its argument once per exp (u |w t| and
       u |h t|), each cos and sin is within one ulp (2u) of the true value
       (libm), and the offset costs one complex product (sqrt(2) gamma_2).
       So it lies within u Omega |t| + 9u of exp(-i (w + h) t).
@@ -153,17 +149,15 @@ def propagator_grid(dec: SpectralDecomposition, rows, cols, times) -> tuple[np.n
       bound = S (2 Omega (u (t_max + B |d|) + D) + 32u + 2 sqrt(2) gamma_{N+2});
       the 2u beyond the 30u listed covers the second-order terms.
     """
-    times = np.asarray(times, dtype=float)
-    if times.ndim != 1 or not len(times):
-        raise ValueError("times must be a non-empty one-dimensional array")
+    times, _ = _times(times)
     n_times, n = len(times), dec.n
     span = math.isqrt(n_times - 1) + 1
     step = times[1] - times[0] if n_times > 1 else 0.0
     left = dec.eigenvectors[rows, :]
     right = dec.eigenvectors[cols, :]
     pairs = (left[:, None, :] * right[None, :, :]).reshape(-1, n)
-    anchors = dec.phases(times[::span])
-    shifts = dec.phases(np.arange(span) * step).T
+    anchors = dec._phases(times[::span])
+    shifts = dec._phases(np.arange(span) * step).T
     out = np.empty((len(anchors) * span, len(pairs)), dtype=complex)
     for part in time_chunks(len(anchors), pairs.size):
         table = (pairs * anchors[part, None, :]) @ shifts
@@ -302,7 +296,7 @@ class SubmatrixEvaluator:
     amplitudes land on the main diagonal, and for a mirror-symmetric chain
     the block is symmetric.  A scalar t gives the (n_s, n_s) block and float
     probabilities; a 1-D time array gives the (T, n_s, n_s) stack and (T,)
-    probability arrays.
+    probability arrays (`chain._times`).
     """
 
     def __init__(self, dec: SpectralDecomposition, n_s: int):
@@ -316,9 +310,7 @@ class SubmatrixEvaluator:
         self.n_s = n_s
 
     def submatrix(self, t) -> np.ndarray:
-        t = np.asarray(t, dtype=float)
-        block = propagator_block(self.dec, self.rows, self.cols, t.reshape(-1))
-        return block.reshape(t.shape + block.shape[1:])
+        return propagator_block(self.dec, self.rows, self.cols, t)
 
     def p_fermion(self, t):
         return _checked_prob(fermion_prob(self.submatrix(t)))
@@ -343,11 +335,13 @@ def _checked_prob(p):
 
 
 def _checked_grid(t_grid) -> np.ndarray:
-    """An explicit time grid as a float array; raise unless it is 1-D,
-    finite and strictly increasing."""
+    """An explicit time grid as a float array; raise unless it is non-empty,
+    1-D, finite and strictly increasing."""
     t_grid = np.asarray(t_grid, dtype=float)
-    if t_grid.ndim != 1 or not np.all(np.isfinite(t_grid)) or np.any(np.diff(t_grid) <= 0):
-        raise ValueError("time grid must be one-dimensional, finite and strictly increasing")
+    if (t_grid.ndim != 1 or not len(t_grid) or not np.all(np.isfinite(t_grid))
+            or np.any(np.diff(t_grid) <= 0)):
+        raise ValueError("time grid must be non-empty, one-dimensional, finite and "
+                         "strictly increasing")
     return t_grid
 
 

@@ -45,6 +45,18 @@ def _site(value, n_sites: int) -> int:
     raise ValueError(f"site must lie in 1..{n_sites}, got {value!r}")
 
 
+def _times(t) -> tuple[np.ndarray, bool]:
+    """A time argument as a 1-D float array, and whether it was a scalar.
+
+    The one time-axis contract of the public API: a finite scalar gives a
+    float or one row, a non-empty finite 1-D array one row per time (row k
+    the bits of the scalar call at t[k]); anything else is refused."""
+    times = np.asarray(t, dtype=float)
+    if times.ndim > 1 or not times.size or not np.all(np.isfinite(times)):
+        raise ValueError("times must be finite: a scalar or a non-empty 1-D array")
+    return times.reshape(-1), times.ndim == 0
+
+
 @dataclass(frozen=True)
 class ChainSpec:
     """Full experiment configuration.

@@ -368,10 +368,9 @@ def _check_energies(asymmetry: float) -> tuple[bool, str]:
         onsite[-1] += asymmetry
         profile = CouplingProfile(hop=profile.hop, onsite=onsite)
     dec = diagonalize(profile)
-    worst = 0.0
-    for t in (0.7, 3.1, 12.9, 44.2):
-        worst = max(worst, abs(interaction_energy(spec, t, dec)))
-        worst = max(worst, abs(switching_energy(spec, t, dec)))
+    times = np.array([0.7, 3.1, 12.9, 44.2])
+    worst = float(max(np.max(np.abs(interaction_energy(spec, times, dec))),
+                      np.max(np.abs(switching_energy(spec, times, dec)))))
     label = f"max |E_I|, |dE_sw| = {worst:.2e}"
     if asymmetry:
         label += f" (asymmetry {asymmetry:g})"
@@ -393,11 +392,10 @@ def _check_statistics_independence(decompose) -> tuple[bool, str]:
 def _check_magnetization_identity() -> tuple[bool, str]:
     spec = ChainSpec(n_s=3, n_w=7, j0=0.05)
     dec = decompose_chain(spec)
-    worst = 0.0
-    for t in (0.6, 5.3, 17.0):
-        mag = magnetization_receiver(spec, t, dec)
-        total = sum(occupation(spec, t, j, dec) for j in spec.receiver_sites())
-        worst = max(worst, abs(mag + spec.n_r / 2.0 - total))
+    times = np.array([0.6, 5.3, 17.0])
+    mag = magnetization_receiver(spec, times, dec)
+    total = sum(occupation(spec, times, j, dec) for j in spec.receiver_sites())
+    worst = float(np.max(np.abs(mag + spec.n_r / 2.0 - total)))
     return worst <= 1e-12, f"Frobenius identity deviation {worst:.2e}"
 
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from .amplitudes import (SubmatrixEvaluator, _checked_grid, plan_scan_grid, propagator_block,
                          time_chunks)
-from .chain import ChainSpec, _site
+from .chain import ChainSpec, _site, _times
 from .spectral import SpectralDecomposition, decompose_chain
 
 
@@ -36,9 +36,10 @@ class BatteryReport:
     p_bar: float             # storing power at tau_bar
 
 
-def _sender_rows(dec: SpectralDecomposition, n_s: int, t: float) -> np.ndarray:
-    """Amplitudes f_i^j(t) for senders i = 1..n_s to every site j."""
-    return propagator_block(dec, np.arange(n_s), np.arange(dec.n), [t])[0]
+def _sender_rows(dec: SpectralDecomposition, n_s: int, t) -> np.ndarray:
+    """Amplitudes f_i^j(t) for senders i = 1..n_s to every site j: (n_s, N)
+    for a scalar t, (T, n_s, N) for a time array."""
+    return propagator_block(dec, np.arange(n_s), np.arange(dec.n), t)
 
 
 def _energy_block(spec: ChainSpec, dec: SpectralDecomposition, times) -> np.ndarray:
@@ -67,44 +68,48 @@ def _switch_energy(spec: ChainSpec, block: np.ndarray) -> np.ndarray:
     return spec.j0 * total.real
 
 
-def occupation(spec: ChainSpec, t: float, site: int, dec: SpectralDecomposition) -> float:
+def occupation(spec: ChainSpec, t, site: int, dec: SpectralDecomposition):
     """<n_site(t)> = sum over senders i of |f_i^site(t)|^2, 1-based site."""
     site = _site(site, dec.n)
     rows = _sender_rows(dec, spec.n_s, t)
-    return float(np.sum(np.abs(rows[:, site - 1]) ** 2))
+    return np.sum(np.abs(rows[..., site - 1]) ** 2, axis=-1)
 
 
-def occupation_profile(spec: ChainSpec, t: float, dec: SpectralDecomposition) -> np.ndarray:
+def occupation_profile(spec: ChainSpec, t, dec: SpectralDecomposition) -> np.ndarray:
     """<n_j(t)> for every site j at once."""
     rows = _sender_rows(dec, spec.n_s, t)
-    return np.sum(np.abs(rows) ** 2, axis=0)
+    return np.sum(np.abs(rows) ** 2, axis=-2)
 
 
-def magnetization_receiver(spec: ChainSpec, t: float, dec: SpectralDecomposition) -> float:
+def magnetization_receiver(spec: ChainSpec, t, dec: SpectralDecomposition):
     """Receiver-block magnetization: squared Frobenius norm of the
     sender-receiver submatrix minus n_r/2."""
     sub = SubmatrixEvaluator(dec, spec.n_s).submatrix(t)
-    return float(np.sum(np.abs(sub) ** 2) - spec.n_r / 2.0)
+    return np.sum(np.abs(sub) ** 2, axis=(-2, -1)) - spec.n_r / 2.0
 
 
-def interaction_energy(spec: ChainSpec, t: float, dec: SpectralDecomposition) -> float:
+def interaction_energy(spec: ChainSpec, t, dec: SpectralDecomposition):
     """Hopping energy stored on receiver-block bonds.
 
     Zero for any uniform-h hopping chain: the sublattice sign structure
     makes every (f_s^i)* f_s^{i+1} purely imaginary (uniform h cancels in
     the product), so only an on-site defect can make this nonzero.
     """
-    return float(_hop_energy(spec, _energy_block(spec, dec, [t]))[0])
+    times, scalar = _times(t)
+    energy = _hop_energy(spec, _energy_block(spec, dec, times))
+    return energy[0] if scalar else energy
 
 
-def switching_energy(spec: ChainSpec, tau: float, dec: SpectralDecomposition) -> float:
+def switching_energy(spec: ChainSpec, tau, dec: SpectralDecomposition):
     """Energy cost of switching the two J0 junction bonds off at time tau.
 
     The initial-state term vanishes exactly (the blocks start disjoint),
     leaving the junction-bond hopping expectation at tau, which is zero
     for the same sublattice-parity reason as the interaction energy.
     """
-    return float(_switch_energy(spec, _energy_block(spec, dec, [tau]))[0])
+    times, scalar = _times(tau)
+    energy = _switch_energy(spec, _energy_block(spec, dec, times))
+    return energy[0] if scalar else energy
 
 
 def battery_metrics(spec: ChainSpec, t_grid: np.ndarray | None = None) -> BatteryReport:

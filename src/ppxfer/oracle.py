@@ -18,7 +18,7 @@ from math import comb
 
 import numpy as np
 
-from .chain import ChainSpec, CouplingProfile, _site, build_profile
+from .chain import ChainSpec, CouplingProfile, _site, _times, build_profile
 
 DIM_CAP = 100_000
 
@@ -141,36 +141,32 @@ def _edge_states(basis: SectorBasis):
     return basis.index[sender], basis.index[receiver]
 
 
-def _finite_times(t) -> np.ndarray:
-    times = np.asarray(t, dtype=float)
-    if not np.all(np.isfinite(times)):
-        raise ValueError("times must be finite")
-    return times
-
-
 def oracle_transfer_prob(spec: ChainSpec, t):
-    """|<receiver block| exp(-i t H) |sender block>|^2 in the full sector:
-    a float for a scalar t, an array of its shape for a time array."""
-    times = _finite_times(t)
+    """|<receiver block| exp(-i t H) |sender block>|^2 in the full sector,
+    for every time from one sector build."""
+    times, scalar = _times(t)
     basis, energies, modes = _sector_setup(spec)
     i_send, i_recv = _edge_states(basis)
-    phases = np.exp(-1j * energies * times[..., None])
+    phases = np.exp(-1j * energies * times[:, None])
     amp = np.sum(modes[i_recv] * phases * modes[i_send], axis=-1)
     p = np.float_power(np.hypot(amp.real, amp.imag), 2)  # the bits of abs(amp) ** 2
-    return float(p) if p.ndim == 0 else p
+    return p[0] if scalar else p
 
 
-def oracle_occupation(spec: ChainSpec, t: float, site):
+def oracle_occupation(spec: ChainSpec, t, site):
     """<n_site(t)> (1-based site) evolved in the sector basis: a float for
-    one site, an array for a 1-D site array, from one sector build."""
+    one site, an array for a 1-D site array, at every time from one sector
+    build."""
     sites = [_site(k, spec.n_sites) for k in np.atleast_1d(site).tolist()]
-    _finite_times(t)
+    times, scalar = _times(t)
     basis, energies, modes = _sector_setup(spec)
     i_send, _ = _edge_states(basis)
-    psi = modes @ (np.exp(-1j * energies * t) * modes[i_send])
-    weights = np.abs(psi) ** 2
+    occs = [np.array([basis.occupation_of(s, k) for s in basis.states], dtype=float)
+            for k in sites]
     values = []
-    for k in sites:
-        occs = np.array([basis.occupation_of(s, k) for s in basis.states], dtype=float)
-        values.append(np.dot(weights, occs))
-    return float(values[0]) if np.ndim(site) == 0 else np.array(values)
+    for t_k in times.tolist():
+        # one matrix-vector product per time, as a single time takes it
+        weights = np.abs(modes @ (np.exp(-1j * energies * t_k) * modes[i_send])) ** 2
+        values.append([np.dot(weights, occ) for occ in occs])
+    values = np.array(values) if np.ndim(site) else np.array(values)[:, 0]
+    return values[0] if scalar else values

@@ -17,7 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .chain import ChainSpec, WEAK_COUPLING_LIMIT
+from .chain import ChainSpec, WEAK_COUPLING_LIMIT, _times
 from .resonance import Feasibility, pp_feasible, resonant_pairs
 from .spectral import SpectralDecomposition, decompose_chain, sender_spectrum
 
@@ -241,12 +241,12 @@ def envelope_3ex(spec: ChainSpec, t, dec: SpectralDecomposition):
     Resonant wire lengths (n_w = 4l+1): sin^4(delta* t), the square of the
     product of the two slow doublet amplitudes.  Other classes: the square
     of (1/4)(sin(delta_c t) + sin(delta_o t))^2 |sin(delta_o t)| built from
-    the central (c) and outer (o) splittings.  Accepts scalar or array t.
+    the central (c) and outer (o) splittings.
     """
     if spec.n_s != 3:
         raise ValueError(f"envelope defined for n_s=3 only, got {spec.n_s}")
+    t, scalar = _times(t)
     clusters = find_clusters(dec, spec)
-    t = np.asarray(t, dtype=float)
     if any(c.multiplicity == 3 for c in clusters) and spec.n_w % 4 == 1:
         delta_star = distinct_splittings(clusters)[0][0]
         env = np.sin(delta_star * t) ** 4
@@ -258,7 +258,7 @@ def envelope_3ex(spec: ChainSpec, t, dec: SpectralDecomposition):
             np.sin(delta_o * t)
         )
         env = amp ** 2
-    return env if env.ndim else float(env)
+    return env[0] if scalar else env
 
 
 def _solve_off_diagonal(num: int, den: int, off: int):

@@ -28,7 +28,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .chain import ChainSpec, CouplingProfile, build_profile
+from .chain import ChainSpec, CouplingProfile, _times, build_profile
 
 MACHEP = 2.0 ** -52
 MAX_SWEEPS = 30
@@ -69,22 +69,28 @@ class SpectralDecomposition:
         return bool(np.array_equal(w, -w[::-1]))
 
     def phases(self, t) -> np.ndarray:
-        """exp(-i w_k t) for all levels, exact-conjugate over +/- pairs.
+        """exp(-i w_k t) for all levels: (N,) for a scalar t, (T, N) for a
+        time array (`chain._times`)."""
+        times, scalar = _times(t)
+        base = self._phases(times)
+        return base[0] if scalar else base
 
-        A scalar t gives shape (N,); a time array of shape (T,) gives (T, N)
-        with the same per-element arithmetic, so row k is bitwise phases(t[k]).
+    def _phases(self, times: np.ndarray) -> np.ndarray:
+        """`phases` of a checked 1-D time array, exact-conjugate over +/- pairs.
 
-        When the bare levels pair exactly, exp is evaluated on the upper
-        half only (the middle zero level included) and the lower half is
-        its reversed conjugate: the same bits as the direct expression, whose
+        Every row has the same per-element arithmetic, so row k is bitwise
+        phases(times[k]).  When the bare levels pair exactly, exp is
+        evaluated on the upper half only (the middle zero level included)
+        and the lower half is its reversed conjugate: the same bits as the
+        direct expression, whose
         sin/cos are odd/even bitwise, once the -0.0 imaginary parts that
         conj makes at t = 0 are turned back into the direct +0.0.
         """
-        t = np.asarray(t, dtype=float)[..., None]
+        t = times[:, None]
         w = self.bare_eigenvalues
         if self._paired:
             half = len(w) // 2
-            base = np.empty(t.shape[:-1] + w.shape, dtype=complex)
+            base = np.empty((len(times), len(w)), dtype=complex)
             base[..., half:] = np.exp(-1j * w[half:] * t)
             lower = base[..., :half]
             np.conjugate(base[..., len(w) - half:][..., ::-1], out=lower)

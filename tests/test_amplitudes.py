@@ -332,12 +332,6 @@ def test_propagator_block_matches_direct_construction(h):
                 assert np.max(np.abs(block[k] - direct_block(dec, rows, cols, times[k]))) < tol
 
 
-def test_propagator_block_rejects_non_vector_times():
-    dec = two_site_decomposition()
-    with pytest.raises(ValueError):
-        propagator_block(dec, [0], [1], np.zeros((2, 2)))
-
-
 def test_grid_evaluation_matches_point_by_point():
     # One array call over a grid spanning several chunks against one call
     # per time, for the scan curves and the evaluator's probabilities.
@@ -369,6 +363,8 @@ def test_scan_transfer_validates_grid():
         scan_transfer(spec, np.array([0.0, 1.0, np.inf]), dec)
     with pytest.raises(ValueError):
         scan_transfer(spec, np.array([0.0, np.nan, 2.0]), dec)
+    with pytest.raises(ValueError, match="time grid"):
+        scan_transfer(spec, [], dec)
 
 
 def test_scan_transfer_starts_at_zero_probability():

@@ -1,8 +1,15 @@
-"""The public names exported by the package."""
+"""The public names exported by the package, and the time-argument rule
+every one of them follows."""
 
 import inspect
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
 
 import ppxfer
+from ppxfer import ChainSpec
 from ppxfer import amplitudes, cli, observables, perturbation, spectral
 
 REMOVED = ("AmplitudeMatrix", "amplitude", "amplitude_matrix", "sr_submatrix")
@@ -55,3 +62,97 @@ def test_only_the_two_entry_points_decompose_on_their_own():
 def test_eigensolver_reads_the_profile_not_a_matrix():
     assert list(inspect.signature(spectral.diagonalize).parameters) == ["profile"]
     assert not hasattr(spectral, "_is_tridiagonal")
+
+
+TIME_PARAMETERS = ("t", "tau", "times")
+
+
+def time_callables():
+    """(label, function, time parameter) for every public callable taking a
+    time: the functions in `ppxfer.__all__` and the methods of its classes."""
+    found = []
+    for name in ppxfer.__all__:
+        obj = getattr(ppxfer, name)
+        if inspect.isclass(obj):
+            members = [(f"{name}.{m}", f) for m, f in vars(obj).items()
+                       if inspect.isfunction(f) and not m.startswith("_")]
+        else:
+            members = [(name, obj)] if inspect.isfunction(obj) else []
+        for label, func in members:
+            found += [(label, func, p) for p in inspect.signature(func).parameters
+                      if p in TIME_PARAMETERS]
+    return found
+
+
+TIME_CALLABLES = time_callables()
+
+# what each non-time parameter (and each method's instance) is built from
+ARGUMENTS = {
+    "spec": lambda spec, dec: spec,
+    "dec": lambda spec, dec: dec,
+    "rows": lambda spec, dec: np.arange(spec.n_s),
+    "cols": lambda spec, dec: np.arange(dec.n),
+    "site": lambda spec, dec: spec.n_sites,
+}
+INSTANCES = {
+    "SpectralDecomposition": lambda spec, dec: dec,
+    "SubmatrixEvaluator": lambda spec, dec: ppxfer.SubmatrixEvaluator(dec, spec.n_s),
+}
+BLOCK_SIZES = {"envelope_3ex": [3]}   # defined for n_s = 3 only
+
+
+def sector_dim(spec):
+    n = spec.n_sites + (spec.n_s - 1 if spec.statistics == "boson" else 0)
+    return math.comb(n, spec.n_s)
+
+
+def call_with_time(func, time_name, spec, dec, t):
+    args = []
+    for name, param in inspect.signature(func).parameters.items():
+        if name == "self":
+            args.append(INSTANCES[func.__qualname__.split(".")[0]](spec, dec))
+        elif name == time_name:
+            args.append(t)
+        elif param.default is inspect.Parameter.empty:
+            args.append(ARGUMENTS[name](spec, dec))
+    return func(*args)
+
+
+def test_the_time_registry_sees_the_public_time_arguments():
+    labels = {label for label, _, _ in TIME_CALLABLES}
+    assert {"propagator_block", "SubmatrixEvaluator.submatrix", "SubmatrixEvaluator.p_fermion",
+            "SubmatrixEvaluator.p_boson", "SpectralDecomposition.phases", "occupation",
+            "occupation_profile", "magnetization_receiver", "interaction_energy",
+            "switching_energy", "envelope_3ex", "oracle_transfer_prob",
+            "oracle_occupation"} <= labels
+
+
+@pytest.mark.parametrize("label, func, time_name", TIME_CALLABLES,
+                         ids=[label for label, _, _ in TIME_CALLABLES])
+@settings(max_examples=15, derandomize=True, database=None, deadline=None)
+@given(data=st.data())
+def test_every_time_argument_takes_a_scalar_or_a_1d_array(label, func, time_name, data):
+    spec = ChainSpec(n_s=data.draw(st.sampled_from(BLOCK_SIZES.get(label, [1, 2, 3])), "n_s"),
+                     n_w=data.draw(st.integers(1, 4), "n_w"),
+                     j0=data.draw(st.sampled_from([0.01, 0.05, 0.1]), "j0"),
+                     h=data.draw(st.sampled_from([0.0, 0.7]), "h"),
+                     statistics=data.draw(st.sampled_from(["fermion", "boson"]), "statistics"))
+    dec = ppxfer.decompose_chain(spec)
+    length = data.draw(st.sampled_from([1, 2, spec.n_s, spec.n_sites, sector_dim(spec)]), "T")
+    times = np.array(data.draw(st.lists(st.floats(-1e3, 1e5), min_size=length,
+                                        max_size=length), "times"))
+
+    stack = call_with_time(func, time_name, spec, dec, times)
+    for k in sorted({0, length - 1, data.draw(st.integers(0, length - 1), "k")}):
+        alone = call_with_time(func, time_name, spec, dec, float(times[k]))
+        assert np.shape(stack) == (length,) + np.shape(alone)
+        assert np.asarray(stack[k]).tobytes() == np.asarray(alone).tobytes(), (label, k)
+        if not np.shape(alone):
+            assert isinstance(alone, float)
+
+    bad = times.copy()
+    bad[data.draw(st.integers(0, length - 1), "bad")] = data.draw(
+        st.sampled_from([np.nan, np.inf, -np.inf]), "non-finite")
+    for t in (times.reshape(1, -1), times.reshape(-1, 1), [], np.nan, np.inf, -np.inf, bad):
+        with pytest.raises(ValueError, match="times must be"):
+            call_with_time(func, time_name, spec, dec, t)
