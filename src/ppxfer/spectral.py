@@ -8,10 +8,13 @@ exact +/- level pairs) and mirror symmetry (exact eigenvector parities).
 
 Implicit-shift QL with accumulated eigenvectors, written against float64
 and a 30-sweep cap per eigenvalue, in two passes: a scalar pass runs the
-recurrence on Python floats and records every Givens rotation, and an
-apply pass rotates the eigenvector columns in batches of rotations that
-touch disjoint columns, so each element sees the same arithmetic in the
-same order as rotating one pair at a time.
+recurrence on Python floats, giving the levels, and records every Givens
+rotation; an apply pass rotates the eigenvector columns in batches of
+rotations that touch disjoint columns, so each element sees the same
+arithmetic in the same order as rotating one pair at a time.  The scalar
+pass runs in `diagonalize`; the apply pass, O(N^3) against the scalar
+pass's O(N^2), waits for the first read of the eigenvectors or parities,
+so callers that read only levels never run it.
 
 Output is deterministic: eigenvalues ascending, each eigenvector's first
 nonzero component positive, and for a mirror-symmetric profile every
@@ -22,9 +25,11 @@ bitwise, not just to rounding.
 from __future__ import annotations
 
 import math
+import threading
 from array import array
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -34,6 +39,22 @@ MACHEP = 2.0 ** -52
 MAX_SWEEPS = 30
 SIGN_EPS = 1e-12
 DEGENERACY_EPS = 1e-12
+
+# serializes first reads of a decomposition's eigenvectors and parities
+_BASIS_LOCK = threading.Lock()
+
+
+class _Rotations(NamedTuple):
+    """What a decomposition still needs to build its eigenvectors: the
+    scalar QL pass's record of Givens rotations (`columns` holds i for the
+    rotation of columns (i, i+1), `factors` its (c, s), interleaved, both in
+    recording order), the ascending sort of the levels, and whether the
+    profile was mirror symmetric."""
+
+    columns: array
+    factors: array
+    order: np.ndarray
+    mirror: bool
 
 
 @dataclass(frozen=True)
@@ -50,13 +71,42 @@ class SpectralDecomposition:
     by t would round each level differently and break that pairing by
     ~ulp(offset), an error the propagator phases amplify linearly in t;
     `phases` therefore applies the offset as one global factor instead.
+
+    The levels are computed eagerly; `eigenvectors` and `parities` are built
+    on the first read of either, from the rotation record `_rotations` that
+    `diagonalize` leaves here (plain arrays, so the object pickles either
+    way).  That read runs the O(N^3) apply pass and the symmetry repairs,
+    stores both arrays on the instance and drops the record; later reads are
+    plain attribute lookups.  Callers that read only levels never pay for
+    the vectors.  `diagonalize` is the one producer of these objects;
+    `dataclasses.replace` carries the record, so it works only before the
+    first read (as in `decompose_chain`) and raises AttributeError after.
     """
 
     eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-    parities: np.ndarray
     bare_eigenvalues: np.ndarray
+    _rotations: _Rotations = field(repr=False, compare=False)
     offset: float = 0.0
+
+    @cached_property
+    def eigenvectors(self) -> np.ndarray:
+        return self._basis()["eigenvectors"]
+
+    @cached_property
+    def parities(self) -> np.ndarray:
+        return self._basis()["parities"]
+
+    def _basis(self) -> dict:
+        """The instance dict, with the eigenvectors and parities built into
+        it and the rotation record dropped (once, under a lock, so
+        concurrent first reads build one basis)."""
+        state = self.__dict__
+        with _BASIS_LOCK:
+            if "_rotations" in state:
+                z, parities = _eigenbasis(state["_rotations"], self.bare_eigenvalues)
+                state.update(eigenvectors=z, parities=parities)
+                del state["_rotations"]
+        return state
 
     @property
     def n(self) -> int:
@@ -102,21 +152,17 @@ class SpectralDecomposition:
         return base
 
 
-def _ql_implicit(d: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Implicit-shift QL on (diag d, subdiag e); returns (w, z), the
-    eigenvalues unsorted and eigenvector k in column k of z.
+def _ql_implicit(d: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, array, array]:
+    """Scalar pass of implicit-shift QL on (diag d, subdiag e): returns the
+    eigenvalues unsorted and the record of every Givens rotation, as
+    (w, columns, factors) in the layout of `_Rotations`.
 
-    A scalar pass runs the recurrence on Python floats and records every
-    Givens rotation; an apply pass then rotates the identity into z one
-    dependency step at a time (see `_apply_rotations`).
+    `_apply_rotations` turns the record into the eigenvectors.
     """
     n = len(d)
     d, e = d.tolist(), e.tolist() + [0.0]
-    # (column, step) and (c, s) of every rotation, interleaved
-    rotations, factors = array("l"), array("d")
-    record, record_cs = rotations.extend, factors.extend
-    # last[k]: step of the latest recorded rotation that touched column k
-    last = [0] * n
+    columns, factors = array("l"), array("d")
+    record, record_cs = columns.append, factors.extend
     for l in range(n):
         for sweep in range(MAX_SWEEPS + 1):
             for m in range(l, n):
@@ -159,22 +205,19 @@ def _ql_implicit(d: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
                 p = s * r
                 d[i + 1] = g + p
                 g = c * r - b
-                step = last[i] if last[i] > last[i + 1] else last[i + 1]
-                step += 1
-                last[i] = last[i + 1] = step
-                record((i, step))
+                record(i)
                 record_cs((c, s))
             d[l] -= p
             e[l] = g
             e[m] = 0.0
-    return np.array(d), _apply_rotations(n, rotations, factors)
+    return np.array(d), columns, factors
 
 
-def _apply_rotations(n: int, rotations: array, factors: array) -> np.ndarray:
+def _apply_rotations(n: int, columns: array, factors: array) -> np.ndarray:
     """The n x n identity with columns (i, i+1) rotated by each recorded
-    (c, s), batched by step.
+    (c, s), batched by dependency step.
 
-    `rotations` holds (i, step) pairs and `factors` the matching (c, s)
+    `columns` holds each rotation's i and `factors` the matching (c, s)
     pairs, in recording order.  A rotation's step is one more than the
     latest step that touched either of its columns, so rotations sharing a
     step touch disjoint columns and every column sees its rotations in
@@ -182,14 +225,21 @@ def _apply_rotations(n: int, rotations: array, factors: array) -> np.ndarray:
     sums in the same order as rotating one pair at a time: the result is
     bitwise identical.
     """
-    rotations = np.asarray(rotations).reshape(-1, 2)
+    # last[k]: step of the latest rotation that touched column k
+    last = [0] * n
+    steps = array("l")
+    for i in columns:
+        step = (last[i] if last[i] > last[i + 1] else last[i + 1]) + 1
+        last[i] = last[i + 1] = step
+        steps.append(step)
+    steps = np.asarray(steps)
     factors = np.asarray(factors).reshape(-1, 2)
-    order = np.argsort(rotations[:, 1], kind="stable")
-    cols = rotations[order, 0]
+    order = np.argsort(steps, kind="stable")
+    cols = np.asarray(columns)[order]
     nexts = cols + 1
     cosines = factors[order, 0:1]
     sines = factors[order, 1:2]
-    bounds = np.flatnonzero(np.diff(rotations[order, 1])) + 1
+    bounds = np.flatnonzero(np.diff(steps[order])) + 1
     # rows of zt are the columns of z, so each gather reads contiguous rows
     zt = np.eye(n)
     for start, stop in zip(np.r_[0, bounds], np.r_[bounds, len(order)]):
@@ -200,6 +250,19 @@ def _apply_rotations(n: int, rotations: array, factors: array) -> np.ndarray:
         zt[i] = c * lo - s * hi
     # C order: `_purify_parity`'s column dot products round by memory layout
     return zt.T.copy()
+
+
+def _eigenbasis(rotations: _Rotations, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(eigenvectors, parities) for the sorted levels w from their rotation
+    record: the apply pass, then the parity, cluster and sign repairs."""
+    z = _apply_rotations(len(w), rotations.columns, rotations.factors)[:, rotations.order]
+    if rotations.mirror:
+        parities = _purify_parity(z)
+    else:
+        parities = np.zeros(len(w))
+    _reorthogonalize_clusters(w, z)
+    _fix_signs(z)
+    return z, parities
 
 
 def _purify_parity(z: np.ndarray) -> np.ndarray:
@@ -241,11 +304,11 @@ def _fix_signs(z: np.ndarray) -> None:
 
 def diagonalize(profile: CouplingProfile) -> SpectralDecomposition:
     """Spectrum of the chain matrix with `profile.onsite` on the diagonal
-    and `profile.hop / 2` off it."""
-    d, z = _ql_implicit(profile.onsite, profile.hop / 2.0)
+    and `profile.hop / 2` off it; the eigenvectors wait for their first
+    read (see `SpectralDecomposition`)."""
+    d, columns, factors = _ql_implicit(profile.onsite, profile.hop / 2.0)
     order = np.argsort(d, kind="stable")
     w = d[order]
-    z = z[:, order]
 
     if not np.any(profile.onsite):
         # A zero diagonal makes the chain bipartite, so the exact spectrum
@@ -255,14 +318,8 @@ def diagonalize(profile: CouplingProfile) -> SpectralDecomposition:
         # enforce the pairing exactly on the sorted levels.
         w = 0.5 * (w - w[::-1])
 
-    if profile.is_mirror_symmetric():
-        parities = _purify_parity(z)
-    else:
-        parities = np.zeros(profile.n_sites)
-    _reorthogonalize_clusters(w, z)
-    _fix_signs(z)
-    return SpectralDecomposition(eigenvalues=w, eigenvectors=z, parities=parities,
-                                 bare_eigenvalues=w)
+    rotations = _Rotations(columns, factors, order, profile.is_mirror_symmetric())
+    return SpectralDecomposition(eigenvalues=w, bare_eigenvalues=w, _rotations=rotations)
 
 
 def decompose_chain(spec: ChainSpec) -> SpectralDecomposition:

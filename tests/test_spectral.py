@@ -1,9 +1,15 @@
 import math
+import pickle
+import threading
+import time
 
 import numpy as np
 import pytest
 
-from ppxfer import spectral
+from ppxfer import cli, spectral
+from ppxfer.amplitudes import find_transfer_peak
+from ppxfer.observables import battery_metrics
+from ppxfer.perturbation import perturbation_report, predict_transfer_time, ratio_diagnostics
 from ppxfer.chain import ChainSpec, CouplingProfile, adjacency_matrix, build_profile
 from ppxfer.spectral import (
     decompose_chain,
@@ -113,11 +119,11 @@ def test_sign_convention():
             assert first > 0
 
 
-def rotate_one_at_a_time(n, rotations, factors):
+def rotate_one_at_a_time(n, columns, factors):
     """Reference apply pass: each recorded rotation in recording order."""
     z = np.eye(n)
-    for k in range(0, len(rotations), 2):
-        i, c, s = rotations[k], factors[k], factors[k + 1]
+    for k, i in enumerate(columns):
+        c, s = factors[2 * k], factors[2 * k + 1]
         col = z[:, i + 1].copy()
         z[:, i + 1] = s * z[:, i] + c * col
         z[:, i] = c * z[:, i] - s * col
@@ -137,12 +143,106 @@ def test_batched_rotations_are_bitwise_sequential(monkeypatch):
         profiles.append(CouplingProfile(hop=2.0 * e, onsite=d))
     specs = [ChainSpec(n_s=4, n_w=101, j0=0.01), ChainSpec(n_s=2, n_w=102, j0=0.01)]
     batched = [diagonalize(p) for p in profiles] + [decompose_chain(s) for s in specs]
+    for dec in batched:   # build the vectors before the patch
+        dec.eigenvectors
     monkeypatch.setattr(spectral, "_apply_rotations", rotate_one_at_a_time)
     sequential = [diagonalize(p) for p in profiles] + [decompose_chain(s) for s in specs]
     for got, want in zip(batched, sequential):
         assert np.array_equal(got.eigenvalues, want.eigenvalues)
         assert np.array_equal(got.eigenvectors, want.eigenvectors)
         assert np.array_equal(got.parities, want.parities)
+
+
+@pytest.fixture
+def passes(monkeypatch):
+    """Counts of decompositions (`diagonalize` calls, which every
+    `decompose_chain` makes) and of eigenvector apply passes."""
+    counts = {"decompositions": 0, "applies": 0}
+
+    def counted(key, fn):
+        def wrapper(*args):
+            counts[key] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(spectral, "diagonalize", counted("decompositions", spectral.diagonalize))
+    monkeypatch.setattr(spectral, "_apply_rotations",
+                        counted("applies", spectral._apply_rotations))
+    return counts
+
+
+@pytest.mark.parametrize("run", [
+    lambda: perturbation_report(ChainSpec(n_s=3, n_w=43, j0=1e-3)),
+    lambda: predict_transfer_time(ChainSpec(n_s=2, n_w=41, j0=0.01)),
+    lambda: ratio_diagnostics(ChainSpec(n_s=4, n_w=41, j0=1e-3)),
+    cli._check_ratios,
+], ids=["perturbation_report", "predict_transfer_time", "ratio_diagnostics", "check_ratios"])
+def test_eigenvalue_only_callers_run_no_apply_pass(passes, run):
+    run()
+    assert passes["decompositions"] > 0
+    assert passes["applies"] == 0
+
+
+def read_parities_then_eigenvectors():
+    dec = decompose_chain(ChainSpec(n_s=2, n_w=9, j0=0.05))
+    return dec.parities, dec.eigenvectors
+
+
+@pytest.mark.parametrize("run", [
+    lambda: find_transfer_peak(ChainSpec(n_s=1, n_w=5, j0=0.1)),
+    lambda: battery_metrics(ChainSpec(n_s=2, n_w=8, j0=0.05, h=2.0)),
+    read_parities_then_eigenvectors,
+], ids=["find_transfer_peak", "battery_metrics", "parities_then_eigenvectors"])
+def test_vector_callers_run_one_apply_pass_per_decomposition(passes, run):
+    run()
+    assert passes["decompositions"] > 0
+    assert passes["applies"] == passes["decompositions"]
+
+
+def test_rotation_record_lives_until_the_first_read():
+    spec = ChainSpec(n_s=2, n_w=9, j0=0.05)
+    dec = decompose_chain(spec)
+    assert "_rotations" in vars(dec)
+    unread = pickle.loads(pickle.dumps(dec))
+    z, parities = dec.eigenvectors, dec.parities
+    # once built, a decomposition holds its arrays and no record
+    assert set(vars(dec)) == {"eigenvalues", "bare_eigenvalues", "offset",
+                              "eigenvectors", "parities"}
+    read = pickle.loads(pickle.dumps(dec))
+    assert "_rotations" not in vars(read)
+    for copy in (unread, read):
+        assert copy.eigenvectors.tobytes() == z.tobytes()
+        assert copy.parities.tobytes() == parities.tobytes()
+    assert "_rotations" not in vars(unread)
+
+
+@pytest.mark.parametrize("names", [("eigenvectors", "eigenvectors"),
+                                   ("eigenvectors", "parities")])
+def test_concurrent_first_reads_build_one_basis(passes, monkeypatch, names):
+    apply = spectral._apply_rotations
+
+    def slow_apply(*args):   # hold the build open while the other thread reads
+        time.sleep(0.05)
+        return apply(*args)
+
+    monkeypatch.setattr(spectral, "_apply_rotations", slow_apply)
+    dec = decompose_chain(ChainSpec(n_s=3, n_w=41, j0=0.01))
+    start = threading.Barrier(len(names))
+    got = [None] * len(names)
+
+    def read(k):
+        start.wait()
+        got[k] = getattr(dec, names[k])
+
+    threads = [threading.Thread(target=read, args=(k,)) for k in range(len(names))]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    for name, value in zip(names, got):
+        assert value is not None and value is getattr(dec, name)
+    assert passes["applies"] == 1
+    assert "_rotations" not in vars(dec)
 
 
 def test_sweep_cap_raises(monkeypatch):
