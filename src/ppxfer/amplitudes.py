@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import ChainSpec, _times
+from .chain import ChainSpec, _site, _size, _times
 from .spectral import SpectralDecomposition, decompose_chain
 from . import perturbation
 
@@ -190,6 +190,8 @@ def _square_stack(sub, cap: int, name: str) -> np.ndarray:
     if a.ndim not in (2, 3) or a.shape[-1] != a.shape[-2]:
         raise ValueError("submatrix must be square")
     n = a.shape[-1]
+    if not n:
+        raise ValueError(f"{name} needs a non-empty block")
     if n > cap:
         raise ValueError(f"{name} capped at {cap}, got {n}")
     return a.reshape(-1, n, n)
@@ -255,8 +257,6 @@ def boson_prob(sub):
     """
     a = _square_stack(sub, PERM_DIM_CAP, "permanent")
     count, n = len(a), a.shape[-1]
-    if n == 0:
-        return _like_input(np.ones(count), sub)
     w = np.zeros((count, n), dtype=complex)
     total = np.zeros(count, dtype=complex)
     gray = 0
@@ -282,8 +282,8 @@ def single_particle_bound(n_s: int, i: int, j: int) -> float:
 
     Equals 1 exactly when i = j or i + j = n_s + 1; below 1 otherwise.
     """
-    if not (1 <= i <= n_s and 1 <= j <= n_s):
-        raise ValueError(f"need 1 <= i,j <= n_s, got ({i}, {j}), n_s={n_s}")
+    n_s = _size("n_s", n_s)
+    i, j = _site(i, n_s, "i"), _site(j, n_s, "j")
     k = np.arange(1, n_s + 1)
     terms = np.abs(np.sin(k * np.pi * j / (n_s + 1)) * np.sin(k * np.pi * i / (n_s + 1)))
     return float(2.0 / (n_s + 1) * np.sum(terms))
@@ -301,8 +301,7 @@ class SubmatrixEvaluator:
 
     def __init__(self, dec: SpectralDecomposition, n_s: int):
         n = dec.n
-        if not 1 <= n_s <= n // 2:
-            raise ValueError(f"need 1 <= n_s <= N/2, got n_s={n_s}, N={n}")
+        n_s = _size("n_s", n_s, 1, n // 2)
         self.dec = dec
         self.rows = np.arange(n_s)
         # receiver sites ordered N, N-1, ..., N+1-n_s to put mirrors on the diagonal

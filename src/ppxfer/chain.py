@@ -21,13 +21,18 @@ import numpy as np
 WEAK_COUPLING_LIMIT = 0.1
 
 
-def _size(name: str, value) -> int:
-    """An integral size as an int; bools and fractional values are refused."""
-    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
-        return int(value)
+def _size(name: str, value, low: int = 1, high: int | None = None) -> int:
+    """A count as an int: an integer, or a float with an integral value (as
+    JSON gives one), within low..high (no upper end when high is None).
+    Bools, fractions, strings and values outside the range are refused."""
     if isinstance(value, float) and value.is_integer():
-        return int(value)
-    raise ValueError(f"{name} must be an integer, got {value!r}")
+        value = int(value)
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < low or (high is not None and value > high):
+        span = f">= {low}" if high is None else f"in {low}..{high}"
+        raise ValueError(f"{name} must be {span}, got {value}")
+    return int(value)
 
 
 def _real(name: str, value) -> float:
@@ -37,12 +42,12 @@ def _real(name: str, value) -> float:
     raise ValueError(f"{name} must be a real number, got {value!r}")
 
 
-def _site(value, n_sites: int) -> int:
-    """A 1-based site index as an int; bools, non-integers and sites outside
-    1..n_sites are refused alike."""
-    if isinstance(value, numbers.Integral) and not isinstance(value, bool) and 1 <= value <= n_sites:
+def _site(value, n: int, name: str = "site") -> int:
+    """A 1-based position in 1..n as an int; bools, non-integers (integral
+    floats too) and positions outside 1..n are refused alike."""
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool) and 1 <= value <= n:
         return int(value)
-    raise ValueError(f"site must lie in 1..{n_sites}, got {value!r}")
+    raise ValueError(f"{name} must lie in 1..{n}, got {value!r}")
 
 
 def _times(t) -> tuple[np.ndarray, bool]:
@@ -79,8 +84,6 @@ class ChainSpec:
         object.__setattr__(self, "n_w", _size("n_w", self.n_w))
         object.__setattr__(self, "j0", _real("j0", self.j0))
         object.__setattr__(self, "h", _real("h", self.h))
-        if self.n_s < 1 or self.n_w < 1:
-            raise ValueError(f"block/wire sizes must be positive, got n_s={self.n_s}, n_w={self.n_w}")
         if not (self.j0 > 0 and math.isfinite(self.j0)):
             raise ValueError(f"j0 must be positive and finite, got {self.j0}")
         if not math.isfinite(self.h):

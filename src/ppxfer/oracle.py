@@ -18,7 +18,7 @@ from math import comb
 
 import numpy as np
 
-from .chain import ChainSpec, CouplingProfile, _site, _times, build_profile
+from .chain import ChainSpec, CouplingProfile, _site, _size, _times, build_profile
 
 DIM_CAP = 100_000
 
@@ -44,6 +44,7 @@ class SectorBasis:
 
     def occupation_of(self, state, site: int) -> int:
         """Occupation of a 1-based site in a basis state."""
+        site = _site(site, self.n_sites)
         if self.statistics == "fermion":
             return (state >> (site - 1)) & 1
         return state[site - 1]
@@ -60,11 +61,12 @@ def _boson_states(n_sites: int, n_particles: int):
 
 
 def enumerate_basis(n_sites: int, n_particles: int, statistics: str) -> SectorBasis:
+    n_sites = _size("n_sites", n_sites)
     if statistics == "fermion":
-        if n_particles > n_sites:
-            raise ValueError("more fermions than sites")
+        n_particles = _size("n_particles", n_particles, 0, n_sites)
         dim = comb(n_sites, n_particles)
     elif statistics == "boson":
+        n_particles = _size("n_particles", n_particles, 0)
         dim = comb(n_sites + n_particles - 1, n_particles)
     else:
         raise ValueError(f"unknown statistics {statistics!r}")
@@ -157,7 +159,7 @@ def oracle_occupation(spec: ChainSpec, t, site):
     """<n_site(t)> (1-based site) evolved in the sector basis: a float for
     one site, an array for a 1-D site array, at every time from one sector
     build."""
-    sites = [_site(k, spec.n_sites) for k in np.atleast_1d(site).tolist()]
+    sites = [_site(k, spec.n_sites) for k in (list(site) if np.ndim(site) else [site])]
     times, scalar = _times(t)
     basis, energies, modes = _sector_setup(spec)
     i_send, _ = _edge_states(basis)

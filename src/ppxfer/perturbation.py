@@ -267,18 +267,10 @@ def _solve_off_diagonal(num: int, den: int, off: int):
     if c % 4:  # gcd(4*den, 4*num) = 4 for coprime num, den
         return None
     c4 = c // 4  # den*m - num*n = c4
-    if num == 1:
-        m0, n0 = 0, -c4
-    else:
-        m0 = (c4 % num) * pow(den, -1, num) % num
-        n0 = (den * m0 - c4) // num
-    # walk the solution lattice (m += num, n += den) into the first quadrant
-    shift = 0
-    if n0 < 0:
-        shift = (-n0 + den - 1) // den
-    if m0 + num * shift < 0:
-        shift = max(shift, (-m0 + num - 1) // num)
-    return (n0 + den * shift, m0 + num * shift)
+    # the least m >= 0; its n is >= 0 as well, because c4 <= 0 when
+    # num <= den and 0 <= c4 < num otherwise
+    m = (c4 % num) * pow(den, -1, num) % num
+    return ((den * m - c4) // num, m)
 
 
 def commensurability_check(ratio) -> CommensurabilityVerdict:
@@ -289,6 +281,8 @@ def commensurability_check(ratio) -> CommensurabilityVerdict:
     limit 1/2 fails both: the congruences reduce to 8m = 4n-1 and
     8m = 4n-3, an even left side against an odd right side.
     """
+    if not ratio > 0:
+        raise ValueError(f"ratio must be positive, got {ratio!r}")
     frac = ratio if isinstance(ratio, Fraction) else Fraction(ratio).limit_denominator(10**6)
     num, den = frac.numerator, frac.denominator
     for off in (1, 3):
@@ -307,8 +301,9 @@ def commensurability_check(ratio) -> CommensurabilityVerdict:
 
 
 def perturbation_report(spec: ChainSpec) -> PerturbationReport:
-    dec = decompose_chain(spec)
-    clusters = find_clusters(dec, spec)
+    # the decomposition (and its rotation record) is dropped before
+    # ratio_diagnostics builds its own two
+    clusters = find_clusters(decompose_chain(spec), spec)
     rot = rule_of_thumb(clusters)
     delta_star = distinct_splittings(clusters)[0][0]
     feasibility = pp_feasible(spec.n_s, spec.n_w)

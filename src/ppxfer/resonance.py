@@ -11,6 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
+from .chain import _size
+
 
 class Feasibility(Enum):
     PP = "PP"
@@ -32,8 +34,7 @@ class ResonanceReport:
 
 def resonant_pairs(n_s: int, n_w: int) -> list[tuple[int, int]]:
     """All (k, q) with k*(n_w+1) = q*(n_s+1), 1 <= k <= n_s, 1 <= q <= n_w."""
-    if n_s < 1 or n_w < 1:
-        raise ValueError("n_s and n_w must be >= 1")
+    n_s, n_w = _size("n_s", n_s), _size("n_w", n_w)
     pairs = []
     for k in range(1, n_s + 1):
         if k * (n_w + 1) % (n_s + 1) == 0:
@@ -49,8 +50,8 @@ def resonance_count(n_s: int, p: int) -> int:
     Depends only on (n_s, p); evaluated on the smallest representative
     wire length beyond one period, n_w = (n_s+1) + p.
     """
-    if not 0 <= p <= n_s:
-        raise ValueError(f"residue must satisfy 0 <= p <= n_s, got {p}")
+    n_s = _size("n_s", n_s)
+    p = _size("p", p, 0, n_s)
     return len(resonant_pairs(n_s, (n_s + 1) + p))
 
 
@@ -60,8 +61,7 @@ def pp_feasible(n_s: int, n_w: int) -> Feasibility:
     Classified for n_s <= 4 only; larger blocks return UNCLASSIFIED since
     no verdict is established for them.
     """
-    if n_s < 1 or n_w < 1:
-        raise ValueError("n_s and n_w must be >= 1")
+    n_s, n_w = _size("n_s", n_s), _size("n_w", n_w)
     if n_s in (1, 2):
         return Feasibility.ALL_LENGTHS
     if n_s == 3:
@@ -73,16 +73,15 @@ def pp_feasible(n_s: int, n_w: int) -> Feasibility:
 
 def universal_lengths(l_max: int) -> list[int]:
     """Wire lengths feasible for every block size 1..4: {20l+1} U {20l+17}."""
-    if l_max < 0:
-        raise ValueError("l_max must be >= 0")
     lengths = set()
-    for l in range(l_max + 1):
+    for l in range(_size("l_max", l_max, 0) + 1):
         lengths.add(20 * l + 1)
         lengths.add(20 * l + 17)
     return sorted(lengths)
 
 
 def resonance_report(n_s: int, n_w: int) -> ResonanceReport:
+    n_s, n_w = _size("n_s", n_s), _size("n_w", n_w)
     pairs = tuple(resonant_pairs(n_s, n_w))
     return ResonanceReport(
         n_s=n_s,

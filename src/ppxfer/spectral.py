@@ -33,7 +33,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .chain import ChainSpec, CouplingProfile, _times, build_profile
+from .chain import ChainSpec, CouplingProfile, _size, _times, build_profile
 
 MACHEP = 2.0 ** -52
 MAX_SWEEPS = 30
@@ -337,15 +337,13 @@ def decompose_chain(spec: ChainSpec) -> SpectralDecomposition:
 
 def wire_spectrum(n_w: int, h: float = 0.0) -> np.ndarray:
     """Uncoupled uniform-wire eigenvalues h + cos(q*pi/(n_w+1)), q = 1..n_w."""
-    if n_w < 1:
-        raise ValueError("n_w must be >= 1")
+    n_w = _size("n_w", n_w)
     q = np.arange(1, n_w + 1)
     return h + np.cos(q * np.pi / (n_w + 1))
 
 
 def sender_spectrum(n_s: int, h: float = 0.0) -> np.ndarray:
     """Uncoupled sender-block eigenvalues h + cos(k*pi/(n_s+1)), k = 1..n_s."""
-    if n_s < 1:
-        raise ValueError("n_s must be >= 1")
+    n_s = _size("n_s", n_s)
     k = np.arange(1, n_s + 1)
     return h + np.cos(k * np.pi / (n_s + 1))

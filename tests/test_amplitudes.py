@@ -146,15 +146,6 @@ def test_sr_submatrix_vanishes_at_time_zero():
     assert np.max(np.abs(sub)) < 1e-14
 
 
-def test_sr_submatrix_rejects_oversized_block():
-    spec = ChainSpec(n_s=2, n_w=2, j0=0.1)
-    dec = decompose_chain(spec)
-    with pytest.raises(ValueError):
-        SubmatrixEvaluator(dec, 4)
-    with pytest.raises(ValueError):
-        SubmatrixEvaluator(dec, 0)
-
-
 def test_submatrix_evaluator_matches_direct_construction():
     # reference: a slice of F on every site pair, V diag(exp(-i w t)) V^T
     # from the full eigenvalues, receiver columns in reverse order
@@ -209,6 +200,9 @@ def test_fermion_prob_rejects_non_square_and_oversized():
         fermion_prob(np.zeros((2, 3)))
     with pytest.raises(ValueError):
         fermion_prob(np.zeros((65, 65)))
+    for empty in (np.zeros((0, 0)), np.zeros((3, 0, 0))):
+        with pytest.raises(ValueError, match="needs a non-empty block"):
+            fermion_prob(empty)
 
 
 def test_boson_prob_small_closed_forms():
@@ -284,6 +278,9 @@ def test_boson_prob_rejects_non_square_and_oversized():
         boson_prob(np.zeros((3, 2)))
     with pytest.raises(ValueError):
         boson_prob(np.zeros((13, 13)))
+    for empty in (np.zeros((0, 0)), np.zeros((3, 0, 0))):
+        with pytest.raises(ValueError, match="needs a non-empty block"):
+            boson_prob(empty)
 
 
 def test_checked_prob_clamps_roundoff_and_flags_blowups():
@@ -605,13 +602,6 @@ def test_single_particle_bound_values():
     assert single_particle_bound(3, 1, 2) == single_particle_bound(3, 2, 1)
     # Anti-diagonal pairs (i + j = n_s + 1) also reach 1.
     assert single_particle_bound(3, 1, 3) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_single_particle_bound_rejects_out_of_range():
-    with pytest.raises(ValueError):
-        single_particle_bound(3, 0, 1)
-    with pytest.raises(ValueError):
-        single_particle_bound(3, 1, 4)
 
 
 def test_block_amplitudes_respect_single_particle_bound():

@@ -1,5 +1,5 @@
-"""The public names exported by the package, and the time-argument rule
-every one of them follows."""
+"""The public names exported by the package, and the time-argument and
+count/position rules every one of them follows."""
 
 import inspect
 import math
@@ -154,5 +154,107 @@ def test_every_time_argument_takes_a_scalar_or_a_1d_array(label, func, time_name
     bad[data.draw(st.integers(0, length - 1), "bad")] = data.draw(
         st.sampled_from([np.nan, np.inf, -np.inf]), "non-finite")
     for t in (times.reshape(1, -1), times.reshape(-1, 1), [], np.nan, np.inf, -np.inf, bad):
-        with pytest.raises(ValueError, match="times must be"):
+        with pytest.raises(ValueError, match="times must be finite"):
             call_with_time(func, time_name, spec, dec, t)
+
+
+COUNT_PARAMETERS = ("n_s", "n_w", "n_sites", "n_particles", "l_max", "p")
+POSITION_PARAMETERS = ("site", "i", "j")
+
+
+def size_callables():
+    """(label, callable, parameter) for every public count or 1-based
+    position: in the functions of `ppxfer.__all__`, the methods of its
+    classes and the constructors of `ChainSpec` and `SubmatrixEvaluator`."""
+    found = []
+    for name in ppxfer.__all__:
+        obj = getattr(ppxfer, name)
+        if inspect.isclass(obj):
+            members = [(f"{name}.{m}", f) for m, f in vars(obj).items()
+                       if inspect.isfunction(f) and not m.startswith("_")]
+            if name in ("ChainSpec", "SubmatrixEvaluator"):
+                members.append((name, obj))
+        else:
+            members = [(name, obj)] if inspect.isfunction(obj) else []
+        for label, func in members:
+            found += [(label, func, p) for p in inspect.signature(func).parameters
+                      if p in COUNT_PARAMETERS + POSITION_PARAMETERS]
+    return found
+
+
+SIZE_CALLABLES = size_callables()
+SIZE_SPEC = ChainSpec(n_s=2, n_w=3, j0=0.05)                     # N = 7
+SIZE_BASIS = ppxfer.enumerate_basis(4, 2, "boson")
+# every argument's value while another one is under test
+SIZE_ARGUMENTS = {
+    "n_s": 2, "n_w": 3, "j0": 0.05, "p": 1, "l_max": 2, "n_sites": 4, "n_particles": 2,
+    "statistics": "fermion", "i": 1, "j": 2, "site": 3, "t": 1.0, "state": (1, 0, 0, 1),
+    "spec": SIZE_SPEC, "dec": ppxfer.decompose_chain(SIZE_SPEC),
+}
+# the allowed range of each parameter with the arguments above (None: no upper end)
+SIZE_RANGES = {
+    ("ChainSpec", "n_s"): (1, None), ("ChainSpec", "n_w"): (1, None),
+    ("wire_spectrum", "n_w"): (1, None), ("sender_spectrum", "n_s"): (1, None),
+    ("SubmatrixEvaluator", "n_s"): (1, 3),
+    ("single_particle_bound", "n_s"): (1, None),
+    ("single_particle_bound", "i"): (1, 2), ("single_particle_bound", "j"): (1, 2),
+    ("resonant_pairs", "n_s"): (1, None), ("resonant_pairs", "n_w"): (1, None),
+    ("resonance_count", "n_s"): (1, None), ("resonance_count", "p"): (0, 2),
+    ("pp_feasible", "n_s"): (1, None), ("pp_feasible", "n_w"): (1, None),
+    ("universal_lengths", "l_max"): (0, None),
+    ("resonance_report", "n_s"): (1, None), ("resonance_report", "n_w"): (1, None),
+    ("SectorBasis.occupation_of", "site"): (1, 4),
+    ("enumerate_basis", "n_sites"): (1, None), ("enumerate_basis", "n_particles"): (0, 4),
+    ("oracle_occupation", "site"): (1, 7), ("occupation", "site"): (1, 7),
+}
+
+
+def call_with_size(func, size_name, value):
+    args = []
+    for name, param in inspect.signature(func).parameters.items():
+        if name == "self":
+            args.append(SIZE_BASIS)
+        elif name == size_name:
+            args.append(value)
+        elif param.default is inspect.Parameter.empty:
+            args.append(SIZE_ARGUMENTS[name])
+    return func(*args)
+
+
+def fingerprint(result):
+    """What a call returned, in a form that compares equal only bit for bit."""
+    if isinstance(result, ppxfer.SubmatrixEvaluator):
+        result = result.submatrix(1.0)
+    if isinstance(result, np.ndarray):
+        return result.dtype, result.shape, result.tobytes()
+    return repr(result)
+
+
+def test_the_size_registry_sees_the_public_counts_and_positions():
+    assert {(label, name) for label, _, name in SIZE_CALLABLES} == set(SIZE_RANGES)
+
+
+@pytest.mark.parametrize("label, func, name", SIZE_CALLABLES,
+                         ids=[f"{label}-{name}" for label, _, name in SIZE_CALLABLES])
+def test_every_count_and_position_has_one_contract(label, func, name):
+    low, high = SIZE_RANGES[(label, name)]
+    valid = SIZE_ARGUMENTS[name]
+    bad = [True, np.True_, 2.5, "2", low - 1] + ([] if high is None else [high + 1])
+    same = [np.int64(valid)]
+    # a count may come as an integral float (JSON gives one); a position may not
+    (same if name in COUNT_PARAMETERS else bad).append(float(valid))
+    for value in bad:
+        with pytest.raises(ValueError, match=rf"^{name} must"):
+            call_with_size(func, name, value)
+    expected = fingerprint(call_with_size(func, name, valid))
+    for value in same:
+        assert fingerprint(call_with_size(func, name, value)) == expected, value
+
+
+def test_a_site_list_is_checked_site_by_site():
+    # a bool, fraction or out-of-range entry may not pass beside a good one
+    for sites in ([1, True], [1, 2.5], [1, 8], [1, 0]):
+        with pytest.raises(ValueError, match="site must lie in"):
+            ppxfer.oracle_occupation(SIZE_SPEC, 1.0, sites)
+    assert np.array_equal(ppxfer.oracle_occupation(SIZE_SPEC, 1.0, [1, np.int64(3)]),
+                          ppxfer.oracle_occupation(SIZE_SPEC, 1.0, [1, 3]))

@@ -449,3 +449,17 @@ def test_validate_flags_injected_asymmetry(capsys):
     assert code == EXIT_FAIL
     assert "FAIL" in out
     assert "zero energies" in out
+
+
+@pytest.mark.parametrize("target, wrong, line", [
+    ("resonant_pairs", lambda n_s, n_w: [],
+     "FAIL  resonance table: n_s=1, n_w=1: expected 1 resonances"),
+    ("ratio_diagnostics", lambda spec: [perturbation.RatioEstimate("r", 0.9, 0.9, 0.0)],
+     "FAIL  splitting ratios: n_s=3, n_w=43: ratio 0.9000 vs 0.5"),
+])
+def test_validate_reports_a_wrong_table_or_ratio(monkeypatch, capsys, target, wrong, line):
+    monkeypatch.setattr(cli, target, wrong)
+    code, out, _ = run_cli(capsys, ["validate"])
+    assert code == EXIT_FAIL
+    assert line in out.splitlines()
+    assert out.splitlines()[-1] == "1 check(s) failed"

@@ -32,7 +32,7 @@ def test_basis_rejects_oversized_sector():
 
 
 def test_basis_rejects_bad_inputs():
-    with pytest.raises(ValueError, match="fermions"):
+    with pytest.raises(ValueError, match="n_particles must be in 0..3"):
         enumerate_basis(3, 4, "fermion")
     with pytest.raises(ValueError, match="statistics"):
         enumerate_basis(3, 1, "anyon")

@@ -267,28 +267,24 @@ def test_commensurability_accepts_floats():
     assert commensurability_check(0.2).feasible
 
 
+def test_commensurability_refuses_a_ratio_that_is_not_positive():
+    for ratio in (-11, Fraction(-1, 2), 0, 0.0, math.nan):
+        with pytest.raises(ValueError, match="ratio must be positive"):
+            commensurability_check(ratio)
+
+
 def test_off_diagonal_solver_agrees_with_brute_force():
+    # the solver gives the least m >= 0, or None when no (n, m) exists
     for num in range(1, 13):
         for den in range(1, 13):
             if math.gcd(num, den) != 1:
                 continue
             for off in (1, 3):
-                got = _solve_off_diagonal(num, den, off)
-                brute = None
-                for n in range(201):
-                    lhs = num * (4 * n + off)
-                    if lhs % den:
-                        continue
-                    q, r = divmod(lhs // den - off, 4)
-                    if r == 0 and q >= 0:
-                        brute = (n, q)
-                        break
-                if got is None:
-                    assert brute is None, (num, den, off, brute)
-                else:
-                    n, m = got
-                    assert n >= 0 and m >= 0
-                    assert den * (4 * m + off) == num * (4 * n + off)
+                right = {num * (4 * n + off): n for n in range(200)}
+                brute = [(right[den * (4 * m + off)], m) for m in range(200)
+                         if den * (4 * m + off) in right]
+                assert _solve_off_diagonal(num, den, off) == (brute[0] if brute else None), (
+                    num, den, off)
 
 
 def test_perturbation_report_bundles_prediction():
