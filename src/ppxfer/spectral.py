@@ -9,12 +9,14 @@ exact +/- level pairs) and mirror symmetry (exact eigenvector parities).
 Implicit-shift QL with accumulated eigenvectors, written against float64
 and a 30-sweep cap per eigenvalue, in two passes: a scalar pass runs the
 recurrence on Python floats, giving the levels, and records every Givens
-rotation; an apply pass rotates the eigenvector columns in batches of
-rotations that touch disjoint columns, so each element sees the same
-arithmetic in the same order as rotating one pair at a time.  The scalar
-pass runs in `diagonalize`; the apply pass, O(N^3) against the scalar
-pass's O(N^2), waits for the first read of the eigenvectors or parities,
-so callers that read only levels never run it.
+rotation (one (l, m) pair per sweep, whose rotations act on columns m-1
+down to l, and one (c, s) pair per rotation: 16 bytes a rotation); an
+apply pass rotates the eigenvector columns in batches of rotations that
+touch disjoint columns, so each element sees the same arithmetic in the
+same order as rotating one pair at a time.  The scalar pass runs in
+`diagonalize`; the apply pass, O(N^3) against the scalar pass's O(N^2),
+waits for the first read of the eigenvectors or parities, so callers that
+read only levels never run it.
 
 Output is deterministic: eigenvalues ascending, each eigenvector's first
 nonzero component positive, and for a mirror-symmetric profile every
@@ -46,12 +48,13 @@ _BASIS_LOCK = threading.Lock()
 
 class _Rotations(NamedTuple):
     """What a decomposition still needs to build its eigenvectors: the
-    scalar QL pass's record of Givens rotations (`columns` holds i for the
-    rotation of columns (i, i+1), `factors` its (c, s), interleaved, both in
-    recording order), the ascending sort of the levels, and whether the
-    profile was mirror symmetric."""
+    scalar QL pass's record of Givens rotations (`sweeps` holds each
+    sweep's (l, m), interleaved, the sweep rotating columns (i, i+1) for
+    i = m-1 down to l; `factors` holds each rotation's (c, s), interleaved;
+    both in recording order), the ascending sort of the levels, and whether
+    the profile was mirror symmetric."""
 
-    columns: array
+    sweeps: array
     factors: array
     order: np.ndarray
     mirror: bool
@@ -155,14 +158,15 @@ class SpectralDecomposition:
 def _ql_implicit(d: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, array, array]:
     """Scalar pass of implicit-shift QL on (diag d, subdiag e): returns the
     eigenvalues unsorted and the record of every Givens rotation, as
-    (w, columns, factors) in the layout of `_Rotations`.
+    (w, sweeps, factors) in the layout of `_Rotations`.
 
     `_apply_rotations` turns the record into the eigenvectors.
     """
     n = len(d)
     d, e = d.tolist(), e.tolist() + [0.0]
-    columns, factors = array("l"), array("d")
-    record, record_cs = columns.append, factors.extend
+    sweeps, factors = array("l"), array("d")
+    record, push = sweeps.extend, factors.append
+    sqrt, hypot, copysign = math.sqrt, math.hypot, math.copysign
     for l in range(n):
         for sweep in range(MAX_SWEEPS + 1):
             for m in range(l, n):
@@ -177,10 +181,11 @@ def _ql_implicit(d: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, array, array
                     f"tridiagonal QL failed to converge for eigenvalue {l} "
                     f"within {MAX_SWEEPS} sweeps"
                 )
+            record((l, m))
             p = d[l]
             g = (d[l + 1] - p) / (2.0 * e[l])
-            r = math.hypot(g, 1.0)
-            g = d[m] - p + e[l] / (g + math.copysign(r, g))
+            r = hypot(g, 1.0)
+            g = d[m] - p + e[l] / (g + copysign(r, g))
             s = 1.0
             c = 1.0
             p = 0.0
@@ -190,13 +195,13 @@ def _ql_implicit(d: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, array, array
                 # two Givens branches keep |c|,|s| <= 1 without overflow
                 if abs(f) >= abs(g):
                     c = g / f
-                    r = math.sqrt(c * c + 1.0)
+                    r = sqrt(c * c + 1.0)
                     e[i + 1] = f * r
                     s = 1.0 / r
                     c = c * s
                 else:
                     s = f / g
-                    r = math.sqrt(s * s + 1.0)
+                    r = sqrt(s * s + 1.0)
                     e[i + 1] = g * r
                     c = 1.0 / r
                     s = s * c
@@ -205,49 +210,64 @@ def _ql_implicit(d: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, array, array
                 p = s * r
                 d[i + 1] = g + p
                 g = c * r - b
-                record(i)
-                record_cs((c, s))
+                push(c)
+                push(s)
             d[l] -= p
             e[l] = g
             e[m] = 0.0
-    return np.array(d), columns, factors
+    return np.array(d), sweeps, factors
 
 
-def _apply_rotations(n: int, columns: array, factors: array) -> np.ndarray:
+def _apply_rotations(n: int, sweeps: array, factors: array) -> np.ndarray:
     """The n x n identity with columns (i, i+1) rotated by each recorded
     (c, s), batched by dependency step.
 
-    `columns` holds each rotation's i and `factors` the matching (c, s)
-    pairs, in recording order.  A rotation's step is one more than the
-    latest step that touched either of its columns, so rotations sharing a
-    step touch disjoint columns and every column sees its rotations in
-    recording order.  Each element therefore gets the same products and
-    sums in the same order as rotating one pair at a time: the result is
-    bitwise identical.
+    `sweeps` holds (l, m) per QL sweep, whose rotations act on columns
+    i = m-1 down to l, and `factors` the matching (c, s) pairs, in recording
+    order.  A rotation's step is one more than the latest step that touched
+    either of its columns, so rotations sharing a step touch disjoint
+    columns and every column sees its rotations in recording order.  Each
+    element therefore gets the same products and sums in the same order as
+    rotating one pair at a time: the result is bitwise identical.
     """
     # last[k]: step of the latest rotation that touched column k
     last = [0] * n
     steps = array("l")
-    for i in columns:
-        step = (last[i] if last[i] > last[i + 1] else last[i + 1]) + 1
-        last[i] = last[i + 1] = step
-        steps.append(step)
+    push = steps.append
+    for l, m in zip(sweeps[::2], sweeps[1::2]):
+        # `step` enters each rotation as that of the one before it in the
+        # sweep, the latest to touch column i+1
+        step = last[m]
+        for i in range(m - 1, l - 1, -1):
+            step = (last[i] if last[i] > step else step) + 1
+            last[i + 1] = step
+            push(step)
+        last[l] = step
     steps = np.asarray(steps)
-    factors = np.asarray(factors).reshape(-1, 2)
     order = np.argsort(steps, kind="stable")
-    cols = np.asarray(columns)[order]
-    nexts = cols + 1
-    cosines = factors[order, 0:1]
-    sines = factors[order, 1:2]
     bounds = np.flatnonzero(np.diff(steps[order])) + 1
-    # rows of zt are the columns of z, so each gather reads contiguous rows
+    lm = np.asarray(sweeps).reshape(-1, 2)
+    counts = lm[:, 1] - lm[:, 0]
+    # rotation j of the sweep (l, m) whose rotations start at record index
+    # k0 sits at k0 + j and acts on column m-1-j = (m-1+k0) - (k0+j)
+    starts = np.cumsum(counts) - counts
+    cols = (np.repeat(lm[:, 1] - 1 + starts, counts) - np.arange(len(steps)))[order]
+    factors = np.asarray(factors).reshape(-1, 2, 1, 1)[order]
+    cosines, sines = factors[:, 0], factors[:, 1]
+    signs = np.array([[-1.0], [1.0]])
+    # rows of zt are the columns of z, and pairs[i] is the (2, n) window of
+    # rows (i, i+1): one gather reads a step's disjoint row pairs
     zt = np.eye(n)
+    pairs = np.lib.stride_tricks.as_strided(zt, (n - 1, 2, n), (zt.strides[0],) + zt.strides)
     for start, stop in zip(np.r_[0, bounds], np.r_[bounds, len(order)]):
-        i, j = cols[start:stop], nexts[start:stop]
-        c, s = cosines[start:stop], sines[start:stop]
-        lo, hi = zt[i], zt[j]
-        zt[j] = s * lo + c * hi
-        zt[i] = c * lo - s * hi
+        i = cols[start:stop]
+        pair = pairs[i]
+        # (c lo + (-s) hi, c hi + s lo): bitwise (c lo - s hi, s lo + c hi)
+        swapped = pair[:, ::-1] * (sines[start:stop] * signs)
+        pair *= cosines[start:stop]
+        pair += swapped
+        pairs[i] = pair
+        del pair, swapped   # free this step's blocks before the next gather
     # C order: `_purify_parity`'s column dot products round by memory layout
     return zt.T.copy()
 
@@ -255,7 +275,7 @@ def _apply_rotations(n: int, columns: array, factors: array) -> np.ndarray:
 def _eigenbasis(rotations: _Rotations, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(eigenvectors, parities) for the sorted levels w from their rotation
     record: the apply pass, then the parity, cluster and sign repairs."""
-    z = _apply_rotations(len(w), rotations.columns, rotations.factors)[:, rotations.order]
+    z = _apply_rotations(len(w), rotations.sweeps, rotations.factors)[:, rotations.order]
     if rotations.mirror:
         parities = _purify_parity(z)
     else:
@@ -306,7 +326,7 @@ def diagonalize(profile: CouplingProfile) -> SpectralDecomposition:
     """Spectrum of the chain matrix with `profile.onsite` on the diagonal
     and `profile.hop / 2` off it; the eigenvectors wait for their first
     read (see `SpectralDecomposition`)."""
-    d, columns, factors = _ql_implicit(profile.onsite, profile.hop / 2.0)
+    d, sweeps, factors = _ql_implicit(profile.onsite, profile.hop / 2.0)
     order = np.argsort(d, kind="stable")
     w = d[order]
 
@@ -318,7 +338,7 @@ def diagonalize(profile: CouplingProfile) -> SpectralDecomposition:
         # enforce the pairing exactly on the sorted levels.
         w = 0.5 * (w - w[::-1])
 
-    rotations = _Rotations(columns, factors, order, profile.is_mirror_symmetric())
+    rotations = _Rotations(sweeps, factors, order, profile.is_mirror_symmetric())
     return SpectralDecomposition(eigenvalues=w, bare_eigenvalues=w, _rotations=rotations)
 
 

@@ -1,7 +1,13 @@
+import hashlib
+import json
 import math
+import os
 import pickle
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -119,8 +125,12 @@ def test_sign_convention():
             assert first > 0
 
 
-def rotate_one_at_a_time(n, columns, factors):
-    """Reference apply pass: each recorded rotation in recording order."""
+def rotate_one_at_a_time(n, sweeps, factors):
+    """Reference apply pass: each recorded rotation in recording order, the
+    sweep (l, m) rotating columns (i, i+1) for i = m-1 down to l."""
+    sweeps = list(zip(sweeps[::2], sweeps[1::2]))
+    assert sum(m - l for l, m in sweeps) == len(factors) // 2
+    columns = [i for l, m in sweeps for i in range(m - 1, l - 1, -1)]
     z = np.eye(n)
     for k, i in enumerate(columns):
         c, s = factors[2 * k], factors[2 * k + 1]
@@ -128,6 +138,86 @@ def rotate_one_at_a_time(n, columns, factors):
         z[:, i + 1] = s * z[:, i] + c * col
         z[:, i] = c * z[:, i] - s * col
     return z
+
+
+def validate_asymmetry_profile():
+    """The profile `validate --asymmetry 0.01` diagonalises: no mirror
+    symmetry and a nonzero diagonal."""
+    profile = build_profile(ChainSpec(n_s=2, n_w=5, j0=0.05, h=0.3))
+    onsite = profile.onsite.copy()
+    onsite[-1] += 0.01
+    return CouplingProfile(hop=profile.hop, onsite=onsite)
+
+
+def random_zero_diagonal_profile(rng, n):
+    return CouplingProfile(hop=random_profile(rng, n).hop, onsite=np.zeros(n))
+
+
+DECOMPOSITIONS = {
+    "2-41": lambda: decompose_chain(ChainSpec(n_s=2, n_w=41, j0=0.01)),
+    "4-101": lambda: decompose_chain(ChainSpec(n_s=4, n_w=101, j0=0.01)),
+    "3-43-weak": lambda: decompose_chain(ChainSpec(n_s=3, n_w=43, j0=1e-4)),
+    "2-5-h": lambda: decompose_chain(ChainSpec(n_s=2, n_w=5, j0=0.03, h=0.9)),
+    "asymmetric": lambda: diagonalize(validate_asymmetry_profile()),
+    "random": lambda: diagonalize(random_profile(np.random.default_rng(31), 37)),
+    "random-zero-diagonal":
+        lambda: diagonalize(random_zero_diagonal_profile(np.random.default_rng(32), 36)),
+}
+
+# sha256 over the bytes of eigenvalues, bare_eigenvalues, eigenvectors and
+# parities, in that order; produced by commit 46990f8 (the QL that recorded
+# one column per rotation) with Python 3.11, numpy 2.4 and OpenBLAS on
+# x86-64, the same with 1 or 2 OpenBLAS threads
+DECOMPOSITION_SHA256 = {
+    "2-41": "c9cbe22ac29a898c994085fc39e15a45501a20593f7f0f9301bd5bd78d92498e",
+    "4-101": "80812d7d0af96a22f352f2a61f2ef7e9bca4d24278b5d86bf41c6f895dcb57a2",
+    "3-43-weak": "b7890dac3096410c54e0c305747d3353c0de0a79304267c33cf15f707450ac8c",
+    "2-5-h": "dc5c51ef1a09eb21bf646450bdb71ddabb1d550eb7b14f5246e94aeac0fa21ec",
+    "asymmetric": "97d1a43befd08ae68fc52257afdf743c62c3c871892e1f71b027333d6056226d",
+    "random": "992129289dd525b80782cdae391c530c1949cc74b6390ba42225bacc692ec7b2",
+    "random-zero-diagonal":
+        "62f35e406d0077c514ed057f4781083b2458522261582e6e4ce4badd2039fab9",
+}
+
+
+def decomposition_digest(dec):
+    digest = hashlib.sha256()
+    for values in (dec.eigenvalues, dec.bare_eigenvalues, dec.eigenvectors, dec.parities):
+        digest.update(values.tobytes())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(DECOMPOSITIONS))
+def test_decompositions_keep_their_bits(name):
+    assert decomposition_digest(DECOMPOSITIONS[name]()) == DECOMPOSITION_SHA256[name]
+
+
+def pinned_bits():
+    """The digests above and the peak bits of the three chains
+    `test_bitwise_outputs` pins, as computed in this process (JSON-ready)."""
+    peaks = {}
+    for n_s, n_w in [(2, 41), (3, 41), (4, 101)]:
+        report = find_transfer_peak(ChainSpec(n_s=n_s, n_w=n_w, j0=0.01))
+        peaks[f"{n_s}-{n_w}"] = [float(x).hex() for x in (
+            report.t_fermion, report.p_fermion, report.t_boson, report.p_boson)]
+    return {"decompositions": {name: decomposition_digest(build())
+                               for name, build in DECOMPOSITIONS.items()},
+            "peaks": peaks}
+
+
+def test_pinned_bits_do_not_depend_on_the_blas_thread_count():
+    """One child process with two OpenBLAS threads gives the same bits as
+    this process, whose own values the digests above and
+    `test_bitwise_outputs` pin."""
+    tests = Path(__file__).resolve().parent
+    path = [str(tests), str(tests.parent / "src"), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "2", "PYTHONPATH": os.pathsep.join(path)}
+    child = subprocess.run(
+        [sys.executable, "-c",
+         "import json, test_spectral; print(json.dumps(test_spectral.pinned_bits()))"],
+        env=env, capture_output=True, text=True, timeout=300)
+    assert child.returncode == 0, child.stderr
+    assert json.loads(child.stdout) == pinned_bits()
 
 
 def test_batched_rotations_are_bitwise_sequential(monkeypatch):
