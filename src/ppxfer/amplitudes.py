@@ -573,8 +573,8 @@ def plan_scan_grid(spec: ChainSpec, dec: SpectralDecomposition) -> tuple[np.ndar
     p_coarse = ev.p_fermion(coarse)
     centers = {
         float(coarse[int(np.argmax(p_coarse))]),
-        min(horizon, math.pi / (2.0 * delta_slow)),
-        min(horizon, math.pi / delta_slow),
+        math.pi / (2.0 * delta_slow),
+        math.pi / delta_slow,
     }
     fine_step = math.pi / (FINE_POINTS_PER_FAST_PERIOD * delta_max)
     patches = [coarse]

@@ -47,6 +47,7 @@ from .observables import (
 )
 from .oracle import oracle_occupation, oracle_transfer_prob
 from .perturbation import (
+    ClusterAmbiguityError,
     NoTransferPredicted,
     perturbation_report,
     predict_transfer_time,
@@ -518,7 +519,8 @@ def main(argv=None) -> int:
     except NumericalConsistencyError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (ValueError, KeyError, OSError, json.JSONDecodeError, NoTransferPredicted) as exc:
+    except (ValueError, KeyError, OSError, json.JSONDecodeError, NoTransferPredicted,
+            ClusterAmbiguityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -89,6 +89,8 @@ class PerturbationReport:
 
 def find_clusters(dec: SpectralDecomposition, spec: ChainSpec) -> list[LevelCluster]:
     """Assign chain levels to sender-mode clusters by nearest energy."""
+    if dec.n != spec.n_sites:
+        raise ValueError(f"decomposition has {dec.n} levels, chain has {spec.n_sites} sites")
     if spec.j0 > WEAK_COUPLING_LIMIT * spec.j:
         warnings.warn(
             f"j0={spec.j0} is outside the perturbative regime; cluster "

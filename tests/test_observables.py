@@ -14,7 +14,7 @@ from ppxfer.observables import (
     occupation,
     switching_energy,
 )
-from ppxfer.oracle import oracle_occupation, oracle_transfer_prob
+from ppxfer.oracle import oracle_occupation
 from ppxfer.spectral import decompose_chain, diagonalize
 
 
@@ -69,32 +69,6 @@ def test_occupation_matches_sector_oracle_for_both_statistics():
         for stats in ("fermion", "boson"):
             probe = ChainSpec(n_s=2, n_w=2, j0=0.1, statistics=stats)
             assert fast == pytest.approx(oracle_occupation(probe, t, site), abs=1e-10)
-
-
-def test_occupation_rejects_out_of_range_site():
-    spec = ChainSpec(n_s=1, n_w=1, j0=0.1)
-    dec = decompose_chain(spec)
-    with pytest.raises(ValueError):
-        occupation(spec, 1.0, 0, dec)
-    with pytest.raises(ValueError):
-        occupation(spec, 1.0, 4, dec)
-
-
-@pytest.mark.parametrize("site", [True, False, np.bool_(True), 2.5, 1.5, 2.0, np.float64(3.0), "2"])
-def test_occupation_refuses_non_integer_sites(site):
-    # A bool used to read as site 0 or 1 and a float raised IndexError or
-    # TypeError; both now get the out-of-range ValueError, while numpy
-    # integers keep working.
-    spec = ChainSpec(n_s=2, n_w=3, j0=0.05)
-    dec = decompose_chain(spec)
-    with pytest.raises(ValueError, match="site must lie in"):
-        occupation(spec, 1.0, site, dec)
-    with pytest.raises(ValueError, match="site must lie in"):
-        oracle_occupation(spec, 1.0, site)
-    with pytest.raises(ValueError, match="site must lie in"):
-        oracle_occupation(spec, 1.0, [site])
-    assert occupation(spec, 1.0, np.int64(3), dec) == occupation(spec, 1.0, 3, dec)
-    assert oracle_occupation(spec, 1.0, np.int32(3)) == oracle_occupation(spec, 1.0, 3)
 
 
 def test_magnetization_starts_at_empty_block_value():
@@ -264,22 +238,3 @@ def test_battery_warns_when_field_is_weak():
 def test_battery_rejects_bad_grids(grid):
     with pytest.raises(ValueError, match="time grid"):
         battery_metrics(ChainSpec(n_s=2, n_w=4, j0=0.01, h=2.0), grid)
-
-
-NON_FINITE_TIME_CALLS = {
-    "occupation": lambda spec, dec, t: occupation(spec, t, 1, dec),
-    "occupation_profile": lambda spec, dec, t: occupation_profile(spec, t, dec),
-    "magnetization_receiver": lambda spec, dec, t: magnetization_receiver(spec, t, dec),
-    "interaction_energy": lambda spec, dec, t: interaction_energy(spec, t, dec),
-    "switching_energy": lambda spec, dec, t: switching_energy(spec, t, dec),
-    "oracle_transfer_prob": lambda spec, dec, t: oracle_transfer_prob(spec, t),
-    "oracle_occupation": lambda spec, dec, t: oracle_occupation(spec, t, 1),
-}
-
-
-@pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
-@pytest.mark.parametrize("name", sorted(NON_FINITE_TIME_CALLS))
-def test_non_finite_times_raise(name, t):
-    spec = ChainSpec(n_s=2, n_w=3, j0=0.05)
-    with pytest.raises(ValueError, match="times must be finite"):
-        NON_FINITE_TIME_CALLS[name](spec, decompose_chain(spec), t)

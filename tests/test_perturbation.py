@@ -12,6 +12,7 @@ from ppxfer import (
     ClusterAmbiguityError,
     Feasibility,
     NoTransferPredicted,
+    amplitudes,
     distinct_splittings,
     perturbation_report,
 )
@@ -104,6 +105,23 @@ def test_overlapping_clusters_raise_with_assignments():
             find_clusters(dec, spec)
     assert excinfo.value.assignments
     assert any(isinstance(v, tuple) for v in excinfo.value.assignments.values())
+
+
+def test_a_decomposition_of_another_chain_size_is_refused():
+    dec = decompose_chain(ChainSpec(3, 10, 0.05))                  # 16 levels
+    spec, spec_3 = ChainSpec(2, 3, 0.05), ChainSpec(3, 3, 0.05)   # 7 and 9 sites
+    calls = [
+        lambda: find_clusters(dec, spec),
+        lambda: predict_transfer_time(spec, dec),
+        lambda: amplitudes.plan_scan_grid(spec, dec),
+        lambda: amplitudes.scan_max_probability(spec, dec),
+        lambda: amplitudes.find_transfer_peak(spec, dec),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="16 levels, chain has 7 sites"):
+            call()
+    with pytest.raises(ValueError, match="16 levels, chain has 9 sites"):
+        envelope_3ex(spec_3, 1.0, dec)
 
 
 def test_distinct_splittings_groups_mirror_pairs():
