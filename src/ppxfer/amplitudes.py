@@ -12,7 +12,8 @@ golden-section polish nails the maximum through the band-scale ripple.
 Every grid (scan, coarse pass, window sweep, battery samples) is evaluated
 in array calls along the time axis, not one time point at a time:
 `propagator_block` builds the (T, rows, cols) stack of propagator blocks in
-chunks of about CHUNK_ELEMENTS complex numbers, and `fermion_prob` /
+chunks of about CHUNK_ELEMENTS complex numbers, one matrix product per
+chunk, and `fermion_prob` /
 `boson_prob` reduce a whole stack at once.  The golden polish evaluates
 each probe it has not seen together with every probe of its next
 GOLDEN_LOOKAHEAD iterations in one array call, and returns the bits of a
@@ -89,17 +90,34 @@ def propagator_block(dec: SpectralDecomposition, rows, cols, times) -> np.ndarra
     rows and cols are 0-based site indices; entry [k, a, b] of the stack is
     f_{rows[a]+1}^{cols[b]+1}(times[k]).  Times follow `chain._times`.
     This is the one place eigenvectors meet phases.  Each time evaluates
-    the same expression (V_rows * phases(t)) @ V_cols^T, so a point agrees
-    with the same point inside a grid; the (times, rows, N) intermediate is
-    built one chunk of about CHUNK_ELEMENTS complex numbers at a time, so
-    scratch memory does not grow with the grid.
+    the same expression (V_rows * phases(t)) @ V_cols^T, built one chunk of
+    about CHUNK_ELEMENTS complex numbers at a time, so scratch memory does
+    not grow with the grid.  A chunk's scaled rows (T_chunk, rows, N) are
+    folded into one (T_chunk rows, N) matrix and multiplied by V_cols^T in
+    one matrix product written straight into the output stack, instead of
+    one small product per time.  Blocks with one row or one column keep
+    one product per time, because numpy sends those to dot/gemv, whose
+    rounding differs from gemm's.  So a point has the same bits alone as
+    inside a grid, which `test_grid_evaluation_matches_point_by_point`
+    checks byte for byte.
     """
     times, scalar = _times(times)
     left = dec.eigenvectors[rows, :]
     right = dec.eigenvectors[cols, :].T
-    out = np.empty((len(times), len(left), right.shape[1]), dtype=complex)
+    n_rows, n_cols = len(left), right.shape[1]
+    out = np.empty((len(times), n_rows, n_cols), dtype=complex)
+    # A correctness condition on the block's shape, not a tuning knob:
+    # folding a one-row or one-column block would turn its per-time
+    # dot/gemv into one gemm and give a time other bits inside a grid than
+    # alone.  From 2 x 2 up each time is a gemm either way, and a gemm row
+    # has the same bits whatever rows sit beside it.
+    fold = n_rows > 1 and n_cols > 1
     for part in time_chunks(len(times), left.size):
-        out[part] = (left * dec._phases(times[part])[:, None, :]) @ right
+        scaled = left * dec._phases(times[part])[:, None, :]
+        if fold:
+            np.matmul(scaled.reshape(-1, dec.n), right, out=out[part].reshape(-1, n_cols))
+        else:
+            out[part] = scaled @ right
     return out[0] if scalar else out
 
 
@@ -119,10 +137,13 @@ def propagator_grid(dec: SpectralDecomposition, rows, cols, times) -> tuple[np.n
     shift b d, and exp(-i w (t_{aB} + b d)) is the product of two
     `dec._phases` rows, so each level takes about 2 sqrt(T) exps instead of
     T.  Entry (r, c) at t_{aB+b} is sum_k [V_rk V_ck phase_k(t_{aB})]
-    phase_k(b d): one complex matmul of the (pairs, N) anchor table with
-    the (N, B) shift table per anchor, built in chunks of about
-    CHUNK_ELEMENTS complex numbers.  Any time array `chain._times` accepts
-    is taken as a grid; the less uniform it is, the larger the bound.
+    phase_k(b d).  A chunk of anchors (about CHUNK_ELEMENTS complex numbers
+    of scaled pairs) is folded into one (anchors pairs, N) table and
+    multiplied by the (N, B) shift table in one matrix product, whatever
+    the block's shape: surrogate values need no bitwise match with
+    `propagator_block`, and the bound below holds for any summation order.
+    Any time array `chain._times` accepts is taken as a grid; the less
+    uniform it is, the larger the bound.
 
     The bound compares both computations with the exact
     G_rc(t) = sum_k V_rk V_ck exp(-i (w_k + h) t), evaluated at the float
@@ -160,8 +181,9 @@ def propagator_grid(dec: SpectralDecomposition, rows, cols, times) -> tuple[np.n
     shifts = dec._phases(np.arange(span) * step).T
     out = np.empty((len(anchors) * span, len(pairs)), dtype=complex)
     for part in time_chunks(len(anchors), pairs.size):
-        table = (pairs * anchors[part, None, :]) @ shifts
-        out[part.start * span:part.stop * span] = table.transpose(0, 2, 1).reshape(-1, len(pairs))
+        table = (pairs * anchors[part, None, :]).reshape(-1, n) @ shifts
+        out[part.start * span:part.stop * span] = (
+            table.reshape(-1, len(pairs), span).transpose(0, 2, 1).reshape(-1, len(pairs)))
     blocks = out[:n_times].reshape(n_times, len(left), len(right))
 
     u = UNIT_ROUNDOFF

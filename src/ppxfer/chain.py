@@ -93,7 +93,7 @@ class ChainSpec:
         if self.j0 > WEAK_COUPLING_LIMIT * self.j:
             warnings.warn(
                 f"j0={self.j0} is outside the weak-coupling regime (j0 <= {WEAK_COUPLING_LIMIT}*J)",
-                stacklevel=2,
+                stacklevel=3,  # the caller of the __init__ that dataclass generates
             )
         object.__setattr__(self, "n_r", self.n_s)
 

@@ -37,6 +37,7 @@ from ppxfer.amplitudes import (
     scan_scales,
     single_particle_bound,
 )
+from ppxfer.observables import _energy_block, _sender_rows
 from ppxfer.spectral import decompose_chain, diagonalize
 
 
@@ -331,20 +332,27 @@ def test_propagator_block_matches_direct_construction(h):
 
 def test_grid_evaluation_matches_point_by_point():
     # One array call over a grid spanning several chunks against one call
-    # per time, for the scan curves and the evaluator's probabilities.
-    spec = ChainSpec(n_s=3, n_w=9, j0=0.05, h=0.4)
-    dec = decompose_chain(spec)
-    ev = SubmatrixEvaluator(dec, 3)
-    grid = np.linspace(0.0, 5e4, 3 * CHUNK_ELEMENTS // 9 + 5)
-    curve = scan_transfer(spec, grid, dec)
-    p_f = np.array([ev.p_fermion(t) for t in grid])
-    p_b = np.array([ev.p_boson(t) for t in grid])
-    assert np.max(np.abs(curve.p_fermion - p_f)) <= 1e-15
-    assert np.max(np.abs(curve.p_boson - p_b)) <= 1e-15
-    assert np.max(np.abs(ev.p_fermion(grid) - p_f)) <= 1e-15
-    blocks = ev.submatrix(grid)
-    for k in (0, 1, len(grid) // 2, len(grid) - 1):
-        assert np.max(np.abs(blocks[k] - ev.submatrix(grid[k]))) <= 1e-15
+    # per time, bit for bit: the golden look-ahead returns a one-probe
+    # search's bits only if a time's value does not depend on its grid.
+    # n_s = 1 keeps the per-time product, n_s >= 2 folds each chunk into one
+    # matrix product.  Covered: the scan curves, the evaluator's blocks and
+    # probabilities, and the observables' sender rows (n_s x N) and energy
+    # block (n_s x (n_r + 3)).
+    for n_s, h in itertools.product([1, 2, 3, 4], [0.0, 1.7]):
+        spec = ChainSpec(n_s=n_s, n_w=9, j0=0.05, h=h)
+        dec = decompose_chain(spec)
+        ev = SubmatrixEvaluator(dec, n_s)
+        grid = np.linspace(0.0, 5e4, 3 * CHUNK_ELEMENTS // (n_s * dec.n) + 5)
+        curve = scan_transfer(spec, grid, dec)
+        p_f = np.array([ev.p_fermion(t) for t in grid])
+        p_b = np.array([ev.p_boson(t) for t in grid])
+        assert curve.p_fermion.tobytes() == p_f.tobytes()
+        assert curve.p_boson.tobytes() == p_b.tobytes()
+        assert ev.p_fermion(grid).tobytes() == p_f.tobytes()
+        for block in (ev.submatrix, lambda t: _sender_rows(dec, n_s, t),
+                      lambda t: _energy_block(spec, dec, t)):
+            points = np.array([block(t) for t in grid])
+            assert block(grid).tobytes() == points.tobytes(), (n_s, h)
 
 
 def test_scan_transfer_validates_grid():

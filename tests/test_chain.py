@@ -44,8 +44,10 @@ def test_bulk_hopping_is_a_constant_not_a_field():
 
 
 def test_spec_warns_outside_weak_coupling():
-    with pytest.warns(UserWarning):
+    with pytest.warns(UserWarning) as record:
         ChainSpec(n_s=1, n_w=3, j0=0.5)
+    # the warning names the line that built the spec
+    assert record[0].filename == __file__
     with pytest.warns(UserWarning):
         ChainSpec(n_s=1, n_w=3, j0=0.11)
 

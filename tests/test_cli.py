@@ -1,8 +1,13 @@
 """Tests for the command-line interface: formats, exit codes, determinism."""
 
+import hashlib
+import importlib.util
 import json
+import os
+import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -473,3 +478,32 @@ def test_validate_reports_a_wrong_table_or_ratio(monkeypatch, capsys, target, wr
     assert code == EXIT_FAIL
     assert line in out.splitlines()
     assert out.splitlines()[-1] == "1 check(s) failed"
+
+
+def pinned_stdout_sha256() -> dict:
+    """`STDOUT_SHA256` of `test_bitwise_outputs`, loaded by path so that it
+    does not depend on how pytest imports test modules."""
+    path = Path(__file__).resolve().parent / "test_bitwise_outputs.py"
+    spec = importlib.util.spec_from_file_location("bitwise_pins", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.STDOUT_SHA256
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("command", ["transfer --ns 2 --nw 41 --j0 0.01",
+                                     "battery --nb 4 --nw 32 --j0 0.01"])
+def test_pinned_stdout_does_not_depend_on_the_blas_thread_count(command, threads):
+    """Two runs `test_bitwise_outputs` pins, in a fresh process whose
+    OpenBLAS thread count is set before numpy loads, keep their stdout
+    bytes.  Their folded propagator products are the first ones large
+    enough for OpenBLAS to split across threads."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    path = [str(src), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": os.pathsep.join(path)}
+    child = subprocess.run(
+        [sys.executable, "-c", "import sys; from ppxfer.cli import main; sys.exit(main(sys.argv[1:]))",
+         *command.split()],
+        env=env, capture_output=True, timeout=300)
+    assert child.returncode == EXIT_OK, child.stderr.decode()
+    assert hashlib.sha256(child.stdout).hexdigest() == pinned_stdout_sha256()[command]
