@@ -11,9 +11,10 @@ and a 30-sweep cap per eigenvalue, in two passes: a scalar pass runs the
 recurrence on Python floats, giving the levels, and records every Givens
 rotation (one (l, m) pair per sweep, whose rotations act on columns m-1
 down to l, and one (c, s) pair per rotation: 16 bytes a rotation); an
-apply pass rotates the eigenvector columns in batches of rotations that
-touch disjoint columns, so each element sees the same arithmetic in the
-same order as rotating one pair at a time.  The scalar pass runs in
+apply pass rotates the eigenvector columns in place, in a wavefront that
+runs the rotation of sweep j on columns (i, i+1) at step 2j - i, so each
+element sees the same arithmetic in the same order as rotating one pair
+at a time.  The scalar pass runs in
 `diagonalize`; the apply pass, O(N^3) against the scalar pass's O(N^2),
 waits for the first read of the eigenvectors or parities, so callers that
 read only levels never run it.
@@ -220,54 +221,50 @@ def _ql_implicit(d: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, array, array
 
 def _apply_rotations(n: int, sweeps: array, factors: array) -> np.ndarray:
     """The n x n identity with columns (i, i+1) rotated by each recorded
-    (c, s), batched by dependency step.
+    (c, s), in wavefront order.
 
     `sweeps` holds (l, m) per QL sweep, whose rotations act on columns
     i = m-1 down to l, and `factors` the matching (c, s) pairs, in recording
-    order.  A rotation's step is one more than the latest step that touched
-    either of its columns, so rotations sharing a step touch disjoint
-    columns and every column sees its rotations in recording order.  Each
-    element therefore gets the same products and sums in the same order as
-    rotating one pair at a time: the result is bitwise identical.
+    order.  The rotation of sweep j (counted in recording order) on columns
+    (i, i+1) runs at step 2j - i.  Column r meets sweep j at steps 2j - r
+    and 2j - r + 1, in recording order, and every later sweep at step
+    2j - r + 2 or later; two rotations sharing a step come from sweeps
+    j != j', so their columns sit 2|j - j'| >= 2 apart.  Each element
+    therefore gets the same products and sums in the same order as rotating
+    one pair at a time: the result is bitwise identical.
     """
-    # last[k]: step of the latest rotation that touched column k
-    last = [0] * n
-    steps = array("l")
-    push = steps.append
-    for l, m in zip(sweeps[::2], sweeps[1::2]):
-        # `step` enters each rotation as that of the one before it in the
-        # sweep, the latest to touch column i+1
-        step = last[m]
-        for i in range(m - 1, l - 1, -1):
-            step = (last[i] if last[i] > step else step) + 1
-            last[i + 1] = step
-            push(step)
-        last[l] = step
-    steps = np.asarray(steps)
-    order = np.argsort(steps, kind="stable")
-    bounds = np.flatnonzero(np.diff(steps[order])) + 1
-    lm = np.asarray(sweeps).reshape(-1, 2)
+    lm = np.asarray(sweeps, dtype=np.int32).reshape(-1, 2)
     counts = lm[:, 1] - lm[:, 0]
-    # rotation j of the sweep (l, m) whose rotations start at record index
-    # k0 sits at k0 + j and acts on column m-1-j = (m-1+k0) - (k0+j)
-    starts = np.cumsum(counts) - counts
-    cols = (np.repeat(lm[:, 1] - 1 + starts, counts) - np.arange(len(steps)))[order]
+    # rotation k of sweep j = (l, m), whose rotations start at record index
+    # k0, acts on column i = m-1 - (k - k0) and runs at step 2j - i
+    starts = np.cumsum(counts, dtype=np.int32) - counts
+    cols = np.repeat(lm[:, 1] - 1 + starts, counts) - np.arange(len(factors) // 2, dtype=np.int32)
+    steps = np.repeat(2 * np.arange(len(lm), dtype=np.int32), counts) - cols
+    # stable, so a step keeps recording order: its columns ascend
+    order = np.argsort(steps, kind="stable")
+    del steps
+    cols = cols[order]
     factors = np.asarray(factors).reshape(-1, 2, 1, 1)[order]
+    del order
     cosines, sines = factors[:, 0], factors[:, 1]
     signs = np.array([[-1.0], [1.0]])
+    # runs of columns 2 apart; a step's columns 2j - step share its parity,
+    # so each step starts a new run
+    heads = np.flatnonzero(np.diff(cols, prepend=cols[:1] - 1) != 2)
+    sizes = np.diff(heads, append=len(cols))
     # rows of zt are the columns of z, and pairs[i] is the (2, n) window of
-    # rows (i, i+1): one gather reads a step's disjoint row pairs
+    # rows (i, i+1): a run's pairs are the basic slice pairs[i:i + 2k:2]
     zt = np.eye(n)
     pairs = np.lib.stride_tricks.as_strided(zt, (n - 1, 2, n), (zt.strides[0],) + zt.strides)
-    for start, stop in zip(np.r_[0, bounds], np.r_[bounds, len(order)]):
-        i = cols[start:stop]
-        pair = pairs[i]
+    # one block holds every run's swapped rows: a fresh block per run would
+    # fault its pages in again at large n
+    block = np.empty((sizes.max(initial=0), 2, n))
+    for start, k, i in zip(heads.tolist(), sizes.tolist(), cols[heads].tolist()):
+        pair, swapped = pairs[i:i + 2 * k:2], block[:k]
         # (c lo + (-s) hi, c hi + s lo): bitwise (c lo - s hi, s lo + c hi)
-        swapped = pair[:, ::-1] * (sines[start:stop] * signs)
-        pair *= cosines[start:stop]
+        np.multiply(pair[:, ::-1], sines[start:start + k] * signs, out=swapped)
+        pair *= cosines[start:start + k]
         pair += swapped
-        pairs[i] = pair
-        del pair, swapped   # free this step's blocks before the next gather
     # C order: `_purify_parity`'s column dot products round by memory layout
     return zt.T.copy()
 
@@ -314,12 +311,11 @@ def _reorthogonalize_clusters(w: np.ndarray, z: np.ndarray) -> None:
 
 
 def _fix_signs(z: np.ndarray) -> None:
-    for k in range(z.shape[1]):
-        col = z[:, k]
-        nz = np.nonzero(np.abs(col) > SIGN_EPS)[0]
-        lead = nz[0] if len(nz) else 0
-        if col[lead] < 0:
-            z[:, k] = -col
+    """Negate each column whose first entry above SIGN_EPS in magnitude
+    (row 0 when there is none) is negative."""
+    lead = np.argmax(np.abs(z) > SIGN_EPS, axis=0)
+    flip = z[lead, np.arange(z.shape[1])] < 0
+    z[:, flip] = -z[:, flip]
 
 
 def diagonalize(profile: CouplingProfile) -> SpectralDecomposition:

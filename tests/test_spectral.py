@@ -231,16 +231,18 @@ def test_batched_rotations_are_bitwise_sequential(monkeypatch):
         if n % 4 == 0:
             e[rng.integers(0, n - 1, size=n // 4)] = 0.0
         profiles.append(CouplingProfile(hop=2.0 * e, onsite=d))
+    # zero off-diagonals: an empty rotation record at N = 200
+    profiles.append(CouplingProfile(hop=np.zeros(199), onsite=rng.uniform(-1, 1, 200)))
     specs = [ChainSpec(n_s=4, n_w=101, j0=0.01), ChainSpec(n_s=2, n_w=102, j0=0.01)]
     batched = [diagonalize(p) for p in profiles] + [decompose_chain(s) for s in specs]
     for dec in batched:   # build the vectors before the patch
         dec.eigenvectors
     monkeypatch.setattr(spectral, "_apply_rotations", rotate_one_at_a_time)
     sequential = [diagonalize(p) for p in profiles] + [decompose_chain(s) for s in specs]
-    for got, want in zip(batched, sequential):
-        assert np.array_equal(got.eigenvalues, want.eigenvalues)
-        assert np.array_equal(got.eigenvectors, want.eigenvectors)
-        assert np.array_equal(got.parities, want.parities)
+    for got, want in zip(batched, sequential):   # bytes: signed zeros count
+        assert got.eigenvalues.tobytes() == want.eigenvalues.tobytes()
+        assert got.eigenvectors.tobytes() == want.eigenvectors.tobytes()
+        assert got.parities.tobytes() == want.parities.tobytes()
 
 
 @pytest.fixture
