@@ -92,32 +92,45 @@ def propagator_block(dec: SpectralDecomposition, rows, cols, times) -> np.ndarra
     This is the one place eigenvectors meet phases.  Each time evaluates
     the same expression (V_rows * phases(t)) @ V_cols^T, built one chunk of
     about CHUNK_ELEMENTS complex numbers at a time, so scratch memory does
-    not grow with the grid.  A chunk's scaled rows (T_chunk, rows, N) are
-    folded into one (T_chunk rows, N) matrix and multiplied by V_cols^T in
-    one matrix product written straight into the output stack, instead of
-    one small product per time.  Blocks with one row or one column keep
-    one product per time, because numpy sends those to dot/gemv, whose
-    rounding differs from gemm's.  So a point has the same bits alone as
-    inside a grid, which `test_grid_evaluation_matches_point_by_point`
-    checks byte for byte.
+    not grow with the grid.  The scratch, one (T_chunk, N) phase table and
+    one (T_chunk, rows, N) scaled-rows stack, is allocated once per call
+    and every chunk is written into it through ufunc `out=` arguments, so
+    a long grid frees nothing between chunks (README, Numerical notes).  A
+    chunk's scaled rows are folded into one (T_chunk rows, N) matrix and
+    multiplied by V_cols^T in one matrix product written straight into the
+    output stack, instead of one small product per time.  Blocks with one
+    row or one column keep one product per time, because numpy sends those
+    to dot/gemv, whose rounding differs from gemm's.  So a point has the
+    same bits alone as inside a grid, which
+    `test_grid_evaluation_matches_point_by_point` checks byte for byte.
     """
+    return _propagator_block(dec, rows, cols, times)
+
+
+def _propagator_block(dec: SpectralDecomposition, rows, cols, times, out=None) -> np.ndarray:
+    """`propagator_block`, written into `out` when given: a C-order complex
+    (T, len(rows), len(cols)) stack a caller reuses across its chunks."""
     times, scalar = _times(times)
     left = dec.eigenvectors[rows, :]
     right = dec.eigenvectors[cols, :].T
     n_rows, n_cols = len(left), right.shape[1]
-    out = np.empty((len(times), n_rows, n_cols), dtype=complex)
+    out = np.empty((len(times), n_rows, n_cols), dtype=complex) if out is None else out
     # A correctness condition on the block's shape, not a tuning knob:
     # folding a one-row or one-column block would turn its per-time
     # dot/gemv into one gemm and give a time other bits inside a grid than
     # alone.  From 2 x 2 up each time is a gemm either way, and a gemm row
     # has the same bits whatever rows sit beside it.
     fold = n_rows > 1 and n_cols > 1
-    for part in time_chunks(len(times), left.size):
-        scaled = left * dec._phases(times[part])[:, None, :]
+    parts = time_chunks(len(times), left.size)
+    phases = np.empty((len(times[parts[0]]), dec.n), dtype=complex)
+    scaled = np.empty((len(phases), n_rows, dec.n), dtype=complex)
+    for part in parts:
+        k = len(times[part])
+        np.multiply(left, dec._phases(times[part], phases[:k])[:, None, :], out=scaled[:k])
         if fold:
-            np.matmul(scaled.reshape(-1, dec.n), right, out=out[part].reshape(-1, n_cols))
+            np.matmul(scaled[:k].reshape(-1, dec.n), right, out=out[part].reshape(-1, n_cols))
         else:
-            out[part] = scaled @ right
+            np.matmul(scaled[:k], right, out=out[part])
     return out[0] if scalar else out
 
 

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .amplitudes import (SubmatrixEvaluator, _checked_grid, plan_scan_grid, propagator_block,
-                         time_chunks)
+from .amplitudes import (SubmatrixEvaluator, _checked_grid, _propagator_block, plan_scan_grid,
+                         propagator_block, time_chunks)
 from .chain import ChainSpec, _site, _times
 from .spectral import SpectralDecomposition, decompose_chain
 
@@ -42,14 +42,14 @@ def _sender_rows(dec: SpectralDecomposition, n_s: int, t) -> np.ndarray:
     return propagator_block(dec, np.arange(n_s), np.arange(dec.n), t)
 
 
-def _energy_block(spec: ChainSpec, dec: SpectralDecomposition, times) -> np.ndarray:
+def _energy_block(spec: ChainSpec, dec: SpectralDecomposition, times, out=None) -> np.ndarray:
     """Sender amplitudes on every column the battery energies read: the
     receiver sites in order, then the junction sites n_s, n_s+1 and n_s+n_w
-    (1-based).  A (T, n_s, n_r + 3) stack."""
+    (1-based).  A (T, n_s, n_r + 3) stack, written into `out` when given."""
     receivers = np.arange(spec.n_s + spec.n_w, spec.n_sites)
     junction = [spec.n_s - 1, spec.n_s, spec.n_s + spec.n_w - 1]
-    return propagator_block(dec, np.arange(spec.n_s), np.concatenate([receivers, junction]),
-                            times)
+    return _propagator_block(dec, np.arange(spec.n_s), np.concatenate([receivers, junction]),
+                             times, out)
 
 
 def _hop_energy(spec: ChainSpec, block: np.ndarray) -> np.ndarray:
@@ -132,8 +132,11 @@ def battery_metrics(spec: ChainSpec, t_grid: np.ndarray | None = None) -> Batter
     e_onsite = np.empty(len(t_grid))
     e_hop = np.empty(len(t_grid))
     d_sw = np.empty(len(t_grid))
-    for part in time_chunks(len(t_grid), spec.n_s * (n_b + 3)):
-        block = _energy_block(spec, dec, t_grid[part])
+    parts = time_chunks(len(t_grid), spec.n_s * (n_b + 3))
+    # one block for every chunk, like the kernel's scratch (README, Numerical notes)
+    buffer = np.empty((len(t_grid[parts[0]]), spec.n_s, n_b + 3), dtype=complex)
+    for part in parts:
+        block = _energy_block(spec, dec, t_grid[part], buffer[:len(t_grid[part])])
         occ_b = np.sum(np.abs(block[:, :, :n_b]) ** 2, axis=(1, 2))
         e_onsite[part] = spec.h * (occ_b - n_b / 2.0)
         e_hop[part] = _hop_energy(spec, block)

@@ -129,7 +129,7 @@ class SpectralDecomposition:
         base = self._phases(times)
         return base[0] if scalar else base
 
-    def _phases(self, times: np.ndarray) -> np.ndarray:
+    def _phases(self, times: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """`phases` of a checked 1-D time array, exact-conjugate over +/- pairs.
 
         Every row has the same per-element arithmetic, so row k is bitwise
@@ -139,20 +139,23 @@ class SpectralDecomposition:
         direct expression, whose
         sin/cos are odd/even bitwise, once the -0.0 imaginary parts that
         conj makes at t = 0 are turned back into the direct +0.0.
+        Written into `out` when given (`propagator_block`'s per-call
+        scratch), with every step in place: the same ufuncs, the same bits.
         """
         t = times[:, None]
         w = self.bare_eigenvalues
+        base = np.empty((len(times), len(w)), dtype=complex) if out is None else out
         if self._paired:
             half = len(w) // 2
-            base = np.empty((len(times), len(w)), dtype=complex)
-            base[..., half:] = np.exp(-1j * w[half:] * t)
+            upper = base[..., half:]
+            np.exp(np.multiply(-1j * w[half:], t, out=upper), out=upper)
             lower = base[..., :half]
             np.conjugate(base[..., len(w) - half:][..., ::-1], out=lower)
             lower.imag += 0.0
         else:
-            base = np.exp(-1j * w * t)
+            np.exp(np.multiply(-1j * w, t, out=base), out=base)
         if self.offset:
-            base = base * np.exp(-1j * self.offset * t)
+            base *= np.exp(-1j * self.offset * t)
         return base
 
 

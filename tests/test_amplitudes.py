@@ -37,6 +37,7 @@ from ppxfer.amplitudes import (
     scan_scales,
     single_particle_bound,
 )
+from ppxfer.chain import build_profile
 from ppxfer.observables import _energy_block, _sender_rows
 from ppxfer.spectral import decompose_chain, diagonalize
 
@@ -337,10 +338,20 @@ def test_grid_evaluation_matches_point_by_point():
     # n_s = 1 keeps the per-time product, n_s >= 2 folds each chunk into one
     # matrix product.  Covered: the scan curves, the evaluator's blocks and
     # probabilities, and the observables' sender rows (n_s x N) and energy
-    # block (n_s x (n_r + 3)).
-    for n_s, h in itertools.product([1, 2, 3, 4], [0.0, 1.7]):
+    # block (n_s x (n_r + 3)).  An on-site defect, built as
+    # `validate --asymmetry` builds it, leaves the levels unpaired, so its
+    # phases take the direct exp branch instead of the conjugate half.
+    cases = [(0.0, 0.0), (1.7, 0.0), (1.7, 0.02)]
+    for n_s, (h, defect) in itertools.product([1, 2, 3, 4], cases):
         spec = ChainSpec(n_s=n_s, n_w=9, j0=0.05, h=h)
-        dec = decompose_chain(spec)
+        if defect:
+            profile = build_profile(spec)
+            onsite = profile.onsite.copy()
+            onsite[-1] += defect
+            dec = diagonalize(CouplingProfile(hop=profile.hop, onsite=onsite))
+            assert not dec._paired
+        else:
+            dec = decompose_chain(spec)
         ev = SubmatrixEvaluator(dec, n_s)
         grid = np.linspace(0.0, 5e4, 3 * CHUNK_ELEMENTS // (n_s * dec.n) + 5)
         curve = scan_transfer(spec, grid, dec)
@@ -352,7 +363,7 @@ def test_grid_evaluation_matches_point_by_point():
         for block in (ev.submatrix, lambda t: _sender_rows(dec, n_s, t),
                       lambda t: _energy_block(spec, dec, t)):
             points = np.array([block(t) for t in grid])
-            assert block(grid).tobytes() == points.tobytes(), (n_s, h)
+            assert block(grid).tobytes() == points.tobytes(), (n_s, h, defect)
 
 
 def test_scan_transfer_validates_grid():

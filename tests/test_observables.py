@@ -1,6 +1,10 @@
 """Tests for occupations, receiver magnetization, and battery metrics."""
 
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -217,6 +221,39 @@ def test_battery_grid_matches_point_by_point_observables():
         assert rep.e_onsite[k] == pytest.approx(e_onsite, abs=1e-13)
         assert abs(rep.e_hop[k] - interaction_energy(spec, t, dec)) <= 1e-15
         assert abs(rep.delta_e_sw[k] - switching_energy(spec, t, dec)) <= 1e-15
+    # Every chunk reuses one energy-block buffer: a grid split off the chunk
+    # boundaries (819 times each) gives the same bytes, half by half.
+    halves = [battery_metrics(spec, grid[:1000]), battery_metrics(spec, grid[1000:])]
+    for name in ("e_b", "e_hop", "delta_e_sw"):
+        split = np.concatenate([getattr(half, name) for half in halves])
+        assert split.tobytes() == getattr(rep, name).tobytes(), name
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="glibc heap, Linux page faults")
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_battery_chunks_do_not_fault_their_scratch_back_in(threads):
+    """A second identical `battery_metrics` call reuses its scratch across
+    time chunks, so it takes few minor page faults: freeing about 128 KiB
+    per chunk let glibc trim the heap top and fault it back in, about 7,000
+    faults a call.  A fresh process, because large frees earlier in a test
+    run raise glibc's trim threshold and would hide the churn."""
+    pytest.importorskip("resource")
+    src = Path(__file__).resolve().parent.parent / "src"
+    path = [str(src), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": os.pathsep.join(path)}
+    script = "\n".join([
+        "import resource, numpy as np",
+        "from ppxfer import ChainSpec, battery_metrics",
+        "spec, grid = ChainSpec(3, 32, 0.01, h=2.0), np.linspace(0, 1e4, 20_000)",
+        "battery_metrics(spec, grid)",
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt",
+        "battery_metrics(spec, grid)",
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)",
+    ])
+    child = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                           text=True, timeout=300)
+    assert child.returncode == 0, child.stderr
+    assert int(child.stdout) < 1000
 
 
 def test_battery_accepts_explicit_grid():
