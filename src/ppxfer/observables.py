@@ -42,14 +42,14 @@ def _sender_rows(dec: SpectralDecomposition, n_s: int, t) -> np.ndarray:
     return propagator_block(dec, np.arange(n_s), np.arange(dec.n), t)
 
 
-def _energy_block(spec: ChainSpec, dec: SpectralDecomposition, times, out=None) -> np.ndarray:
-    """Sender amplitudes on every column the battery energies read: the
-    receiver sites in order, then the junction sites n_s, n_s+1 and n_s+n_w
-    (1-based).  A (T, n_s, n_r + 3) stack, written into `out` when given."""
+def _energy_block(spec: ChainSpec, dec: SpectralDecomposition, times) -> np.ndarray:
+    """Sender amplitudes on every column `interaction_energy` and
+    `switching_energy` read: the receiver sites in order, then the junction
+    sites n_s, n_s+1 and n_s+n_w (1-based).  A (T, n_s, n_r + 3) stack."""
     receivers = np.arange(spec.n_s + spec.n_w, spec.n_sites)
     junction = [spec.n_s - 1, spec.n_s, spec.n_s + spec.n_w - 1]
     return _propagator_block(dec, np.arange(spec.n_s), np.concatenate([receivers, junction]),
-                             times, out)
+                             times)
 
 
 def _hop_energy(spec: ChainSpec, block: np.ndarray) -> np.ndarray:
@@ -89,24 +89,19 @@ def magnetization_receiver(spec: ChainSpec, t, dec: SpectralDecomposition):
 
 
 def interaction_energy(spec: ChainSpec, t, dec: SpectralDecomposition):
-    """Hopping energy stored on receiver-block bonds.
-
-    Zero for any uniform-h hopping chain: the sublattice sign structure
-    makes every (f_s^i)* f_s^{i+1} purely imaginary (uniform h cancels in
-    the product), so only an on-site defect can make this nonzero.
-    """
+    """Hopping energy stored on receiver-block bonds: exactly zero on a
+    `ChainSpec` chain (derived in `battery_metrics`), about 1e-15 here with
+    the chain's own `dec`, and nonzero only through an on-site defect."""
     times, scalar = _times(t)
     energy = _hop_energy(spec, _energy_block(spec, dec, times))
     return energy[0] if scalar else energy
 
 
 def switching_energy(spec: ChainSpec, tau, dec: SpectralDecomposition):
-    """Energy cost of switching the two J0 junction bonds off at time tau.
-
-    The initial-state term vanishes exactly (the blocks start disjoint),
-    leaving the junction-bond hopping expectation at tau, which is zero
-    for the same sublattice-parity reason as the interaction energy.
-    """
+    """Energy cost of switching the two J0 junction bonds off at time tau:
+    the junction-bond hopping expectation at tau, since the initial-state
+    term vanishes exactly (the blocks start disjoint).  Zero for the same
+    reason as `interaction_energy`, and computed the same way."""
     times, scalar = _times(tau)
     energy = _switch_energy(spec, _energy_block(spec, dec, times))
     return energy[0] if scalar else energy
@@ -116,7 +111,15 @@ def battery_metrics(spec: ChainSpec, t_grid: np.ndarray | None = None) -> Batter
     """Charging figures of merit with the receiver block as the battery.
 
     An explicit t_grid must be 1-D, finite and strictly increasing, so that
-    "earliest grid time attaining" is well defined.
+    "earliest grid time attaining" is well defined.  Only the n_s x n_r
+    sender-receiver block F is evaluated: e_onsite = h (sum |F|^2 - n_r/2);
+    e_hop and delta_e_sw are exact zeros and e_b is e_onsite.  That needs
+    the chain of a `ChainSpec`, so no decomposition is taken: a bipartite
+    hopping line, H = h + H0 with uniform h and S H0 S = -H0 for
+    S = diag((-1)^j).  Then S exp(-i H0 t) S = conj(exp(-i H0 t)): entries
+    between sites of equal parity are real, the others imaginary, and h is
+    a common phase.  So each bond product (f_s^i)* f_s^{i+1} that the two
+    energies take the real part of is purely imaginary, h cancelled.
     """
     if spec.h <= 1.0:
         warnings.warn(
@@ -128,20 +131,17 @@ def battery_metrics(spec: ChainSpec, t_grid: np.ndarray | None = None) -> Batter
     if t_grid is None:
         t_grid, _ = plan_scan_grid(spec, dec)
     t_grid = _checked_grid(t_grid)
-    n_b = spec.n_r
+    senders, receivers = np.arange(spec.n_s), np.arange(spec.n_s + spec.n_w, spec.n_sites)
     e_onsite = np.empty(len(t_grid))
-    e_hop = np.empty(len(t_grid))
-    d_sw = np.empty(len(t_grid))
-    parts = time_chunks(len(t_grid), spec.n_s * (n_b + 3))
+    parts = time_chunks(len(t_grid), spec.n_s * spec.n_r)
     # one block for every chunk, like the kernel's scratch (README, Numerical notes)
-    buffer = np.empty((len(t_grid[parts[0]]), spec.n_s, n_b + 3), dtype=complex)
+    buffer = np.empty((len(t_grid[parts[0]]), spec.n_s, spec.n_r), dtype=complex)
     for part in parts:
-        block = _energy_block(spec, dec, t_grid[part], buffer[:len(t_grid[part])])
-        occ_b = np.sum(np.abs(block[:, :, :n_b]) ** 2, axis=(1, 2))
-        e_onsite[part] = spec.h * (occ_b - n_b / 2.0)
-        e_hop[part] = _hop_energy(spec, block)
-        d_sw[part] = _switch_energy(spec, block)
-    e_b = e_hop + e_onsite
+        block = _propagator_block(dec, senders, receivers, t_grid[part],
+                                  buffer[:len(t_grid[part])])
+        occ_b = np.sum(np.abs(block) ** 2, axis=(1, 2))
+        e_onsite[part] = spec.h * (occ_b - spec.n_r / 2.0)
+    e_b = e_onsite.copy()
     with np.errstate(divide="ignore", invalid="ignore"):
         p_s = np.where(t_grid > 0, e_b / t_grid, 0.0)
     k_e = int(np.argmax(e_b))
@@ -150,9 +150,9 @@ def battery_metrics(spec: ChainSpec, t_grid: np.ndarray | None = None) -> Batter
         times=t_grid,
         e_b=e_b,
         e_onsite=e_onsite,
-        e_hop=e_hop,
+        e_hop=np.zeros(len(t_grid)),
         p_s=p_s,
-        delta_e_sw=d_sw,
+        delta_e_sw=np.zeros(len(t_grid)),
         e_bar=float(e_b[k_e]),
         tau_bar=float(t_grid[k_e]),
         p_tilde=float(p_s[k_p]),

@@ -185,7 +185,7 @@ def test_battery_report_structure_and_initial_state():
     n = len(rep.times)
     for arr in (rep.e_b, rep.e_onsite, rep.e_hop, rep.p_s, rep.delta_e_sw):
         assert len(arr) == n
-    assert np.allclose(rep.e_b, rep.e_onsite + rep.e_hop, atol=1e-14)
+    assert rep.e_b.tobytes() == (rep.e_onsite + rep.e_hop).tobytes()
     # Empty battery: stored energy is -n_B h / 2, power starts at 0.
     assert rep.times[0] == 0.0
     assert rep.e_b[0] == pytest.approx(-2.0, abs=1e-10)
@@ -213,20 +213,42 @@ def test_battery_grid_matches_point_by_point_observables():
     # chunk boundary must equal the single-time observables.
     spec = ChainSpec(n_s=2, n_w=6, j0=0.05, h=2.0)
     dec = decompose_chain(spec)
-    grid = np.linspace(0.0, 4e4, 2000)
+    grid = np.linspace(0.0, 4e4, 5000)
     rep = battery_metrics(spec, grid)
-    for k in (0, 818, 819, 820, 1638, 1639, 1999):
+    for k in (0, 2047, 2048, 2049, 4095, 4096, 4999):
         t = float(grid[k])
         e_onsite = spec.h * magnetization_receiver(spec, t, dec)
         assert rep.e_onsite[k] == pytest.approx(e_onsite, abs=1e-13)
-        assert abs(rep.e_hop[k] - interaction_energy(spec, t, dec)) <= 1e-15
-        assert abs(rep.delta_e_sw[k] - switching_energy(spec, t, dec)) <= 1e-15
-    # Every chunk reuses one energy-block buffer: a grid split off the chunk
-    # boundaries (819 times each) gives the same bytes, half by half.
-    halves = [battery_metrics(spec, grid[:1000]), battery_metrics(spec, grid[1000:])]
+        assert rep.e_hop[k] == 0.0 and rep.delta_e_sw[k] == 0.0
+        assert abs(interaction_energy(spec, t, dec)) <= 1e-10
+        assert abs(switching_energy(spec, t, dec)) <= 1e-10
+    # Every chunk reuses one receiver-block buffer: a grid split off the
+    # chunk boundaries (2,048 times each) gives the same bytes, half by half.
+    halves = [battery_metrics(spec, grid[:2500]), battery_metrics(spec, grid[2500:])]
     for name in ("e_b", "e_hop", "delta_e_sw"):
         split = np.concatenate([getattr(half, name) for half in halves])
         assert split.tobytes() == getattr(rep, name).tobytes(), name
+
+
+@pytest.mark.parametrize("h", [0.7, 2.0])
+@pytest.mark.parametrize("n_s", [1, 2, 3, 4])
+def test_battery_reports_sublattice_protected_energies_as_exact_zeros(n_s, h):
+    """`battery_metrics` states the hop and switching energies of a
+    `ChainSpec` chain as exact zeros, over grids of several time chunks;
+    the public functions, which compute them for any decomposition, agree
+    to 1e-10 on the chain's own decomposition."""
+    spec = ChainSpec(n_s=n_s, n_w=8 + n_s, j0=0.01, h=h)
+    grid = np.linspace(0.0, 5e4, 20_000)
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "h=0.7 <= 1", UserWarning)
+        rep = battery_metrics(spec, grid)
+    zeros = np.zeros(len(grid)).tobytes()
+    assert rep.e_hop.tobytes() == zeros
+    assert rep.delta_e_sw.tobytes() == zeros
+    assert rep.e_b.tobytes() == rep.e_onsite.tobytes()
+    dec = decompose_chain(spec)
+    assert np.max(np.abs(interaction_energy(spec, grid, dec))) <= 1e-10
+    assert np.max(np.abs(switching_energy(spec, grid, dec))) <= 1e-10
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="glibc heap, Linux page faults")
