@@ -11,13 +11,13 @@ J0^2 for non-resonant ones (second order).
 from __future__ import annotations
 
 import math
-import warnings
+import numbers
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
 
-from .chain import ChainSpec, WEAK_COUPLING_LIMIT, _times
+from .chain import ChainSpec, WEAK_COUPLING_LIMIT, _real, _times
 from .resonance import Feasibility, pp_feasible, resonant_pairs
 from .spectral import SpectralDecomposition, decompose_chain, sender_spectrum
 
@@ -91,12 +91,6 @@ def find_clusters(dec: SpectralDecomposition, spec: ChainSpec) -> list[LevelClus
     """Assign chain levels to sender-mode clusters by nearest energy."""
     if dec.n != spec.n_sites:
         raise ValueError(f"decomposition has {dec.n} levels, chain has {spec.n_sites} sites")
-    if spec.j0 > WEAK_COUPLING_LIMIT * spec.j:
-        warnings.warn(
-            f"j0={spec.j0} is outside the perturbative regime; cluster "
-            "assignment may be ambiguous",
-            stacklevel=2,
-        )
     resonant_modes = {k for k, _ in resonant_pairs(spec.n_s, spec.n_w)}
     energies = sender_spectrum(spec.n_s, spec.h)
     omega = dec.eigenvalues
@@ -237,29 +231,24 @@ def ratio_diagnostics(spec: ChainSpec) -> list[RatioEstimate]:
     ]
 
 
-def envelope_3ex(spec: ChainSpec, t, dec: SpectralDecomposition):
-    """Probability envelope of the 3-excitation transfer curve.
+def envelope(spec: ChainSpec, t, dec: SpectralDecomposition):
+    """Slow upper envelope of the fermion transfer curve, for any n_s.
 
-    Resonant wire lengths (n_w = 4l+1): sin^4(delta* t), the square of the
-    product of the two slow doublet amplitudes.  Other classes: the square
-    of (1/4)(sin(delta_c t) + sin(delta_o t))^2 |sin(delta_o t)| built from
-    the central (c) and outer (o) splittings.
+    At weak coupling the sender-receiver block is diagonal in the sender
+    modes, so p(t) is a product over clusters: sin^2(delta t) for a doublet
+    (a two-level Rabi oscillation), sin^4(delta t / 2) for a resonant trio
+    (sender, wire and receiver modes; levels e0, e0 +/- delta).  Each
+    factor is <= 1, so the product over the clusters of the slowest order
+    present, without the faster factors, bounds p from above.
     """
-    if spec.n_s != 3:
-        raise ValueError(f"envelope defined for n_s=3 only, got {spec.n_s}")
     t, scalar = _times(t)
     clusters = find_clusters(dec, spec)
-    if any(c.multiplicity == 3 for c in clusters) and spec.n_w % 4 == 1:
-        delta_star = distinct_splittings(clusters)[0][0]
-        env = np.sin(delta_star * t) ** 4
-    else:
-        by_mode = {c.sender_mode: c for c in clusters}
-        delta_o = by_mode[1].delta
-        delta_c = by_mode[2].delta
-        amp = 0.25 * (np.sin(delta_c * t) + np.sin(delta_o * t)) ** 2 * np.abs(
-            np.sin(delta_o * t)
-        )
-        env = amp ** 2
+    slowest = max(c.order for c in clusters)
+    env = np.ones_like(t)
+    for c in clusters:
+        if c.order == slowest:
+            env *= (np.sin(c.delta * t) ** 2 if c.multiplicity == 2
+                    else np.sin(c.delta * t / 2) ** 4)
     return env[0] if scalar else env
 
 
@@ -282,10 +271,20 @@ def commensurability_check(ratio) -> CommensurabilityVerdict:
     for integers n, m; exact rational arithmetic decides.  The measured
     limit 1/2 fails both: the congruences reduce to 8m = 4n-1 and
     8m = 4n-3, an even left side against an odd right side.
+
+    An int or Fraction is taken exactly, another real rounded to denominator
+    <= 10**6; bools, non-reals, non-finite values and ratios that are not
+    positive after rounding raise ValueError.
     """
-    if not ratio > 0:
-        raise ValueError(f"ratio must be positive, got {ratio!r}")
-    frac = ratio if isinstance(ratio, Fraction) else Fraction(ratio).limit_denominator(10**6)
+    if isinstance(ratio, numbers.Rational) and not isinstance(ratio, bool):
+        frac = Fraction(ratio)      # exact input stays exact
+    else:
+        value = _real("ratio", ratio)
+        if not (value > 0 and math.isfinite(value)):
+            raise ValueError(f"ratio must be positive and finite, got {ratio!r}")
+        frac = Fraction(value).limit_denominator(10**6)
+    if not frac > 0:
+        raise ValueError(f"ratio must be positive at denominator <= 10**6, got {ratio!r}")
     num, den = frac.numerator, frac.denominator
     for off in (1, 3):
         solution = _solve_off_diagonal(num, den, off)

@@ -34,7 +34,7 @@ from ppxfer.observables import (
 )
 from ppxfer.oracle import oracle_occupation, oracle_transfer_prob
 from ppxfer.perturbation import (
-    envelope_3ex,
+    envelope,
     predict_transfer_time,
     ratio_diagnostics,
     splitting_scaling,
@@ -147,7 +147,7 @@ def test_acceptance_04_three_excitation_peak_and_envelope(three_excitation_peak)
     t = report.curve.times
     interior = np.nonzero((p[1:-1] >= p[:-2]) & (p[1:-1] >= p[2:]))[0] + 1
     assert len(interior) > 0
-    env = envelope_3ex(spec, t[interior], decompose_chain(spec))
+    env = envelope(spec, t[interior], decompose_chain(spec))
     worst = float(np.min(env - p[interior]))
     assert worst >= -0.05, f"envelope undershoots a curve peak by {-worst}"
 

@@ -47,7 +47,7 @@ def test_single_valued_options_are_not_parameters():
 def test_only_the_two_entry_points_decompose_on_their_own():
     kernels = [
         amplitudes.scan_transfer, amplitudes.plan_scan_grid, amplitudes.scan_max_probability,
-        perturbation.envelope_3ex,
+        perturbation.envelope,
         observables.occupation, observables.occupation_profile,
         observables.magnetization_receiver, observables.interaction_energy,
         observables.switching_energy,
@@ -98,7 +98,6 @@ INSTANCES = {
     "SpectralDecomposition": lambda spec, dec: dec,
     "SubmatrixEvaluator": lambda spec, dec: ppxfer.SubmatrixEvaluator(dec, spec.n_s),
 }
-BLOCK_SIZES = {"envelope_3ex": [3]}   # defined for n_s = 3 only
 
 
 def sector_dim(spec):
@@ -123,7 +122,7 @@ def test_the_time_registry_sees_the_public_time_arguments():
     assert {"propagator_block", "SubmatrixEvaluator.submatrix", "SubmatrixEvaluator.p_fermion",
             "SubmatrixEvaluator.p_boson", "SpectralDecomposition.phases", "occupation",
             "occupation_profile", "magnetization_receiver", "interaction_energy",
-            "switching_energy", "envelope_3ex", "oracle_transfer_prob",
+            "switching_energy", "envelope", "oracle_transfer_prob",
             "oracle_occupation"} == labels
 
 
@@ -132,7 +131,7 @@ def test_the_time_registry_sees_the_public_time_arguments():
 @settings(max_examples=15, derandomize=True, database=None, deadline=None)
 @given(data=st.data())
 def test_every_time_argument_takes_a_scalar_or_a_1d_array(label, func, time_name, data):
-    spec = ChainSpec(n_s=data.draw(st.sampled_from(BLOCK_SIZES.get(label, [1, 2, 3])), "n_s"),
+    spec = ChainSpec(n_s=data.draw(st.sampled_from([1, 2, 3]), "n_s"),
                      n_w=data.draw(st.integers(1, 4), "n_w"),
                      j0=data.draw(st.sampled_from([0.01, 0.05, 0.1]), "j0"),
                      h=data.draw(st.sampled_from([0.0, 0.7]), "h"),

@@ -12,6 +12,7 @@ from ppxfer import (
     ClusterAmbiguityError,
     Feasibility,
     NoTransferPredicted,
+    SubmatrixEvaluator,
     amplitudes,
     distinct_splittings,
     perturbation_report,
@@ -19,7 +20,7 @@ from ppxfer import (
 from ppxfer.perturbation import (
     _solve_off_diagonal,
     commensurability_check,
-    envelope_3ex,
+    envelope,
     find_clusters,
     predict_transfer_time,
     ratio_diagnostics,
@@ -89,39 +90,29 @@ def test_mirror_modes_carry_equal_splittings():
     assert by_mode[1].delta == pytest.approx(by_mode[3].delta, rel=1e-6)
 
 
-def test_strong_coupling_warns():
-    spec = quiet_spec(n_s=2, n_w=1, j0=0.2)
-    dec = decompose_chain(spec)
-    with pytest.warns(UserWarning, match="perturbative"):
-        find_clusters(dec, spec)
-
-
 def test_overlapping_clusters_raise_with_assignments():
     spec = quiet_spec(n_s=2, n_w=1, j0=1.5)
     dec = decompose_chain(spec)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        with pytest.raises(ClusterAmbiguityError) as excinfo:
-            find_clusters(dec, spec)
+    with pytest.raises(ClusterAmbiguityError) as excinfo:
+        find_clusters(dec, spec)
     assert excinfo.value.assignments
     assert any(isinstance(v, tuple) for v in excinfo.value.assignments.values())
 
 
 def test_a_decomposition_of_another_chain_size_is_refused():
     dec = decompose_chain(ChainSpec(3, 10, 0.05))                  # 16 levels
-    spec, spec_3 = ChainSpec(2, 3, 0.05), ChainSpec(3, 3, 0.05)   # 7 and 9 sites
+    spec = ChainSpec(2, 3, 0.05)                                    # 7 sites
     calls = [
         lambda: find_clusters(dec, spec),
         lambda: predict_transfer_time(spec, dec),
         lambda: amplitudes.plan_scan_grid(spec, dec),
         lambda: amplitudes.scan_max_probability(spec, dec),
         lambda: amplitudes.find_transfer_peak(spec, dec),
+        lambda: envelope(spec, 1.0, dec),
     ]
     for call in calls:
         with pytest.raises(ValueError, match="16 levels, chain has 7 sites"):
             call()
-    with pytest.raises(ValueError, match="16 levels, chain has 9 sites"):
-        envelope_3ex(spec_3, 1.0, dec)
 
 
 def test_distinct_splittings_groups_mirror_pairs():
@@ -232,28 +223,31 @@ def test_envelope_resonant_class_is_quartic_sine():
     dec = decompose_chain(spec)
     delta_star = distinct_splittings(clusters_for(spec))[0][0]
     tau = math.pi / (2.0 * delta_star)
-    assert envelope_3ex(spec, 0.0, dec) == pytest.approx(0.0, abs=1e-30)
-    assert envelope_3ex(spec, tau, dec) == pytest.approx(1.0, rel=1e-9)
+    assert envelope(spec, 0.0, dec) == pytest.approx(0.0, abs=1e-30)
+    assert envelope(spec, tau, dec) == pytest.approx(1.0, rel=1e-9)
     t = np.linspace(0.0, tau, 7)
-    env = envelope_3ex(spec, t, dec)
+    env = envelope(spec, t, dec)
     assert env.shape == (7,)
     assert np.allclose(env, np.sin(delta_star * t) ** 4, atol=1e-12)
 
 
-def test_envelope_off_resonant_class_stays_in_unit_interval():
-    spec = ChainSpec(n_s=3, n_w=40, j0=0.01)
+@pytest.mark.parametrize("n_s, n_w", [(n_s, n_w) for n_s in range(2, 6)
+                                      for n_w in range(40, 41 + n_s)])
+def test_envelope_bounds_the_curve_and_meets_its_peak(n_s, n_w):
+    # one wire length per residue class of n_w mod (n_s + 1); the margin is J0
+    spec = ChainSpec(n_s=n_s, n_w=n_w, j0=0.01)
     dec = decompose_chain(spec)
-    t = np.linspace(0.0, 1e5, 101)
-    env = envelope_3ex(spec, t, dec)
-    assert env[0] == 0.0
-    assert np.all(env >= 0.0)
-    assert np.all(env <= 1.0 + 1e-12)
-
-
-def test_envelope_rejects_other_block_sizes():
-    with pytest.raises(ValueError):
-        spec = ChainSpec(n_s=2, n_w=5, j0=0.01)
-        envelope_3ex(spec, 1.0, decompose_chain(spec))
+    ev = SubmatrixEvaluator(dec, n_s)
+    delta_slow = distinct_splittings(clusters_for(spec))[0][0]
+    t = np.linspace(0.0, 3.0 * math.pi / delta_slow, 3001)
+    p = ev.p_fermion(t)
+    assert np.max(p - envelope(spec, t, dec)) <= spec.j0
+    # p's argmax on a bare-J-resolving window of +/-2 coarse steps
+    k = int(np.argmax(p))
+    window = np.arange(t[max(k - 2, 0)], t[min(k + 2, len(t) - 1)], 2.0 * math.pi / 64)
+    p_window = ev.p_fermion(window)
+    best = int(np.argmax(p_window))
+    assert envelope(spec, window[best], dec) - p_window[best] <= spec.j0
 
 
 def test_commensurability_half_is_infeasible_by_parity():
@@ -283,12 +277,20 @@ def test_commensurability_unity_and_fifth_are_feasible():
 def test_commensurability_accepts_floats():
     assert not commensurability_check(0.5).feasible
     assert commensurability_check(0.2).feasible
+    # a Fraction is not rounded to denominator 10**6
+    assert "10000000" in commensurability_check(Fraction(1, 10**7)).witness
 
 
 def test_commensurability_refuses_a_ratio_that_is_not_positive():
     for ratio in (-11, Fraction(-1, 2), 0, 0.0, math.nan):
         with pytest.raises(ValueError, match="ratio must be positive"):
             commensurability_check(ratio)
+
+
+@pytest.mark.parametrize("ratio", [True, "1/2", 1j, None, math.inf, -math.inf, 1e-300])
+def test_commensurability_refuses_what_is_not_a_positive_finite_real(ratio):
+    with pytest.raises(ValueError, match="ratio must be"):
+        commensurability_check(ratio)
 
 
 def test_off_diagonal_solver_agrees_with_brute_force():
