@@ -5,11 +5,16 @@ one-per-site initial state, so fermions and bosons give identical values
 for these one-body observables.  Energies use the spin convention
 S^z = n - 1/2: a block of n_B empty sites stores -n_B h/2, a full one
 +n_B h/2.
+
+Every observable taking a `dec` (`occupation`, `occupation_profile`,
+`magnetization_receiver`, `interaction_energy`, `switching_energy`) reads
+only the geometry and J0 from `spec`; `dec` may be any profile on the
+chain's N sites, such as the on-site defect `validate --asymmetry` builds.
+Each makes one `propagator_block` call on the sites it reads.
 """
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 
@@ -17,7 +22,7 @@ import numpy as np
 
 from .amplitudes import (SubmatrixEvaluator, _checked_grid, _propagator_block, plan_scan_grid,
                          propagator_block, time_chunks)
-from .chain import ChainSpec, _site, _times
+from .chain import ChainSpec, _site
 from .spectral import SpectralDecomposition, decompose_chain
 
 
@@ -36,48 +41,16 @@ class BatteryReport:
     p_bar: float             # storing power at tau_bar
 
 
-def _sender_rows(dec: SpectralDecomposition, n_s: int, t) -> np.ndarray:
-    """Amplitudes f_i^j(t) for senders i = 1..n_s to every site j: (n_s, N)
-    for a scalar t, (T, n_s, N) for a time array."""
-    return propagator_block(dec, np.arange(n_s), np.arange(dec.n), t)
-
-
-def _energy_block(spec: ChainSpec, dec: SpectralDecomposition, times) -> np.ndarray:
-    """Sender amplitudes on every column `interaction_energy` and
-    `switching_energy` read: the receiver sites in order, then the junction
-    sites n_s, n_s+1 and n_s+n_w (1-based).  A (T, n_s, n_r + 3) stack."""
-    receivers = np.arange(spec.n_s + spec.n_w, spec.n_sites)
-    junction = [spec.n_s - 1, spec.n_s, spec.n_s + spec.n_w - 1]
-    return _propagator_block(dec, np.arange(spec.n_s), np.concatenate([receivers, junction]),
-                             times)
-
-
-def _hop_energy(spec: ChainSpec, block: np.ndarray) -> np.ndarray:
-    """Receiver-bond hopping energy from an `_energy_block` stack."""
-    recv = block[:, :, :spec.n_r]
-    overlaps = np.sum(np.conj(recv[:, :, :-1]) * recv[:, :, 1:], axis=1)
-    return np.sum(spec.j * overlaps.real, axis=1)
-
-
-def _switch_energy(spec: ChainSpec, block: np.ndarray) -> np.ndarray:
-    """Junction-bond hopping energy from an `_energy_block` stack."""
-    first_receiver = block[:, :, 0]
-    last_sender, first_wire, last_wire = (block[:, :, spec.n_r + k] for k in range(3))
-    total = (np.sum(np.conj(last_sender) * first_wire, axis=1)
-             + np.sum(np.conj(last_wire) * first_receiver, axis=1))
-    return spec.j0 * total.real
-
-
 def occupation(spec: ChainSpec, t, site: int, dec: SpectralDecomposition):
     """<n_site(t)> = sum over senders i of |f_i^site(t)|^2, 1-based site."""
     site = _site(site, dec.n)
-    rows = _sender_rows(dec, spec.n_s, t)
+    rows = propagator_block(dec, np.arange(spec.n_s), np.arange(dec.n), t)
     return np.sum(np.abs(rows[..., site - 1]) ** 2, axis=-1)
 
 
 def occupation_profile(spec: ChainSpec, t, dec: SpectralDecomposition) -> np.ndarray:
     """<n_j(t)> for every site j at once."""
-    rows = _sender_rows(dec, spec.n_s, t)
+    rows = propagator_block(dec, np.arange(spec.n_s), np.arange(dec.n), t)
     return np.sum(np.abs(rows) ** 2, axis=-2)
 
 
@@ -89,22 +62,28 @@ def magnetization_receiver(spec: ChainSpec, t, dec: SpectralDecomposition):
 
 
 def interaction_energy(spec: ChainSpec, t, dec: SpectralDecomposition):
-    """Hopping energy stored on receiver-block bonds: exactly zero on a
-    `ChainSpec` chain (derived in `battery_metrics`), about 1e-15 here with
-    the chain's own `dec`, and nonzero only through an on-site defect."""
-    times, scalar = _times(t)
-    energy = _hop_energy(spec, _energy_block(spec, dec, times))
-    return energy[0] if scalar else energy
+    """Hopping energy stored on receiver-block bonds, from the n_s x n_r
+    sender-receiver block: exactly zero on a `ChainSpec` chain (derived in
+    `battery_metrics`), about 1e-15 here with the chain's own `dec`, and
+    nonzero only through an on-site defect."""
+    receivers = np.arange(spec.n_s + spec.n_w, spec.n_sites)
+    recv = propagator_block(dec, np.arange(spec.n_s), receivers, t)
+    overlaps = np.sum(np.conj(recv[..., :-1]) * recv[..., 1:], axis=-2)
+    return np.sum(spec.j * overlaps.real, axis=-1)
 
 
 def switching_energy(spec: ChainSpec, tau, dec: SpectralDecomposition):
     """Energy cost of switching the two J0 junction bonds off at time tau:
     the junction-bond hopping expectation at tau, since the initial-state
     term vanishes exactly (the blocks start disjoint).  Zero for the same
-    reason as `interaction_energy`, and computed the same way."""
-    times, scalar = _times(tau)
-    energy = _switch_energy(spec, _energy_block(spec, dec, times))
-    return energy[0] if scalar else energy
+    reason as `interaction_energy`.  Reads the sender rows on the four
+    junction sites: first receiver, last sender, first wire, last wire."""
+    sites = [spec.n_s + spec.n_w, spec.n_s - 1, spec.n_s, spec.n_s + spec.n_w - 1]
+    first_receiver, last_sender, first_wire, last_wire = np.moveaxis(
+        propagator_block(dec, np.arange(spec.n_s), sites, tau), -1, 0)
+    total = (np.sum(np.conj(last_sender) * first_wire, axis=-1)
+             + np.sum(np.conj(last_wire) * first_receiver, axis=-1))
+    return spec.j0 * total.real
 
 
 def battery_metrics(spec: ChainSpec, t_grid: np.ndarray | None = None) -> BatteryReport:

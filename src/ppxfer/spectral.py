@@ -268,8 +268,7 @@ def _apply_rotations(n: int, sweeps: array, factors: array) -> np.ndarray:
         np.multiply(pair[:, ::-1], sines[start:start + k] * signs, out=swapped)
         pair *= cosines[start:start + k]
         pair += swapped
-    # `_eigenbasis` copies again at once; dropping this copy raised peak RSS
-    return zt.T.copy()
+    return zt.T
 
 
 def _eigenbasis(rotations: _Rotations, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -38,7 +38,7 @@ from ppxfer.amplitudes import (
     single_particle_bound,
 )
 from ppxfer.chain import build_profile
-from ppxfer.observables import _energy_block, _sender_rows
+from ppxfer.observables import interaction_energy, switching_energy
 from ppxfer.spectral import decompose_chain, diagonalize
 
 
@@ -337,8 +337,9 @@ def test_grid_evaluation_matches_point_by_point():
     # search's bits only if a time's value does not depend on its grid.
     # n_s = 1 keeps the per-time product, n_s >= 2 folds each chunk into one
     # matrix product.  Covered: the scan curves, the evaluator's blocks and
-    # probabilities, and the observables' sender rows (n_s x N) and energy
-    # block (n_s x (n_r + 3)).  An on-site defect, built as
+    # probabilities, the full sender rows (n_s x N) that the occupations
+    # read, and the two public energies, whose blocks are n_s x n_r and
+    # n_s x 4.  An on-site defect, built as
     # `validate --asymmetry` builds it, leaves the levels unpaired, so its
     # phases take the direct exp branch instead of the conjugate half.
     cases = [(0.0, 0.0), (1.7, 0.0), (1.7, 0.02)]
@@ -360,8 +361,10 @@ def test_grid_evaluation_matches_point_by_point():
         assert curve.p_fermion.tobytes() == p_f.tobytes()
         assert curve.p_boson.tobytes() == p_b.tobytes()
         assert ev.p_fermion(grid).tobytes() == p_f.tobytes()
-        for block in (ev.submatrix, lambda t: _sender_rows(dec, n_s, t),
-                      lambda t: _energy_block(spec, dec, t)):
+        for block in (ev.submatrix,
+                      lambda t: propagator_block(dec, np.arange(n_s), np.arange(dec.n), t),
+                      lambda t: interaction_energy(spec, t, dec),
+                      lambda t: switching_energy(spec, t, dec)):
             points = np.array([block(t) for t in grid])
             assert block(grid).tobytes() == points.tobytes(), (n_s, h, defect)
 

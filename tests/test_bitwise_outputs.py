@@ -7,7 +7,8 @@ from commit da5c416 (before the array-valued Fock oracle), and the
 `spectrum --h 0.9` and `validate --asymmetry` hashes, which come from
 commit fcfb0d1 (before the eigensolver took a coupling profile), and the
 `battery` hash, re-pinned when `battery_metrics` began to report its
-sublattice-protected E_hop and delta_E_sw as exact zeros; all with
+sublattice-protected E_hop and delta_E_sw as exact zeros, and the
+(4,81) and (2,102) peaks, added at commit 81c35d1; all with
 Python 3.11, numpy 2.4 and OpenBLAS on x86-64, and the same with 1 or 2
 OpenBLAS threads.  A change that claims to leave outputs unchanged must
 keep these exact bits: peaks as `float.hex` of (t_fermion, p_fermion,
@@ -31,6 +32,12 @@ PEAKS = {
               "0x1.5724b1d75daf8p+17", "0x1.fead4578a1633p-1"),
     (4, 101): ("0x1.71a34fc0b6ccap+18", "0x1.faf2e367be2f7p-1",
                "0x1.719c087150d7bp+18", "0x1.fa592a92ca2d1p-1"),
+    # two chains whose search settles on a lower local maximum (ROADMAP
+    # aim 3): a last-bit change of a block can send them to another one
+    (4, 81): ("0x1.7240791aca0f0p+18", "0x1.fb546bb2c2738p-1",
+              "0x1.7248d5a3efb28p+18", "0x1.fb056689d1fcbp-1"),
+    (2, 102): ("0x1.e31ae95fde40bp+15", "0x1.fccae56430397p-1",
+               "0x1.e317eba6fdf36p+15", "0x1.fcca6bda8a565p-1"),
 }
 
 STDOUT_SHA256 = {

@@ -132,6 +132,20 @@ def test_on_site_defect_breaks_the_energy_zeros():
     assert worst_sw > 1e-8
 
 
+@pytest.mark.parametrize("h", [0.0, 1.7])
+def test_single_site_receiver_has_no_bond_energy(h):
+    # For n_s = 1 the receiver block is one site with no bond in it, so the
+    # interaction energy is an exact 0.0 whatever the profile, on-site
+    # defect included, where the switching energy is not zero.
+    spec = ChainSpec(n_s=1, n_w=6, j0=0.05, h=h)
+    grid = np.linspace(0.0, 5e4, 300)
+    defect = defected_decomposition(spec)
+    for dec in (decompose_chain(spec), defect):
+        assert interaction_energy(spec, grid, dec).tobytes() == np.zeros(len(grid)).tobytes()
+        assert interaction_energy(spec, 12.5, dec) == 0.0
+    assert np.max(np.abs(switching_energy(spec, grid, defect))) > 1e-8
+
+
 def test_bond_energies_match_direct_construction_with_defect():
     # With an on-site defect both energies are nonzero, so this pins which
     # bonds each one reads: the n_r - 1 receiver bonds for the interaction
