@@ -14,7 +14,9 @@ in array calls along the time axis, not one time point at a time:
 `propagator_block` builds the (T, rows, cols) stack of propagator blocks in
 chunks of about CHUNK_ELEMENTS complex numbers, one matrix product per
 chunk, and `fermion_prob` /
-`boson_prob` reduce a whole stack at once.  The golden polish evaluates
+`boson_prob` reduce a whole stack at once.  The battery samples need only
+sum |F_ab|^2 over one block, which `_block_weight` takes from the
+sublattice real form, with no complex block.  The golden polish evaluates
 each probe it has not seen together with every probe of its next
 GOLDEN_LOOKAHEAD iterations in one array call, and returns the bits of a
 one-probe-at-a-time search.
@@ -89,7 +91,8 @@ def propagator_block(dec: SpectralDecomposition, rows, cols, times) -> np.ndarra
 
     rows and cols are 0-based site indices; entry [k, a, b] of the stack is
     f_{rows[a]+1}^{cols[b]+1}(times[k]).  Times follow `chain._times`.
-    This is the one place eigenvectors meet phases.  Each time evaluates
+    This is the one complex kernel, and `_block_weight` its real form for
+    a block's weight: nothing else evaluates F.  Each time evaluates
     the same expression (V_rows * phases(t)) @ V_cols^T, built one chunk of
     about CHUNK_ELEMENTS complex numbers at a time, so scratch memory does
     not grow with the grid.  The scratch, one (T_chunk, N) phase table and
@@ -104,17 +107,11 @@ def propagator_block(dec: SpectralDecomposition, rows, cols, times) -> np.ndarra
     same bits alone as inside a grid, which
     `test_grid_evaluation_matches_point_by_point` checks byte for byte.
     """
-    return _propagator_block(dec, rows, cols, times)
-
-
-def _propagator_block(dec: SpectralDecomposition, rows, cols, times, out=None) -> np.ndarray:
-    """`propagator_block`, written into `out` when given: a C-order complex
-    (T, len(rows), len(cols)) stack a caller reuses across its chunks."""
     times, scalar = _times(times)
     left = dec.eigenvectors[rows, :]
     right = dec.eigenvectors[cols, :].T
     n_rows, n_cols = len(left), right.shape[1]
-    out = np.empty((len(times), n_rows, n_cols), dtype=complex) if out is None else out
+    out = np.empty((len(times), n_rows, n_cols), dtype=complex)
     # A correctness condition on the block's shape, not a tuning knob:
     # folding a one-row or one-column block would turn its per-time
     # dot/gemv into one gemm and give a time other bits inside a grid than
@@ -132,6 +129,65 @@ def _propagator_block(dec: SpectralDecomposition, rows, cols, times, out=None) -
         else:
             np.matmul(scaled[:k], right, out=out[part])
     return out[0] if scalar else out
+
+
+def _block_weight(dec: SpectralDecomposition, rows: np.ndarray, cols: np.ndarray,
+                  times: np.ndarray) -> np.ndarray:
+    """sum_ab |F_ab(t)|^2 over the block rows x cols (0-based site arrays)
+    for each time of a checked 1-D array, from the sublattice real form.
+
+    Precondition: `dec` is the decomposition of a `ChainSpec` chain, whose
+    bare diagonal is zero once `decompose_chain` peels h off as `offset`.
+    Then S H0 S = -H0 for S = diag((-1)^j), so S maps the eigenvector of
+    w_k to one of -w_k: V_{a,N-1-k} = +-(-1)^a V_ak, and the levels pair
+    exactly (`dec._paired`; ValueError if not).  In
+    F_ab = exp(-i h t) sum_k V_ak V_bk exp(-i w_k t) the terms of k and
+    N-1-k thus add to 2 V_ak V_bk cos(w_k t) for even a + b and to
+    -2i V_ak V_bk sin(w_k t) for odd a + b.  The zero level of odd N is
+    S-even or S-odd, so V_a,mid V_b,mid adds to the even class only:
+
+        F_ab = exp(-i h t) [2 sum_{w_k>0} V_ak V_bk cos(w_k t) + V_a,mid V_b,mid]  (a + b even)
+        F_ab = -i exp(-i h t) 2 sum_{w_k>0} V_ak V_bk sin(w_k t)                   (a + b odd)
+
+    Each |F_ab|^2 is the square of a real sum, blind to h.  Sites a and a+1
+    fall in opposite classes, so a bond product conj(F_sa) F_s,a+1 is
+    purely imaginary: the chain's hopping energies vanish exactly.
+
+    The pair products 2 V_ak V_bk are formed once per class.  Each time
+    chunk takes cos and sin of t w_k on the N/2 positive levels, one real
+    product per class, and sums the squares, into scratch allocated once
+    per call, like `propagator_block`'s (README, Numerical notes).
+    """
+    if not dec._paired:
+        raise ValueError("the real form needs a decomposition whose bare levels pair "
+                         "exactly (a zero bare diagonal)")
+    half = dec.n // 2
+    upper = dec.eigenvectors[:, dec.n - half:]
+    levels = dec.bare_eigenvalues[dec.n - half:]
+    even = (rows[:, None] + cols[None, :]) % 2 == 0
+    pairs = 2.0 * upper[rows][:, None, :] * upper[cols][None, :, :]
+    cos_pairs, sin_pairs = pairs[even].T, pairs[~even].T
+    n_even = cos_pairs.shape[1]
+    middle = dec.eigenvectors[:, half]
+    zero_level = (middle[rows][:, None] * middle[cols][None, :])[even] if dec.n % 2 else 0.0
+    # one slot past the grid, for a lone last time run as two
+    weight = np.empty(len(times) + 1)
+    parts = time_chunks(len(times), even.size)
+    size = max(2, len(times[parts[0]]))
+    angles, trig = np.empty((size, half)), np.empty((size, half))
+    values = np.empty((size, even.size))
+    for part in parts:
+        # A correctness condition, like `propagator_block`'s fold: the
+        # products of one row go to dot/gemv, which round otherwise than the
+        # gemm of a longer chunk, so a lone time is broadcast to two rows.
+        k = max(2, len(times[part]))
+        np.multiply(times[part, None], levels, out=angles[:k])
+        np.matmul(np.cos(angles[:k], out=trig[:k]), cos_pairs, out=values[:k, :n_even])
+        np.matmul(np.sin(angles[:k], out=angles[:k]), sin_pairs, out=values[:k, n_even:])
+        values[:k, :n_even] += zero_level
+        np.square(values[:k], out=values[:k])
+        np.sum(values[:k], axis=1, out=weight[part.start:part.start + k])
+    return weight[:-1]
 
 
 def _gamma(m: int) -> float:

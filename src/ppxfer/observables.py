@@ -20,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .amplitudes import (SubmatrixEvaluator, _checked_grid, _propagator_block, plan_scan_grid,
-                         propagator_block, time_chunks)
+from .amplitudes import (SubmatrixEvaluator, _block_weight, _checked_grid, plan_scan_grid,
+                         propagator_block)
 from .chain import ChainSpec, _site
 from .spectral import SpectralDecomposition, decompose_chain
 
@@ -64,8 +64,8 @@ def magnetization_receiver(spec: ChainSpec, t, dec: SpectralDecomposition):
 def interaction_energy(spec: ChainSpec, t, dec: SpectralDecomposition):
     """Hopping energy stored on receiver-block bonds, from the n_s x n_r
     sender-receiver block: exactly zero on a `ChainSpec` chain (derived in
-    `battery_metrics`), about 1e-15 here with the chain's own `dec`, and
-    nonzero only through an on-site defect."""
+    `amplitudes._block_weight`), about 1e-15 here with the chain's own `dec`,
+    and nonzero only through an on-site defect."""
     receivers = np.arange(spec.n_s + spec.n_w, spec.n_sites)
     recv = propagator_block(dec, np.arange(spec.n_s), receivers, t)
     overlaps = np.sum(np.conj(recv[..., :-1]) * recv[..., 1:], axis=-2)
@@ -90,15 +90,15 @@ def battery_metrics(spec: ChainSpec, t_grid: np.ndarray | None = None) -> Batter
     """Charging figures of merit with the receiver block as the battery.
 
     An explicit t_grid must be 1-D, finite and strictly increasing, so that
-    "earliest grid time attaining" is well defined.  Only the n_s x n_r
-    sender-receiver block F is evaluated: e_onsite = h (sum |F|^2 - n_r/2);
-    e_hop and delta_e_sw are exact zeros and e_b is e_onsite.  That needs
-    the chain of a `ChainSpec`, so no decomposition is taken: a bipartite
-    hopping line, H = h + H0 with uniform h and S H0 S = -H0 for
-    S = diag((-1)^j).  Then S exp(-i H0 t) S = conj(exp(-i H0 t)): entries
-    between sites of equal parity are real, the others imaginary, and h is
-    a common phase.  So each bond product (f_s^i)* f_s^{i+1} that the two
-    energies take the real part of is purely imaginary, h cancelled.
+    "earliest grid time attaining" is well defined.  Only sum |F|^2 over
+    the n_s x n_r sender-receiver block F is evaluated, in the sublattice
+    real form that `amplitudes._block_weight` derives:
+    e_onsite = h (sum |F|^2 - n_r/2).  e_hop and delta_e_sw are exact zeros
+    and e_b is e_onsite, because by that derivation every bond product
+    (f_s^i)* f_s^{i+1}, whose real part the two energies take, is purely
+    imaginary.  Both facts need the chain of a `ChainSpec` (a bipartite
+    hopping line with uniform h), so this function takes no `dec` and
+    decomposes that chain itself.
     """
     if spec.h <= 1.0:
         warnings.warn(
@@ -110,16 +110,9 @@ def battery_metrics(spec: ChainSpec, t_grid: np.ndarray | None = None) -> Batter
     if t_grid is None:
         t_grid, _ = plan_scan_grid(spec, dec)
     t_grid = _checked_grid(t_grid)
-    senders, receivers = np.arange(spec.n_s), np.arange(spec.n_s + spec.n_w, spec.n_sites)
-    e_onsite = np.empty(len(t_grid))
-    parts = time_chunks(len(t_grid), spec.n_s * spec.n_r)
-    # one block for every chunk, like the kernel's scratch (README, Numerical notes)
-    buffer = np.empty((len(t_grid[parts[0]]), spec.n_s, spec.n_r), dtype=complex)
-    for part in parts:
-        block = _propagator_block(dec, senders, receivers, t_grid[part],
-                                  buffer[:len(t_grid[part])])
-        occ_b = np.sum(np.abs(block) ** 2, axis=(1, 2))
-        e_onsite[part] = spec.h * (occ_b - spec.n_r / 2.0)
+    receivers = np.arange(spec.n_s + spec.n_w, spec.n_sites)
+    e_onsite = spec.h * (_block_weight(dec, np.arange(spec.n_s), receivers, t_grid)
+                         - spec.n_r / 2.0)
     e_b = e_onsite.copy()
     with np.errstate(divide="ignore", invalid="ignore"):
         p_s = np.where(t_grid > 0, e_b / t_grid, 0.0)

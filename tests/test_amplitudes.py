@@ -24,6 +24,7 @@ from ppxfer.amplitudes import (
     NON_PP_HORIZON_FACTOR,
     PEAK_POINTS_PER_PERIOD,
     PEAK_WINDOW_PERIODS,
+    _block_weight,
     _certified_argmax,
     _checked_prob,
     _golden_max,
@@ -329,6 +330,48 @@ def test_propagator_block_matches_direct_construction(h):
             assert block.shape == (length, len(rows), len(cols))
             for k in (0, chunk - 2, length - 1):
                 assert np.max(np.abs(block[k] - direct_block(dec, rows, cols, times[k]))) < tol
+
+
+@pytest.mark.parametrize("h", [0.0, 2.0])
+def test_block_weight_matches_the_complex_kernel(h):
+    # The real form against sum |F_ab|^2 of `propagator_block` on odd and
+    # even N, on the sender-receiver block and on scattered sites (both
+    # parity classes; for n_s = 1 the block has one class only).  On the
+    # sender-receiver block each time alone has its bits in the grid, also
+    # the lone time that ends the grid's last chunk.
+    rng = np.random.default_rng(47)
+    eps = np.finfo(float).eps
+    for n_s, n_w in itertools.product([1, 2, 3, 4], [6, 7]):
+        spec = ChainSpec(n_s=n_s, n_w=n_w, j0=0.05, h=h)
+        dec = decompose_chain(spec)
+        chunk = CHUNK_ELEMENTS // (n_s * n_s)
+        times = np.linspace(0.0, 2e4, chunk + 1)
+        senders, receivers = np.arange(n_s), np.arange(dec.n - n_s, dec.n)
+        for rows, cols in ((senders, receivers),
+                           (rng.permutation(dec.n)[:3], rng.permutation(dec.n)[:4])):
+            weight = _block_weight(dec, rows, cols, times)
+            exact = np.sum(np.abs(propagator_block(dec, rows, cols, times)) ** 2, axis=(1, 2))
+            tol = 2 * len(rows) * len(cols) * dec.n * eps * (times + 1.0)
+            assert np.all(np.abs(weight - exact) <= tol), (n_s, n_w)
+        weight = _block_weight(dec, senders, receivers, times)
+        for k in (0, 1, chunk - 1, chunk):
+            alone = _block_weight(dec, senders, receivers, times[k:k + 1])
+            assert alone.tobytes() == weight[k:k + 1].tobytes(), (n_s, n_w, k)
+        shifted = _block_weight(dec, senders, receivers, times[1:])
+        assert shifted.tobytes() == weight[1:].tobytes(), (n_s, n_w)
+
+
+def test_block_weight_refuses_an_unpaired_decomposition():
+    # the on-site defect `validate --asymmetry` diagonalises: a nonzero
+    # diagonal, so the levels do not pair and the real form does not hold
+    spec = ChainSpec(n_s=2, n_w=5, j0=0.05, h=0.3)
+    profile = build_profile(spec)
+    onsite = profile.onsite.copy()
+    onsite[-1] += 0.01
+    dec = diagonalize(CouplingProfile(hop=profile.hop, onsite=onsite))
+    assert not dec._paired
+    with pytest.raises(ValueError, match="pair"):
+        _block_weight(dec, np.arange(2), np.arange(7, 9), np.array([0.0, 1.0]))
 
 
 def test_grid_evaluation_matches_point_by_point():

@@ -6,9 +6,10 @@ phases and the look-ahead golden polish), except the `validate`,
 from commit da5c416 (before the array-valued Fock oracle), and the
 `spectrum --h 0.9` and `validate --asymmetry` hashes, which come from
 commit fcfb0d1 (before the eigensolver took a coupling profile), and the
-`battery` hash, re-pinned when `battery_metrics` began to report its
-sublattice-protected E_hop and delta_E_sw as exact zeros, and the
-(4,81) and (2,102) peaks, added at commit 81c35d1; all with
+`battery` hash, re-pinned when `battery_metrics` began to take the
+receiver-block weight from the sublattice real form (cos and sin of the
+positive levels, two real products), and the (4,81) and (2,102) peaks,
+added at commit 81c35d1; all with
 Python 3.11, numpy 2.4 and OpenBLAS on x86-64, and the same with 1 or 2
 OpenBLAS threads.  A change that claims to leave outputs unchanged must
 keep these exact bits: peaks as `float.hex` of (t_fermion, p_fermion,
@@ -43,10 +44,12 @@ PEAKS = {
 STDOUT_SHA256 = {
     "transfer --ns 2 --nw 41 --j0 0.01":
         "563216b7ec05929529a2eaa5cb0fc5b555529df2f514bd777d23d39b7465bcc1",
-    # E_hop and delta_E_sw_max are exact zeros; E_B and P_s moved by at
-    # most 4.4e-16 and 3.4e-21 where E_hop had been nonzero
+    # the real-form weight moved E_B and E_onsite by at most 5.3e-15 in 89
+    # of 135 rows and P_s by at most 3.0e-20 in 88, and E_bar, P_bar and
+    # P_tilde in the last digit; t, E_hop (exact zeros), tau_bar,
+    # tau_tilde and delta_E_sw_max kept their bytes
     "battery --nb 4 --nw 32 --j0 0.01":
-        "25bbc9000b66ef0ed44d077a1dcac31a1928a24ea0e36d01c1519e6c6a3a7bfe",
+        "78c17bf612662666ffd127f473cdbef5d3a9cba2db255660a44c3ce80a2fcf1a",
     "spectrum --ns 4 --nw 101 --j0 0.01":
         "c84986e888ade8c67372254d4228b67e4e61bce6609491509c6d37b0367cc29f",
     "transfer --ns 3 --nw 40 --j0 0.01":

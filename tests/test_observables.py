@@ -244,6 +244,33 @@ def test_battery_grid_matches_point_by_point_observables():
         assert split.tobytes() == getattr(rep, name).tobytes(), name
 
 
+@pytest.mark.parametrize("statistics", ["fermion", "boson"])
+def test_battery_onsite_energy_matches_the_fock_space_oracle(statistics):
+    """The real-form battery energy against an independent derivation: the
+    receiver occupations evolved in the full Fock sector, on every chain
+    of at most 8 sites with n_s = 1..3, odd and even N."""
+    times = np.array([0.0, 0.9, 7.3, 31.0, 120.5, 997.0])
+    for n_s in (1, 2, 3):
+        for n_w in range(1, 9 - 2 * n_s):
+            spec = ChainSpec(n_s=n_s, n_w=n_w, j0=0.1, h=2.0, statistics=statistics)
+            rep = battery_metrics(spec, times)
+            occ = oracle_occupation(spec, times, np.array(spec.receiver_sites()))
+            expected = spec.h * (np.sum(occ, axis=1) - spec.n_r / 2.0)
+            assert np.max(np.abs(rep.e_onsite - expected)) <= 1e-10, (n_s, n_w)
+
+
+def test_battery_real_form_matches_the_magnetization_on_a_long_grid():
+    """The real form against the complex kernel of `magnetization_receiver`
+    on a resonant odd-N chain over 20,000 times to t = 1.6e4, within the
+    phase-error bound 2 n_s^2 N t eps h of the benchmark's reference."""
+    spec = ChainSpec(n_s=3, n_w=23, j0=0.01, h=2.0)
+    grid = np.linspace(0.0, 1.6e4, 20_000)
+    rep = battery_metrics(spec, grid)
+    expected = spec.h * magnetization_receiver(spec, grid, decompose_chain(spec))
+    bound = 2.0 * spec.n_s ** 2 * spec.n_sites * grid * np.finfo(float).eps * spec.h
+    assert np.all(np.abs(rep.e_onsite - expected) <= bound)
+
+
 @pytest.mark.parametrize("h", [0.7, 2.0])
 @pytest.mark.parametrize("n_s", [1, 2, 3, 4])
 def test_battery_reports_sublattice_protected_energies_as_exact_zeros(n_s, h):
