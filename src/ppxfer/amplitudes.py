@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import ChainSpec, _site, _size, _times
+from .chain import ChainSpec, NumericalConsistencyError, _site, _size, _times
 from .spectral import SpectralDecomposition, decompose_chain
 from . import perturbation
 
@@ -59,10 +59,6 @@ GOLDEN_ITERS = 60
 GOLDEN_LOOKAHEAD = 3                # golden iterations evaluated ahead of a missed probe
 REFINE_TOP = 5                      # local maxima polished by scan_max_probability
 NON_PP_HORIZON_FACTOR = 10.0        # scan_max_probability horizon, in units of pi/(2 delta*)
-
-
-class NumericalConsistencyError(RuntimeError):
-    """A computed probability was non-finite or left [0, 1] beyond tolerance."""
 
 
 @dataclass(frozen=True)

@@ -21,6 +21,11 @@ import numpy as np
 WEAK_COUPLING_LIMIT = 0.1
 
 
+class NumericalConsistencyError(RuntimeError):
+    """A computed value failed a numerical check: a probability was non-finite
+    or left [0, 1] beyond tolerance, or the eigensolver did not converge."""
+
+
 def _size(name: str, value, low: int = 1, high: int | None = None) -> int:
     """A count as an int: an integer, or a float with an integral value (as
     JSON gives one), within low..high (no upper end when high is None).

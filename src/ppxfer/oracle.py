@@ -4,32 +4,41 @@ Ground truth for the determinant/permanent route: build the full sector
 basis, the dense sector Hamiltonian, and evolve by eigendecomposition.
 Runs only at small sizes; nothing here is a performance path.
 
-Fermion hop signs: in a site-ordered occupation basis the matrix element
-of c_{i+1}^dag c_i picks up (-1)^(number of occupied sites strictly
-between i and i+1), which is empty for nearest neighbors, so every hop
-amplitude is +J_i/2.
+Both statistics share one path: a basis state is an occupation tuple, and
+the only difference is the occupancy cap, 1 for fermions (Pauli) and n for
+bosons.  A hop b -> b+1 carries (J_b/2) sqrt(n_b (n_{b+1} + 1)), which is
+J_b/2 for fermions.  Fermion hop signs: in a site-ordered occupation basis
+the matrix element of c_{i+1}^dag c_i picks up (-1)^(number of occupied
+sites strictly between i and i+1), which is empty for nearest neighbors,
+so no hop carries a sign.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from itertools import combinations
-from math import comb
+from itertools import combinations, combinations_with_replacement
 
 import numpy as np
 
 from .chain import ChainSpec, CouplingProfile, _site, _size, _times, build_profile
 
-DIM_CAP = 100_000
+# The cost of a sector is its dense dim x dim float64 Hamiltonian (and
+# eigh's eigenvector matrix of the same size), so the cap is set by a
+# budget of 128 MiB per dense matrix, not by a state count:
+# 128 MiB / 8 B = 2^24 entries, so dim <= sqrt(2^24) = 4096 states.
+# The largest sector the CLI builds has 120 states.
+DIM_CAP = 4096
 
 
 @dataclass(frozen=True)
 class SectorBasis:
-    """Ordered n-particle configurations over N sites.
+    """Ordered n-particle occupation tuples over N sites.
 
-    Fermion states are site bitmasks (bit p = site p+1 occupied); boson
-    states are occupation tuples.  Both orderings are lexicographic on
-    the occupation vector, so positions are deterministic.
+    Fermion states come in `combinations` order of their occupied sites;
+    boson states in ascending lexicographic order of the occupation tuple,
+    the reverse of `combinations_with_replacement` order.  Positions are
+    deterministic.
     """
 
     n_sites: int
@@ -44,41 +53,27 @@ class SectorBasis:
 
     def occupation_of(self, state, site: int) -> int:
         """Occupation of a 1-based site in a basis state."""
-        site = _site(site, self.n_sites)
-        if self.statistics == "fermion":
-            return (state >> (site - 1)) & 1
-        return state[site - 1]
-
-
-def _boson_states(n_sites: int, n_particles: int):
-    """Occupation tuples summing to n_particles, lexicographic order."""
-    if n_sites == 1:
-        yield (n_particles,)
-        return
-    for head in range(n_particles + 1):
-        for tail in _boson_states(n_sites - 1, n_particles - head):
-            yield (head,) + tail
+        return state[_site(site, self.n_sites) - 1]
 
 
 def enumerate_basis(n_sites: int, n_particles: int, statistics: str) -> SectorBasis:
     n_sites = _size("n_sites", n_sites)
+    sites = range(n_sites)
     if statistics == "fermion":
         n_particles = _size("n_particles", n_particles, 0, n_sites)
-        dim = comb(n_sites, n_particles)
+        dim = math.comb(n_sites, n_particles)
+        placements = combinations(sites, n_particles)
     elif statistics == "boson":
         n_particles = _size("n_particles", n_particles, 0)
-        dim = comb(n_sites + n_particles - 1, n_particles)
+        dim = math.comb(n_sites + n_particles - 1, n_particles)
+        placements = combinations_with_replacement(sites, n_particles)
     else:
         raise ValueError(f"unknown statistics {statistics!r}")
     if dim > DIM_CAP:
         raise ValueError(f"sector dimension {dim} exceeds cap {DIM_CAP}")
-    if statistics == "fermion":
-        states = tuple(
-            sum(1 << p for p in sites)
-            for sites in combinations(range(n_sites), n_particles)
-        )
-    else:
-        states = tuple(_boson_states(n_sites, n_particles))
+    states = tuple(tuple(map(placed.count, sites)) for placed in placements)
+    if statistics == "boson":
+        states = states[::-1]  # ascending lexicographic order, the reverse of placements
     return SectorBasis(
         n_sites=n_sites,
         n_particles=n_particles,
@@ -92,36 +87,18 @@ def build_sector_hamiltonian(profile: CouplingProfile, basis: SectorBasis) -> np
     n = profile.n_sites
     if n != basis.n_sites:
         raise ValueError("profile and basis disagree on the site count")
-    dim = basis.dim
-    ham = np.zeros((dim, dim))
-    if basis.statistics == "fermion":
-        for col, state in enumerate(basis.states):
-            diag = 0.0
-            for site in range(n):
-                if (state >> site) & 1:
-                    diag += profile.onsite[site]
-            ham[col, col] = diag
-            for bond in range(n - 1):
-                lo, hi = 1 << bond, 1 << (bond + 1)
-                if state & lo and not state & hi:
-                    row = basis.index[state ^ lo ^ hi]
-                    amp = profile.hop[bond] / 2.0
-                    ham[row, col] += amp
-                    ham[col, row] += amp
-    else:
-        for col, state in enumerate(basis.states):
-            ham[col, col] = float(np.dot(profile.onsite, state))
-            for bond in range(n - 1):
-                if state[bond] > 0:
-                    moved = list(state)
-                    moved[bond] -= 1
-                    moved[bond + 1] += 1
-                    row = basis.index[tuple(moved)]
-                    amp = (profile.hop[bond] / 2.0) * np.sqrt(
-                        state[bond] * (state[bond + 1] + 1)
-                    )
-                    ham[row, col] += amp
-                    ham[col, row] += amp
+    cap = 1 if basis.statistics == "fermion" else basis.n_particles  # per site
+    half_hop = (profile.hop / 2.0).tolist()
+    ham = np.zeros((basis.dim, basis.dim))
+    for col, state in enumerate(basis.states):
+        ham[col, col] = float(np.dot(profile.onsite, state))
+        for bond in range(n - 1):
+            here, there = state[bond], state[bond + 1]
+            if here > 0 and there < cap:
+                row = basis.index[state[:bond] + (here - 1, there + 1) + state[bond + 2:]]
+                amp = half_hop[bond] * math.sqrt(here * (there + 1))
+                ham[row, col] += amp
+                ham[col, row] += amp
     return ham
 
 
@@ -134,13 +111,8 @@ def _sector_setup(spec: ChainSpec):
 
 def _edge_states(basis: SectorBasis):
     n, k = basis.n_sites, basis.n_particles
-    if basis.statistics == "fermion":
-        sender = (1 << k) - 1
-        receiver = ((1 << k) - 1) << (n - k)
-    else:
-        sender = tuple([1] * k + [0] * (n - k))
-        receiver = tuple([0] * (n - k) + [1] * k)
-    return basis.index[sender], basis.index[receiver]
+    sender = (1,) * k + (0,) * (n - k)
+    return basis.index[sender], basis.index[sender[::-1]]
 
 
 def oracle_transfer_prob(spec: ChainSpec, t):

@@ -36,7 +36,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .chain import ChainSpec, CouplingProfile, _size, _times, build_profile
+from .chain import (ChainSpec, CouplingProfile, NumericalConsistencyError, _size, _times,
+                    build_profile)
 
 MACHEP = 2.0 ** -52
 MAX_SWEEPS = 30
@@ -181,7 +182,7 @@ def _ql_implicit(d: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, array, array
             if m == l:
                 break
             if sweep == MAX_SWEEPS:
-                raise RuntimeError(
+                raise NumericalConsistencyError(
                     f"tridiagonal QL failed to converge for eigenvalue {l} "
                     f"within {MAX_SWEEPS} sweeps"
                 )

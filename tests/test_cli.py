@@ -377,6 +377,15 @@ def test_numerical_inconsistency_exits_with_its_code(monkeypatch, capsys):
     assert err.startswith("error: probability ")
 
 
+def test_eigensolver_non_convergence_exits_with_the_numeric_code(monkeypatch, capsys):
+    monkeypatch.setattr(spectral, "MAX_SWEEPS", 0)
+    code, out, err = run_cli(capsys, ["spectrum", "--ns", "2", "--nw", "5"])
+    assert code == EXIT_NUMERIC
+    assert out == ""
+    assert err.startswith("error: tridiagonal QL failed to converge")
+    assert err.count("\n") == 1
+
+
 def test_transfer_boson_column_only(capsys):
     argv = ["transfer", "--ns", "1", "--nw", "4", "--j0", "0.1", "--tmax", "20", "--samples", "5"]
     columns = {}

@@ -1,14 +1,17 @@
 """Tests for the brute-force sector-basis evolution used as ground truth."""
 
+import tracemalloc
 from itertools import combinations, combinations_with_replacement
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from ppxfer import ChainSpec
 from ppxfer.chain import CouplingProfile, adjacency_matrix, build_profile
 from ppxfer.cli import ORACLE_CASES, ORACLE_COUPLINGS, ORACLE_HORIZON, ORACLE_TIMES
 from ppxfer.oracle import (
+    DIM_CAP,
     _edge_states,
     _sector_setup,
     build_sector_hamiltonian,
@@ -31,6 +34,39 @@ def test_basis_rejects_oversized_sector():
         enumerate_basis(60, 4, "boson")
 
 
+def test_sector_just_above_the_cap_is_refused_before_allocation():
+    # One particle on DIM_CAP + 1 sites: dimension DIM_CAP + 1.  Its basis
+    # alone would hold (DIM_CAP + 1)^2 occupation entries, and its dense
+    # Hamiltonian (DIM_CAP + 1)^2 floats, so a refusal after either would
+    # show in the allocation peak.
+    n_sites = DIM_CAP + 1
+    tracemalloc.start()
+    try:
+        for stats in ("fermion", "boson"):
+            with pytest.raises(ValueError, match="cap"):
+                enumerate_basis(n_sites, 1, stats)
+            with pytest.raises(ValueError, match="cap"):
+                oracle_transfer_prob(ChainSpec(1, n_sites - 2, 0.01, statistics=stats), 1.0)
+        # four fermions on 38 sites: 73,815 states, a 43.6 GB dense matrix
+        with pytest.raises(ValueError, match="cap"):
+            oracle_transfer_prob(ChainSpec(4, 30, 0.01), 1.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+def test_thousand_site_one_particle_sector_enumerates_without_recursion():
+    n = 1000
+    on_first, on_last = (1,) + (0,) * (n - 1), (0,) * (n - 1) + (1,)
+    fermion = enumerate_basis(n, 1, "fermion")
+    assert fermion.dim == n
+    assert fermion.states[0] == on_first and fermion.states[-1] == on_last
+    boson = enumerate_basis(n, 1, "boson")
+    assert boson.dim == n
+    assert boson.states[0] == on_last and boson.states[-1] == on_first
+
+
 def test_basis_rejects_bad_inputs():
     with pytest.raises(ValueError, match="statistics"):
         enumerate_basis(3, 1, "anyon")
@@ -46,7 +82,7 @@ def test_basis_states_are_unique_and_indexed():
 
 def test_occupation_accessor_both_statistics():
     fermion = enumerate_basis(4, 2, "fermion")
-    state = fermion.states[0]  # lowest bitmask: sites 1 and 2 occupied
+    state = fermion.states[0]  # first combination: sites 1 and 2 occupied
     assert [fermion.occupation_of(state, s) for s in (1, 2, 3, 4)] == [1, 1, 0, 0]
     boson = enumerate_basis(3, 2, "boson")
     assert boson.occupation_of((0, 2, 0), 2) == 2
@@ -82,30 +118,38 @@ def test_single_particle_sector_reproduces_adjacency():
         basis = enumerate_basis(3, 1, stats)
         ham = build_sector_hamiltonian(build_profile(spec), basis)
         if stats == "fermion":
-            # Bitmask order 001, 010, 100 matches site order 1, 2, 3.
+            # Combination order (1,0,0), (0,1,0), (0,0,1) matches site order 1, 2, 3.
             assert np.allclose(ham, adj, atol=1e-15)
         else:
             # Boson order (0,0,1), (0,1,0), (1,0,0) is site-reversed.
             assert np.allclose(ham[::-1, ::-1], adj, atol=1e-15)
 
 
-def test_sector_spectrum_is_sum_of_single_particle_levels():
-    spec = ChainSpec(n_s=2, n_w=2, j0=0.1, h=0.15)
-    single = np.linalg.eigvalsh(adjacency_matrix(build_profile(spec)))
-
-    basis = enumerate_basis(6, 2, "fermion")
-    ham = build_sector_hamiltonian(build_profile(spec), basis)
-    got = np.linalg.eigvalsh(ham)
-    expected = np.sort([single[a] + single[b] for a, b in combinations(range(6), 2)])
-    assert np.allclose(got, expected, atol=1e-9)
-
-    basis = enumerate_basis(6, 2, "boson")
-    ham = build_sector_hamiltonian(build_profile(spec), basis)
-    got = np.linalg.eigvalsh(ham)
-    expected = np.sort(
-        [single[a] + single[b] for a, b in combinations_with_replacement(range(6), 2)]
+def _profiles(n_sites):
+    return st.builds(
+        CouplingProfile,
+        hop=st.lists(st.floats(-2.0, 2.0), min_size=n_sites - 1, max_size=n_sites - 1),
+        onsite=st.lists(st.floats(-2.0, 2.0), min_size=n_sites, max_size=n_sites),
     )
-    assert np.allclose(got, expected, atol=1e-9)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(profile=st.integers(1, 7).flatmap(_profiles), n=st.integers(1, 3))
+@example(profile=build_profile(ChainSpec(n_s=2, n_w=2, j0=0.1, h=0.15)), n=2)
+def test_sector_spectrum_is_sum_of_single_particle_levels(profile, n):
+    # Free particles: every sector level is a sum of n single-particle
+    # levels, over distinct levels (fermions) or with repeats (bosons).
+    # Off the uniform chain this checks the occupancy cap and the
+    # sqrt(n_b (n_{b+1} + 1)) hop factors independently.
+    single = np.linalg.eigvalsh(adjacency_matrix(profile))
+    levels = range(profile.n_sites)
+    for stats, pick in (("fermion", combinations), ("boson", combinations_with_replacement)):
+        if stats == "fermion" and n > profile.n_sites:
+            continue
+        basis = enumerate_basis(profile.n_sites, n, stats)
+        got = np.linalg.eigvalsh(build_sector_hamiltonian(profile, basis))
+        expected = np.sort([sum(single[list(ks)]) for ks in pick(levels, n)])
+        assert np.allclose(got, expected, atol=1e-9)
 
 
 def test_sector_hamiltonian_rejects_size_mismatch():
