@@ -47,6 +47,10 @@ PERM_DIM_CAP = 12
 PROB_TOL = 1e-9
 CHUNK_ELEMENTS = 1 << 13            # complex numbers per time chunk of a batched product
 UNIT_ROUNDOFF = 2.0 ** -53          # float64 round-to-nearest relative error
+# pi/2 as fdlibm's pio2_1 + pio2_2 + pio2_2t; the first two have 31 significant bits
+PIO2_PARTS = (1.5707963267341256, 6.077100506303966e-11, 2.0222662487959506e-21)
+REDUCTION_CAP = 2.0 ** 20           # quarter turns below which `_cos_sin` reduces exactly
+_QUARTER_TURNS = np.array([[1.0, 0.0, -1.0, 0.0], [0.0, 1.0, 0.0, -1.0]])  # cos, sin of q pi/2
 
 COARSE_POINTS_PER_SLOW_PERIOD = 20  # coarse spacing pi/(20 delta*)
 FINE_POINTS_PER_FAST_PERIOD = 40    # fine spacing pi/(40 delta_max)
@@ -150,9 +154,10 @@ def _block_weight(dec: SpectralDecomposition, rows: np.ndarray, cols: np.ndarray
     purely imaginary: the chain's hopping energies vanish exactly.
 
     The pair products 2 V_ak V_bk are formed once per class.  Each time
-    chunk takes cos and sin of t w_k on the N/2 positive levels, one real
-    product per class, and sums the squares, into scratch allocated once
-    per call, like `propagator_block`'s (README, Numerical notes).
+    chunk takes cos and sin of t w_k on the N/2 positive levels from
+    `_cos_sin` (within about 2 ulp), one real product per class, and sums
+    the squares, into scratch allocated once per call and sized by the
+    (T_chunk, N/2) trig tables, like `propagator_block`'s (README, Numerical notes).
     """
     if not dec._paired:
         raise ValueError("the real form needs a decomposition whose bare levels pair "
@@ -168,9 +173,10 @@ def _block_weight(dec: SpectralDecomposition, rows: np.ndarray, cols: np.ndarray
     zero_level = (middle[rows][:, None] * middle[cols][None, :])[even] if dec.n % 2 else 0.0
     # one slot past the grid, for a lone last time run as two
     weight = np.empty(len(times) + 1)
-    parts = time_chunks(len(times), even.size)
+    parts = time_chunks(len(times), max(even.size, half))
     size = max(2, len(times[parts[0]]))
-    angles, trig = np.empty((size, half)), np.empty((size, half))
+    angles, cos, sin, *work = np.empty((6, size, half))
+    work += [np.empty((size, half), dtype=np.intp), np.empty((size, half), dtype=bool)]
     values = np.empty((size, even.size))
     for part in parts:
         # A correctness condition, like `propagator_block`'s fold: the
@@ -178,12 +184,44 @@ def _block_weight(dec: SpectralDecomposition, rows: np.ndarray, cols: np.ndarray
         # gemm of a longer chunk, so a lone time is broadcast to two rows.
         k = max(2, len(times[part]))
         np.multiply(times[part, None], levels, out=angles[:k])
-        np.matmul(np.cos(angles[:k], out=trig[:k]), cos_pairs, out=values[:k, :n_even])
-        np.matmul(np.sin(angles[:k], out=angles[:k]), sin_pairs, out=values[:k, n_even:])
+        _cos_sin(angles[:k], cos[:k], sin[:k], *(w[:k] for w in work))
+        np.matmul(cos[:k], cos_pairs, out=values[:k, :n_even])
+        np.matmul(sin[:k], sin_pairs, out=values[:k, n_even:])
         values[:k, :n_even] += zero_level
         np.square(values[:k], out=values[:k])
         np.sum(values[:k], axis=1, out=weight[part.start:part.start + k])
     return weight[:-1]
+
+
+def _cos_sin(theta, cos, sin, q, aux, tmp, quadrant, above) -> None:
+    """cos and sin of theta into cos and sin from one Cody-Waite reduction
+    (Cody & Waite 1980); the rest is scratch of theta's shape.
+
+    q = rint(2 theta/pi), r = ((theta - q P1) - q P2) - q P3 (PIO2_PARTS):
+    for |q| < REDUCTION_CAP, q P1, q P2 and theta - q P1 (Sterbenz) are
+    exact, so |r| <= pi/4 is within 2u|r| + 1e-30 of theta - q pi/2 (u =
+    2^-53).  s = sin r adds libm's error; c = sqrt(1 - s^2) >= 1/sqrt(2)
+    takes that of s times |s|/c <= 1 plus three roundings.  So both are
+    within about 2 ulp after the exact quarter turn (a, b) = (cos, sin) of
+    q pi/2: cos theta = a c - b s, sin theta = b c + a s.  Where |q| >=
+    REDUCTION_CAP libm's bits are kept: each element depends on its angle only.
+    """
+    np.rint(np.multiply(theta, 2.0 / np.pi, out=q), out=q)
+    np.greater_equal(np.abs(q, out=aux), REDUCTION_CAP, out=above)
+    np.copyto(q, 0.0, where=above)
+    np.bitwise_and(q, 3, out=quadrant, dtype=np.intp, casting="unsafe")
+    np.subtract(theta, np.multiply(q, PIO2_PARTS[0], out=aux), out=sin)
+    for part in PIO2_PARTS[1:]:
+        np.subtract(sin, np.multiply(q, part, out=aux), out=sin)
+    np.sin(sin, out=sin)
+    np.sqrt(np.subtract(1.0, np.square(sin, out=cos), out=cos), out=cos)
+    a = np.take(_QUARTER_TURNS[0], quadrant, mode="clip", out=q)
+    b = np.take(_QUARTER_TURNS[1], quadrant, mode="clip", out=aux)
+    np.multiply(b, sin, out=tmp)
+    np.add(np.multiply(b, cos, out=b), np.multiply(a, sin, out=sin), out=sin)
+    np.subtract(np.multiply(a, cos, out=cos), tmp, out=cos)
+    np.cos(theta, out=cos, where=above)
+    np.sin(theta, out=sin, where=above)
 
 
 def _gamma(m: int) -> float:

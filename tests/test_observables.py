@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from ppxfer import ChainSpec, occupation_profile
+from ppxfer.amplitudes import REDUCTION_CAP, time_chunks
 from ppxfer.chain import CouplingProfile, build_profile
 from ppxfer.observables import (
     battery_metrics,
@@ -267,6 +268,31 @@ def test_battery_real_form_matches_the_magnetization_on_a_long_grid():
     grid = np.linspace(0.0, 1.6e4, 20_000)
     rep = battery_metrics(spec, grid)
     expected = spec.h * magnetization_receiver(spec, grid, decompose_chain(spec))
+    bound = 2.0 * spec.n_s ** 2 * spec.n_sites * grid * np.finfo(float).eps * spec.h
+    assert np.all(np.abs(rep.e_onsite - expected) <= bound)
+
+
+def test_battery_across_the_reduction_cap():
+    """Angles w_k t that straddle REDUCTION_CAP quarter turns, where the real
+    form's cos and sin pass from the reduction to libm level by level: each
+    sample has its grid bytes alone and in a shifted grid (around every
+    level's crossing and on both sides of the chunk boundary), and E_B
+    stays within 2 n_s^2 N t eps h of the complex kernel's magnetization."""
+    spec = ChainSpec(n_s=2, n_w=6, j0=0.05, h=2.0)
+    dec = decompose_chain(spec)
+    grid = np.linspace(0.0, 3e6, 2000)
+    levels = dec.bare_eigenvalues[dec.n // 2:]
+    quarter_turns = np.rint(np.outer(grid, levels) * (2.0 / np.pi))
+    above = quarter_turns[-1] >= REDUCTION_CAP
+    assert above.any() and not above.all()
+    rep = battery_metrics(spec, grid)
+    crossings = np.argmax(quarter_turns[:, above] >= REDUCTION_CAP, axis=0)
+    chunk = time_chunks(len(grid), max(spec.n_s ** 2, dec.n // 2))[1].start
+    for k in {*crossings, *(crossings - 1), chunk - 1, chunk, *range(0, len(grid), 50)}:
+        alone = battery_metrics(spec, grid[k:k + 1])
+        assert alone.e_b.tobytes() == rep.e_b[k:k + 1].tobytes(), k
+    assert battery_metrics(spec, grid[1:]).e_b.tobytes() == rep.e_b[1:].tobytes()
+    expected = spec.h * magnetization_receiver(spec, grid, dec)
     bound = 2.0 * spec.n_s ** 2 * spec.n_sites * grid * np.finfo(float).eps * spec.h
     assert np.all(np.abs(rep.e_onsite - expected) <= bound)
 
