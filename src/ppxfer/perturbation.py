@@ -204,6 +204,14 @@ def _top_two_clusters(clusters):
     return by_energy[0], by_energy[1]
 
 
+def _top_ratio(spec: ChainSpec, j0: float = RATIO_COUPLINGS[-1]) -> float:
+    """Top-over-second splitting ratio of `spec`'s chain at coupling j0;
+    by default at the coupling whose ratio `RatioEstimate.value` reports."""
+    probe = replace(spec, j0=j0)
+    top, second = _top_two_clusters(find_clusters(decompose_chain(probe), probe))
+    return top.delta / second.delta
+
+
 def ratio_diagnostics(spec: ChainSpec) -> list[RatioEstimate]:
     """Splitting ratio of the top cluster to the second-from-top.
 
@@ -214,13 +222,7 @@ def ratio_diagnostics(spec: ChainSpec) -> list[RatioEstimate]:
     """
     if spec.n_s < 2:
         return []
-
-    def top_ratio(j0: float) -> float:
-        probe = replace(spec, j0=j0)
-        top, second = _top_two_clusters(find_clusters(decompose_chain(probe), probe))
-        return top.delta / second.delta
-
-    coarse, fine = (top_ratio(j0) for j0 in RATIO_COUPLINGS)
+    coarse, fine = (_top_ratio(spec, j0) for j0 in RATIO_COUPLINGS)
     return [
         RatioEstimate(
             name="splitting_ratio_top_over_second",

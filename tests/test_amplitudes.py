@@ -39,6 +39,7 @@ from ppxfer.amplitudes import (
     propagator_grid,
     scan_scales,
     single_particle_bound,
+    time_chunks,
 )
 from ppxfer.chain import build_profile
 from ppxfer.observables import interaction_energy, switching_energy
@@ -346,7 +347,8 @@ def test_block_weight_matches_the_complex_kernel(h):
     for n_s, n_w in itertools.product([1, 2, 3, 4], [6, 7]):
         spec = ChainSpec(n_s=n_s, n_w=n_w, j0=0.05, h=h)
         dec = decompose_chain(spec)
-        chunk = CHUNK_ELEMENTS // (n_s * n_s)
+        # the sender-receiver chunk of `_block_weight`, width max(n_s n_r, N/2)
+        chunk = time_chunks(CHUNK_ELEMENTS, max(n_s * n_s, dec.n // 2))[0].stop
         times = np.linspace(0.0, 2e4, chunk + 1)
         senders, receivers = np.arange(n_s), np.arange(dec.n - n_s, dec.n)
         for rows, cols in ((senders, receivers),

@@ -283,7 +283,8 @@ def test_validate_decomposes_each_distinct_chain_once(monkeypatch, capsys):
     calls = count_decompositions(monkeypatch)
     code, _, _ = run_cli(capsys, ["validate"])
     assert code == EXIT_OK
-    assert len(calls) == len(set(calls)) == 17
+    # the ratio check decomposes only the coupling it reports
+    assert len(calls) == len(set(calls)) == 14
 
 
 def test_transfer_plans_and_scans_its_grid_once(monkeypatch, capsys):
@@ -324,6 +325,28 @@ def test_gate_builds_each_oracle_sector_once_per_use(monkeypatch, capsys, comman
     code, _, _ = run_cli(capsys, [command])
     assert code == EXIT_OK
     assert len(calls) == builds
+
+
+def test_oracle_check_builds_one_block_stack_per_chain(monkeypatch, capsys):
+    # both statistics of a (case, coupling) reduce the same block stack
+    calls = count_calls(monkeypatch, amplitudes, "propagator_block", {amplitudes, cli})
+    code, _, _ = run_cli(capsys, ["oracle-check"])
+    assert code == EXIT_OK
+    assert len(calls) == len({id(dec) for dec in calls}) == 6
+
+
+def test_oracle_suite_lets_other_warnings_through(monkeypatch, capsys):
+    # only the weak-coupling warning of the J0 = 1.0 cases is silenced
+    fock = cli.oracle_transfer_prob
+
+    def noisy(spec, times):
+        warnings.warn("probe", RuntimeWarning)
+        return fock(spec, times)
+
+    monkeypatch.setattr(cli, "oracle_transfer_prob", noisy)
+    with pytest.warns(RuntimeWarning, match="probe"):
+        code, _, _ = run_cli(capsys, ["oracle-check"])
+    assert code == EXIT_OK
 
 
 def test_config_file_with_flag_override(tmp_path, capsys):
@@ -478,7 +501,7 @@ def test_validate_flags_injected_asymmetry(capsys):
 @pytest.mark.parametrize("target, wrong, line", [
     ("resonant_pairs", lambda n_s, n_w: [],
      "FAIL  resonance table: n_s=1, n_w=1: expected 1 resonances"),
-    ("ratio_diagnostics", lambda spec: [perturbation.RatioEstimate("r", 0.9, 0.9, 0.0)],
+    ("_top_ratio", lambda spec: 0.9,
      "FAIL  splitting ratios: n_s=3, n_w=43: ratio 0.9000 vs 0.5"),
 ])
 def test_validate_reports_a_wrong_table_or_ratio(monkeypatch, capsys, target, wrong, line):

@@ -230,7 +230,10 @@ def test_battery_grid_matches_point_by_point_observables():
     dec = decompose_chain(spec)
     grid = np.linspace(0.0, 4e4, 5000)
     rep = battery_metrics(spec, grid)
-    for k in (0, 2047, 2048, 2049, 4095, 4096, 4999):
+    # the chunks of `_block_weight`, whose width is max(n_s n_r, N/2)
+    starts = [part.start for part in time_chunks(len(grid), max(spec.n_s ** 2, dec.n // 2))]
+    assert len(starts) > 2 and 2500 not in starts
+    for k in {0, len(grid) - 1, *(b + d for b in starts[1:] for d in (-1, 0, 1))}:
         t = float(grid[k])
         e_onsite = spec.h * magnetization_receiver(spec, t, dec)
         assert rep.e_onsite[k] == pytest.approx(e_onsite, abs=1e-13)
@@ -238,7 +241,7 @@ def test_battery_grid_matches_point_by_point_observables():
         assert abs(interaction_energy(spec, t, dec)) <= 1e-10
         assert abs(switching_energy(spec, t, dec)) <= 1e-10
     # Every chunk reuses one receiver-block buffer: a grid split off the
-    # chunk boundaries (2,048 times each) gives the same bytes, half by half.
+    # chunk boundaries gives the same bytes, half by half.
     halves = [battery_metrics(spec, grid[:2500]), battery_metrics(spec, grid[2500:])]
     for name in ("e_b", "e_hop", "delta_e_sw"):
         split = np.concatenate([getattr(half, name) for half in halves])

@@ -1,13 +1,14 @@
 """Tests for the brute-force sector-basis evolution used as ground truth."""
 
 import tracemalloc
+from dataclasses import replace
 from itertools import combinations, combinations_with_replacement
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from ppxfer import ChainSpec
+from ppxfer import ChainSpec, find_transfer_peak
 from ppxfer.chain import CouplingProfile, adjacency_matrix, build_profile
 from ppxfer.cli import ORACLE_CASES, ORACLE_COUPLINGS, ORACLE_HORIZON, ORACLE_TIMES
 from ppxfer.oracle import (
@@ -237,3 +238,19 @@ def test_site_array_occupation_keeps_the_bits_of_single_sites(statistics):
             alone = oracle_occupation(spec, t, int(site))
             assert isinstance(alone, float)
             assert float(got).hex() == alone.hex()
+
+
+def test_reported_peak_matches_the_fock_oracle():
+    """The (2,41) peak that `find_transfer_peak` reports, each statistics at
+    its own reported time, against the full Fock sector (990 fermion and
+    1,035 boson states), within the benchmark's phase-error bound
+    4 n_s N t eps: each eigenvalue's N eps shift, carried through the
+    phase exp(-i w t) into the n_s x n_s block's probability."""
+    spec = ChainSpec(n_s=2, n_w=41, j0=0.01)
+    peak = find_transfer_peak(spec)
+    eps = np.finfo(float).eps
+    for statistics, t, p in (("fermion", peak.t_fermion, peak.p_fermion),
+                             ("boson", peak.t_boson, peak.p_boson)):
+        fock = oracle_transfer_prob(replace(spec, statistics=statistics), t)
+        bound = 4 * spec.n_s * spec.n_sites * t * eps
+        assert abs(p - fock) <= bound, (statistics, abs(p - fock), bound)
