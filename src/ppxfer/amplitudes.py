@@ -22,13 +22,18 @@ GOLDEN_LOOKAHEAD iterations in one array call, and returns the bits of a
 one-probe-at-a-time search.
 
 The dense window sweep is the one place a surrogate is allowed:
-`propagator_grid` builds the blocks of a uniform grid from two phase
-tables (about 2 sqrt(T) exps per level instead of T) and returns a
-rigorous bound on their distance from `propagator_block`'s values.  Its
-values only choose which grid points `propagator_block` evaluates: every
-point whose bounded surrogate probability could reach the maximum is
-evaluated exactly, so the sweep's maximum, its index and everything after
-it are those of an exact sweep.  No surrogate value is ever returned.
+`propagator_grid` builds real blocks M of a uniform grid in the sublattice
+real form (F = exp(-i h t) diag((-i)^a) M diag(i^b) on a paired
+decomposition), from anchor and shift cos/sin tables combined by angle
+addition (about 2 sqrt(T) cos and sin per positive level instead of T),
+and returns a rigorous bound on their distance from `propagator_block`'s
+values.  |det M| and |perm M| are those of F, so the surrogate
+probabilities are det(M)^2 through LAPACK and Ryser on the real M.  They
+only choose which grid points `propagator_block` evaluates: every point
+whose bounded surrogate probability could reach the maximum is evaluated
+exactly, so the sweep's maximum, its index and everything after it are
+those of an exact sweep.  No surrogate value is ever returned, and an
+unpaired decomposition gets no surrogate (every point is evaluated).
 """
 
 from __future__ import annotations
@@ -230,76 +235,119 @@ def _gamma(m: int) -> float:
 
 
 def propagator_grid(dec: SpectralDecomposition, rows, cols, times) -> tuple[np.ndarray, float]:
-    """`propagator_block` on a uniform time grid from two phase tables,
-    with a bound on the distance from `propagator_block`'s values.
+    """Real surrogate blocks of a paired decomposition on a uniform time
+    grid, with a bound on their distance from `propagator_block`'s values.
 
-    Returns (blocks, bound): blocks has the (T, len(rows), len(cols)) shape
-    of `propagator_block(dec, rows, cols, times)` and every entry lies
-    within bound of it.  With B = ceil(sqrt(T)) and the grid's own step
+    Returns (blocks, bound): blocks is a real (T, len(rows), len(cols))
+    stack M with F(t) = exp(-i h t) diag((-i)^a) M(t) diag(i^b), a and b
+    the 0-based sites of rows and cols, and every entry of that F lies
+    within bound of `propagator_block(dec, rows, cols, times)`.  This is
+    `_block_weight`'s real form (whose precondition it shares; ValueError
+    if the levels do not pair) with i^(a-b) folded into M:
+
+        M_ab = (-1)^floor((a-b)/2) [2 sum_{w_k>0} V_ak V_bk cos(w_k t) + V_a,mid V_b,mid]  (a + b even)
+        M_ab = (-1)^floor((a-b)/2) 2 sum_{w_k>0} V_ak V_bk sin(w_k t)                     (a + b odd)
+
+    The diagonal factors have unit modulus, so |det F| = |det M| and
+    |perm F| = |perm M|.  With B = ceil(sqrt(T)) and the grid's own step
     d = t_1 - t_0, time t_{aB+b} is split into the anchor t_{aB} and the
-    shift b d, and exp(-i w (t_{aB} + b d)) is the product of two
-    `dec._phases` rows, so each level takes about 2 sqrt(T) exps instead of
-    T.  Entry (r, c) at t_{aB+b} is sum_k [V_rk V_ck phase_k(t_{aB})]
-    phase_k(b d).  A chunk of anchors (about CHUNK_ELEMENTS complex numbers
-    of scaled pairs) is folded into one (anchors pairs, N) table and
-    multiplied by the (N, B) shift table in one matrix product, whatever
-    the block's shape: surrogate values need no bitwise match with
-    `propagator_block`, and the bound below holds for any summation order.
-    Any time array `chain._times` accepts is taken as a grid; the less
-    uniform it is, the larger the bound.
+    shift b d: cos and sin of w (t_{aB} + b d) come by angle addition from
+    an anchor and a shift table over the K = ceil(N/2) levels w >= 0 (the
+    zero level of odd N counts once), about 2 sqrt(T) cos and sin per level
+    instead of T.  Each entry's 2K coefficients, its pair products times
+    the anchor cos and sin, meet the (2K, B) shift table in one real matrix
+    product per chunk of anchors (coefficients worth about CHUNK_ELEMENTS
+    complex numbers), whatever the block's shape: surrogate values need no
+    bitwise match with `propagator_block`, and the bound below holds for
+    any summation order.  Any time array `chain._times` accepts is taken as
+    a grid; the less uniform it is, the larger the bound.
 
     The bound compares both computations with the exact
-    G_rc(t) = sum_k V_rk V_ck exp(-i (w_k + h) t), evaluated at the float
+    G_ab(t) = sum_k V_ak V_bk exp(-i (w_k + h) t), evaluated at the float
     grid values from the float V, w and offset h.  Write u = 2^-53,
-    Omega = max_k |w_k| + |h|, S = max_rc sum_k |V_rk V_ck|, t_max =
+    Omega = max_k |w_k| + |h|, S = max_ab sum_k |V_ak V_bk|, t_max =
     max_j |t_j|, and D = max_j |t_j - (t_0 + j d)| (measured on the grid,
     plus the rounding of that measurement).
 
-    - A `_phases` entry rounds its argument once per exp (u |w t| and
-      u |h t|), each cos and sin is within one ulp (2u) of the true value
-      (libm), and the offset costs one complex product (sqrt(2) gamma_2).
-      So it lies within u Omega |t| + 9u of exp(-i (w + h) t).
-    - `propagator_block` scales V_r by the phases (u) and sums N products
-      with V_c (sqrt(2) gamma_N of sum_k |V_rk V_ck|): its distance from G
-      is at most S (u Omega t_max + 10u + sqrt(2) gamma_N).
-    - Here the anchor phase carries u Omega t_max + 9u, the shift phase
-      u Omega B |d| + 9u, and t_{aB} + b d is within 2D + u B |d| of t_j,
-      which moves the phase by Omega times that.  The products
-      V_rk V_ck and their scaling by the anchor phase round once each, and
-      the complex matmul adds sqrt(2) gamma_{N+2}: at most
-      S (u Omega (t_max + B |d|) + Omega (2D + u B |d|) + 20u
-      + sqrt(2) gamma_{N+2}) from G.
-    - The two add up to the returned
-      bound = S (2 Omega (u (t_max + B |d|) + D) + 32u + 2 sqrt(2) gamma_{N+2});
-      the 2u beyond the 30u listed covers the second-order terms.
+    - `propagator_block`.  A `_phases` entry rounds its argument once per
+      exp (u |w t| and u |h t|), each cos and sin is within one ulp (2u)
+      and the offset costs one complex product (sqrt(2) gamma_2), so it is
+      within u Omega |t| + 9u of exp(-i (w + h) t).  Scaling V_a by the
+      phases (u) and summing N products with V_b (sqrt(2) gamma_N of
+      sum_k |V_ak V_bk|) put the block within
+      S (u Omega t_max + 10u + sqrt(2) gamma_N) of G.
+    - Pairing.  The levels pair exactly, the vectors only to roundoff, so
+      the real form R = exp(-i h t) diag((-i)^a) M diag(i^b) of exact
+      arithmetic is within P = max_ab (1/2) sum_k |V_ak V_bk
+      - (-1)^(a+b) V_a,N-1-k V_b,N-1-k| of G (measured: the computed sum
+      over 1 - gamma_{N+1}, plus u S for the rounded products), and its
+      coefficients sum in modulus to at most S + P.
+    - Here.  Each pair product rounds once (u).  The anchor angle w t_{aB}
+      rounds once (u Omega t_max), the shift b d and its angle once each
+      (2u Omega B |d|), and t_{aB} + b d is within 2D of t_j.  numpy's
+      float64 cos and sin are within one ulp (2u, the tolerance of numpy's
+      own accuracy tests), so each table's (cos, sin) is within
+      2 sqrt(2) u of the unit vector at its angle, and the angle-addition
+      product within 4 sqrt(2) u + O(u^2) of the one at the summed angle.
+      Scaling by the anchor table rounds once (u), and the matrix product
+      over 2K <= N + 1 terms, each at most |coefficient| (1 + O(u)) by
+      Cauchy-Schwarz, adds gamma_{N+1}: M is within
+      (S + P) (Omega (u (t_max + 2 B |d|) + 2D) + 8u + gamma_{N+1}) of R.
+    - The three add up to the returned
+      bound = (S + P) (2 Omega (u (t_max + B |d|) + D) + 20u
+      + (1 + sqrt(2)) gamma_{N+3}) + P;
+      the 2u beyond the 18u listed covers the second-order terms.
     """
     times, _ = _times(times)
+    if not dec._paired:
+        raise ValueError("the real surrogate needs a decomposition whose bare levels pair "
+                         "exactly (a zero bare diagonal)")
+    rows, cols = np.asarray(rows), np.asarray(cols)
     n_times, n = len(times), dec.n
     span = math.isqrt(n_times - 1) + 1
     step = times[1] - times[0] if n_times > 1 else 0.0
-    left = dec.eigenvectors[rows, :]
-    right = dec.eigenvectors[cols, :]
-    pairs = (left[:, None, :] * right[None, :, :]).reshape(-1, n)
-    anchors = dec._phases(times[::span])
-    shifts = dec._phases(np.arange(span) * step).T
-    out = np.empty((len(anchors) * span, len(pairs)), dtype=complex)
-    for part in time_chunks(len(anchors), pairs.size):
-        table = (pairs * anchors[part, None, :]).reshape(-1, n) @ shifts
-        out[part.start * span:part.stop * span] = (
-            table.reshape(-1, len(pairs), span).transpose(0, 2, 1).reshape(-1, len(pairs)))
-    blocks = out[:n_times].reshape(n_times, len(left), len(right))
+    levels = dec.bare_eigenvalues[n // 2:]
+    weights = np.full(len(levels), 2.0)
+    weights[:n % 2] = 1.0
+    products = dec.eigenvectors[rows][:, None, :] * dec.eigenvectors[cols][None, :, :]
+    gap = rows[:, None] - cols[None, :]
+    # 2 V_ak V_bk (once for the zero level) times (-1)^floor((a-b)/2)
+    pairs = (products[..., n // 2:] * weights * (1.0 - 2.0 * (gap // 2 % 2))[..., None])
+    pairs = pairs.reshape(-1, 1, len(levels))
+    # an entry's coefficients take (cos, -sin) of the anchor angle for the
+    # cosine class (a + b even) and (sin, cos) for the sine class, so that
+    # against (cos, sin) of the shift they give cos and sin of the sum
+    anchors = np.multiply.outer(times[::span], levels)
+    trig = np.stack([np.sin(anchors), np.cos(anchors), -np.sin(anchors)], axis=1)
+    pick = (gap % 2 == 0).reshape(-1, 1) + np.arange(2)
+    shift = np.multiply.outer(np.arange(span) * step, levels)
+    shifts = np.concatenate([np.cos(shift), np.sin(shift)], axis=1).T
+    out = np.empty((len(anchors), len(pairs), span))
+    parts = time_chunks(len(anchors), pairs.size)
+    table = np.empty((len(anchors[parts[0]]), len(pairs), 2, len(levels)))
+    for part in parts:
+        k = len(anchors[part])
+        np.multiply(trig[part][:, pick], pairs, out=table[:k])
+        np.matmul(table[:k].reshape(-1, 2 * len(levels)), shifts,
+                  out=out[part].reshape(-1, span))
+    # laid out time-fastest, so that the Ryser updates and the slack's row
+    # sums run along contiguous memory
+    blocks = out.transpose(1, 0, 2).reshape(len(pairs), -1)[:, :n_times].T
 
     u = UNIT_ROUNDOFF
+    weight = np.max(np.sum(np.abs(products), axis=-1)) / (1.0 - _gamma(n))
+    parity = (1.0 - 2.0 * (gap % 2))[..., None]
+    unpaired = (0.5 * np.max(np.sum(np.abs(products - parity * products[..., ::-1]), axis=-1))
+                / (1.0 - _gamma(n + 1)) + u * weight)
     from_start = times - times[0]
     line = np.arange(n_times) * step
     # D from the computed differences, plus their three roundings
     drift = np.max(np.abs(from_start - line)) + 4.0 * u * np.max(np.abs(from_start) + np.abs(line))
-    weight = np.max(np.abs(left) @ np.abs(right).T) / (1.0 - _gamma(n))
     omega = np.max(np.abs(dec.bare_eigenvalues)) + abs(dec.offset)
     t_max = np.max(np.abs(times))
-    bound = weight * (2.0 * omega * (u * (t_max + span * abs(step)) + drift)
-                      + 32.0 * u + 2.0 * math.sqrt(2.0) * _gamma(n + 2))
-    return blocks, float(bound)
+    bound = (weight + unpaired) * (2.0 * omega * (u * (t_max + span * abs(step)) + drift)
+                                   + 20.0 * u + (1.0 + math.sqrt(2.0)) * _gamma(n + 3)) + unpaired
+    return blocks.reshape(n_times, len(rows), len(cols)), float(bound)
 
 
 def time_chunks(n_times: int, width: int) -> list[slice]:
@@ -310,8 +358,9 @@ def time_chunks(n_times: int, width: int) -> list[slice]:
 
 
 def _square_stack(sub, cap: int, name: str) -> np.ndarray:
-    """A (T, n, n) complex copy of one square block or a stack of them."""
-    a = np.array(sub, dtype=complex)
+    """A (T, n, n) copy of one square block or a stack of them: complex for
+    a complex input, real for any other."""
+    a = np.array(sub, dtype=complex if np.iscomplexobj(sub) else float)
     if a.ndim not in (2, 3) or a.shape[-1] != a.shape[-2]:
         raise ValueError("submatrix must be square")
     n = a.shape[-1]
@@ -339,9 +388,10 @@ def fermion_prob(sub):
 
     Takes one (n, n) block (returns a float) or a (T, n, n) stack (returns
     a (T,) array); the stack is eliminated in lockstep, each block with its
-    own pivots and the rounding of a single block.
+    own pivots and the rounding of a single block.  A real input is
+    eliminated as its complex cast.
     """
-    a = _square_stack(sub, DET_DIM_CAP, "determinant")
+    a = _square_stack(sub, DET_DIM_CAP, "determinant").astype(complex, copy=False)
     count, n = len(a), a.shape[-1]
     # the real and imaginary parts of det, multiplied out pivot by pivot
     # with every real product rounded on its own, as the scalar complex
@@ -378,12 +428,14 @@ def boson_prob(sub):
     """|perm|^2 via Ryser's formula with Gray-code subset updates.
 
     Takes one (n, n) block (returns a float) or a (T, n, n) stack (returns
-    a (T,) array); every block follows the same subset sequence.
+    a (T,) array); every block follows the same subset sequence.  A real
+    input stays real and gives the bits of its complex cast: a zero
+    imaginary part adds only exact zeros, and |total| is exact either way.
     """
     a = _square_stack(sub, PERM_DIM_CAP, "permanent")
     count, n = len(a), a.shape[-1]
-    w = np.zeros((count, n), dtype=complex)
-    total = np.zeros(count, dtype=complex)
+    w = np.zeros((count, n), dtype=a.dtype)
+    total = np.zeros(count, dtype=a.dtype)
     gray = 0
     for g in range(1, 1 << n):
         new_gray = g ^ (g >> 1)
@@ -550,13 +602,22 @@ def _polish(f, grid: np.ndarray, k: int, p_k: float) -> tuple[float, float]:
 
 
 def _probability_slack(reduce, blocks: np.ndarray, bound: float) -> np.ndarray:
-    """Per block, a bound on |reduce(blocks) - reduce(exact blocks)|, when
-    every entry of the exact blocks lies within bound of blocks.
+    """Per block, a bound on |surrogate - reduce(exact blocks)|, when every
+    entry of the exact blocks lies within bound of blocks.
 
-    reduce is `fermion_prob` or `boson_prob`, and "exact blocks" are the
-    ones `propagator_block` returns; both sides are computed in float64.
-    Let n be the block size, u = 2^-53, and e the entry distance.
+    reduce is `fermion_prob` or `boson_prob`, and the exact blocks are the
+    ones `propagator_block` returns; blocks are `propagator_grid`'s real M,
+    and the surrogate is det(M)^2 from `np.linalg.det` (fermions) or
+    `boson_prob(M)`.  All of it is computed in float64.  Let n be the block
+    size, u = 2^-53, and e the entry distance.
 
+    - Unit-modulus factors.  `propagator_grid` bounds the distance of the
+      exact blocks E from exp(-i h t) diag((-i)^a) M diag(i^b), and
+      multiplying an entry by a unit-modulus number keeps its distance:
+      E' = exp(i h t) diag(i^a) E diag((-i)^b) is within e of M entry by
+      entry, with the row norms, |det| and |perm| of E, and a rounding
+      model of reduce(E) (an E + dE below) is one of E' with the same
+      |dE'| = |dE|.  So everything below compares M with E'.
     - Row sizes.  A row of either block is within sqrt(n) e (2-norm) and
       n e (1-norm) of the same row here, whose norms are measured (with
       their own rounding).  Let rho_r bound row r on both sides: 2-norms
@@ -566,42 +627,54 @@ def _probability_slack(reduce, blocks: np.ndarray, bound: float) -> np.ndarray:
       |x - y| <= c e sum_i prod_{l != i} rho_l, with c = sqrt(n) for det
       and n for perm, while |det| <= prod rho (Hadamard) and
       |perm| <= prod rho (1-norms, expanded term by term).
-    - LU.  Partial pivoting computes the LU of A + dA with
-      |dA| <= gamma_{16n} |L||U| (Higham Thm 9.3, with 16u per complex
-      multiply, Smith division or subtraction), |L| <= 1 and
-      |U_kc| <= 2^k max|A|, so each side adds at most
-      gamma_{16n} 2^n (max|blocks| + e) to every entry: e grows by twice
-      that before the step above.  The product of the pivots, `hypot` and
-      the square then add a relative 6(n+1)u to |det|^2.
+    - LU.  Partial pivoting, complex in `fermion_prob` and real in LAPACK,
+      computes the LU of A + dA with |dA| <= gamma_{16n} |L||U| (Higham
+      Thm 9.3, with 16u per complex multiply, Smith division or
+      subtraction), |L| <= 1 and |U_kc| <= 2^k max|A|, so each side adds
+      at most gamma_{16n} G to every entry, G = 2^n (max|blocks| + e): e
+      grows by twice that before the step above.  In `fermion_prob` the
+      product of the pivots, `hypot` and the square then add a relative
+      6(n+1)u to |det|^2.  `np.linalg.det` returns sign exp(sum_i
+      log|u_ii|); with log and exp within one ulp (numpy's own tolerance)
+      the sum is within gamma_{n+2} sum_i |log|u_ii|| of the exact one,
+      and sum_i |log|u_ii|| <= 2n log+ G + log(1/|d|) for d = prod u_ii.
+      With exp and the square (5u), det^2 is within a relative
+      5u + 4n gamma_{n+2} log+ G plus gamma_{n+2} d^2 log(1/d^2)
+      <= gamma_{n+2}/e of d^2.
     - Ryser.  Each row sum w_r is updated 2^n times (u |w_r| each, with
       |w_r| <= rho_r), the n-fold product adds sqrt(2) gamma_2 per factor
       and the signed sum of 2^n terms sqrt(2) gamma_{2^n}: the computed
       perm is within f = 2^n prod(rho) ((1 + 2^n u)^n - 1 + 4nu
       + sqrt(2) gamma_{2^n}) of the exact one on each side; `hypot` and
-      the square add a relative 6u to |perm|^2.
+      the square add a relative 6u to |perm|^2.  Real arithmetic is a
+      special case of the complex one.
     - Squares.  With |x - y| <= m and |x|, |y| <= M,
-      ||x|^2 - |y|^2| <= 2 M m, plus the relative rounding on M^2 of each
-      side.  Clipping both sides into [0, 1] only shrinks the distance.
+      ||x|^2 - |y|^2| <= 2 M m, plus the relative rounding of each side
+      on M^2 and the absolute term above.  Clipping both sides into
+      [0, 1] only shrinks the distance.
     """
     n = blocks.shape[-1]
     u = UNIT_ROUNDOFF
     size = np.abs(blocks)
     if reduce is fermion_prob:
-        growth = _gamma(16 * n) * 2.0 ** n * (np.max(size) + bound)
+        pivot = 2.0 ** n * (np.max(size) + bound)
+        growth = _gamma(16 * n) * pivot
         reach = math.sqrt(n) * (bound + 2.0 * growth)
         rows = np.sqrt(np.sum(size ** 2, axis=-1)) * (1.0 + _gamma(n + 4)) + reach
         ryser = 0.0
-        relative = 6.0 * (n + 1) * u
+        relative = 6.0 * (n + 1) * u + 5.0 * u + 4.0 * n * _gamma(n + 2) * max(0.0, math.log(pivot))
+        absolute = _gamma(n + 2) / math.e
     else:
         reach = n * bound
         rows = np.sum(size, axis=-1) * (1.0 + _gamma(n + 1)) + reach
         ryser = 2.0 ** n * ((1.0 + 2.0 ** n * u) ** n - 1.0 + 4.0 * n * u
                             + math.sqrt(2.0) * _gamma(2 ** n))
-        relative = 6.0 * u
+        relative = 12.0 * u
+        absolute = 0.0
     magnitude = np.prod(rows, axis=-1)
     change = reach * magnitude * np.sum(1.0 / rows, axis=-1) + 2.0 * ryser * magnitude
     magnitude = magnitude * (1.0 + ryser)
-    return 2.0 * magnitude * change + 2.0 * relative * magnitude ** 2
+    return 2.0 * magnitude * change + relative * magnitude ** 2 + absolute
 
 
 def _certified_argmax(surrogate: np.ndarray, slack, exact) -> tuple[int, float]:
@@ -628,18 +701,21 @@ def _window_max(ev: SubmatrixEvaluator, reduce, center: float, j: float) -> tupl
     also ripples with period ~ 2 pi / J, so the final candidate needs a
     sweep dense on that scale.  reduce is `fermion_prob` or `boson_prob`,
     applied to ev's blocks.  The sweep is a surrogate: `propagator_grid`
-    gives the window's blocks with a bound on their distance from the
-    exact ones, and `_probability_slack` turns that into a bound on each
-    probability.  The surrogate only chooses which points to evaluate
+    gives the window's real blocks M with a bound on their distance from
+    the exact ones, the surrogate probability is det(M)^2 through LAPACK
+    or `boson_prob(M)`, and `_probability_slack` bounds its distance from
+    the exact one.  The surrogate only chooses which points to evaluate
     exactly (those its bound cannot rule out, see `_certified_argmax`), so
-    the sampled maximum and its index are those of an exact sweep.  The
-    slack scales with the blocks' row norms, so it rules out nearly every
-    point even where the probabilities are tiny; it rules out few where
-    the determinant or permanent cancels far below that row-norm bound (as
-    in some n_s = 8 windows), and such a sweep pays for the surrogate on
-    top of the exact evaluations, at most about twice one exact sweep.  The
-    golden polish is bracketed by one window step, inside which the curve
-    is unimodal; the sampled maximum wins if the polish lands lower.
+    the sampled maximum and its index are those of an exact sweep.  An
+    unpaired decomposition has no real form and gets no surrogate: an
+    infinite slack evaluates every point.  The slack scales with the
+    blocks' row norms, so it rules out nearly every point even where the
+    probabilities are tiny; it rules out few where the determinant or
+    permanent cancels far below that row-norm bound (as in some n_s = 8
+    windows), and such a sweep pays for the surrogate on top of the exact
+    evaluations, at most about twice one exact sweep.  The golden polish
+    is bracketed by one window step, inside which the curve is unimodal;
+    the sampled maximum wins if the polish lands lower.
     """
     half_window = PEAK_WINDOW_PERIODS * 2.0 * math.pi / j
     step = 2.0 * math.pi / (j * PEAK_POINTS_PER_PERIOD)
@@ -648,10 +724,13 @@ def _window_max(ev: SubmatrixEvaluator, reduce, center: float, j: float) -> tupl
     def exact(times):
         return _checked_prob(reduce(ev.submatrix(times)))
 
-    blocks, bound = propagator_grid(ev.dec, ev.rows, ev.cols, grid)
-    surrogate = np.clip(reduce(blocks), 0.0, 1.0)
-    slack = _probability_slack(reduce, blocks, bound)
-    k, p_k = _certified_argmax(surrogate, slack, lambda keep: exact(grid[keep]))
+    surrogate, slack = np.zeros(len(grid)), math.inf
+    if ev.dec._paired:
+        blocks, bound = propagator_grid(ev.dec, ev.rows, ev.cols, grid)
+        surrogate = np.linalg.det(blocks) ** 2 if reduce is fermion_prob else boson_prob(blocks)
+        slack = _probability_slack(reduce, blocks, bound)
+    k, p_k = _certified_argmax(np.clip(surrogate, 0.0, 1.0), slack,
+                               lambda keep: exact(grid[keep]))
     return _polish(exact, grid, k, p_k)
 
 

@@ -204,11 +204,15 @@ def _top_two_clusters(clusters):
     return by_energy[0], by_energy[1]
 
 
-def _top_ratio(spec: ChainSpec, j0: float = RATIO_COUPLINGS[-1]) -> float:
+def _top_ratio(spec: ChainSpec, j0: float = RATIO_COUPLINGS[-1], own=None) -> float:
     """Top-over-second splitting ratio of `spec`'s chain at coupling j0;
-    by default at the coupling whose ratio `RatioEstimate.value` reports."""
+    by default at the coupling whose ratio `RatioEstimate.value` reports.
+    `own` are `spec`'s clusters when the caller holds them: the probe at
+    j0 = spec.j0 is `spec` itself and takes them instead of a new build."""
     probe = replace(spec, j0=j0)
-    top, second = _top_two_clusters(find_clusters(decompose_chain(probe), probe))
+    if own is None or probe != spec:
+        own = find_clusters(decompose_chain(probe), probe)
+    top, second = _top_two_clusters(own)
     return top.delta / second.delta
 
 
@@ -220,9 +224,15 @@ def ratio_diagnostics(spec: ChainSpec) -> list[RatioEstimate]:
     4-excitation classes it is the slow/fast doublet ratio (limits 0.14
     and 0.38 by residue class).
     """
+    return _ratio_estimates(spec, None)
+
+
+def _ratio_estimates(spec: ChainSpec, own) -> list[RatioEstimate]:
+    """`ratio_diagnostics`, with `spec`'s own clusters (or None) for
+    `_top_ratio`."""
     if spec.n_s < 2:
         return []
-    coarse, fine = (_top_ratio(spec, j0) for j0 in RATIO_COUPLINGS)
+    coarse, fine = (_top_ratio(spec, j0, own) for j0 in RATIO_COUPLINGS)
     return [
         RatioEstimate(
             name="splitting_ratio_top_over_second",
@@ -304,8 +314,8 @@ def commensurability_check(ratio) -> CommensurabilityVerdict:
 
 
 def perturbation_report(spec: ChainSpec) -> PerturbationReport:
-    # the decomposition (and its rotation record) is dropped before
-    # ratio_diagnostics builds its own two
+    # the decomposition (and its rotation record) is dropped before the
+    # ratio probes; a probe at spec.j0 reuses these clusters
     clusters = find_clusters(decompose_chain(spec), spec)
     rot = rule_of_thumb(clusters)
     delta_star = distinct_splittings(clusters)[0][0]
@@ -319,5 +329,5 @@ def perturbation_report(spec: ChainSpec) -> PerturbationReport:
         predicted_tau=math.pi / (2.0 * delta_star) if predicted else None,
         tau_alt=math.pi / delta_star if predicted else None,
         feasibility=feasibility,
-        ratios=tuple(ratio_diagnostics(spec)),
+        ratios=tuple(_ratio_estimates(spec, clusters)),
     )

@@ -586,51 +586,91 @@ def test_golden_lookahead_matches_sequential_search():
         assert 1 <= len(calls) <= max_calls
 
 
+def defect_evaluator():
+    """An on-site defect: no sublattice symmetry, so no real surrogate."""
+    onsite = np.zeros(11)
+    onsite[4] = 0.3
+    return SubmatrixEvaluator(diagonalize(CouplingProfile(hop=np.ones(10), onsite=onsite)), 3)
+
+
 def bound_cases():
-    """(evaluator, grid) pairs: n_s 1..4 with h 0, 0.7 and -1.3, one
-    on-site-defect (unpaired) spectrum, windows starting up to t = 1e6, and
-    grid lengths 1, 2, B^2 and B^2 + 1 (B = ceil(sqrt(T)))."""
+    """(evaluator, grid) pairs: n_s 1..4 with h 0, 0.7 and -1.3 on odd and
+    even N, windows starting up to t = 1e6, and grid lengths 1, 2, B^2 and
+    B^2 + 1 (B = ceil(sqrt(T)))."""
     rng = np.random.default_rng(41)
     evaluators = []
     for n_s in range(1, 5):
         for h in (0.0, 0.7, -1.3):
             spec = ChainSpec(n_s=n_s, n_w=int(rng.integers(1, 40)), j0=0.03, h=h)
             evaluators.append(SubmatrixEvaluator(decompose_chain(spec), n_s))
-    onsite = np.zeros(11)
-    onsite[4] = 0.3
-    evaluators.append(SubmatrixEvaluator(diagonalize(CouplingProfile(hop=np.ones(10), onsite=onsite)), 3))
-    assert not evaluators[-1].dec._paired
+    assert {ev.dec.n % 2 for ev in evaluators} == {0, 1}
     for ev in evaluators:
         for length in (1, 2, 49, 50):
             start = float(rng.uniform(0.0, 1e6))
             yield ev, start + float(rng.uniform(0.01, 0.2)) * np.arange(length)
 
 
+def as_propagator(ev, blocks, grid):
+    """exp(-i h t) diag((-i)^a) M diag(i^b): the complex blocks that
+    `propagator_grid`'s real blocks M stand for."""
+    phase = np.exp(-1j * ev.dec.offset * grid)[:, None, None]
+    return phase * (-1j) ** ev.rows[:, None] * blocks * 1j ** ev.cols[None, :]
+
+
+def surrogate_prob(reduce, blocks):
+    """The window sweep's surrogate: det(M)^2 through LAPACK, or Ryser on M."""
+    p = np.linalg.det(blocks) ** 2 if reduce is fermion_prob else boson_prob(blocks)
+    return np.clip(p, 0.0, 1.0)
+
+
 def test_propagator_grid_stays_within_its_bound():
     # The measured distances stay below half of each bound: here entries
     # reach at most 0.24 of `bound` and probabilities 0.07 of their slack
-    # (0.45 and 0.02 on the benchmark's peak windows near t = 3.8e5).
+    # (0.41 and 0.01 on the benchmark's peak windows near t = 3.8e5).
     worst_entry = worst_prob = 0.0
     for ev, grid in bound_cases():
         blocks, bound = propagator_grid(ev.dec, ev.rows, ev.cols, grid)
         exact = ev.submatrix(grid)
-        assert blocks.shape == exact.shape
-        worst_entry = max(worst_entry, np.max(np.abs(blocks - exact)) / bound)
+        assert blocks.dtype == float and blocks.shape == exact.shape
+        worst_entry = max(worst_entry, np.max(np.abs(as_propagator(ev, blocks, grid) - exact)) / bound)
         for reduce in (fermion_prob, boson_prob):
-            surrogate = np.clip(reduce(blocks), 0.0, 1.0)
             slack = _probability_slack(reduce, blocks, bound)
             assert slack.shape == grid.shape
-            ratio = np.abs(surrogate - _checked_prob(reduce(exact))) / slack
+            ratio = np.abs(surrogate_prob(reduce, blocks) - _checked_prob(reduce(exact))) / slack
             worst_prob = max(worst_prob, np.max(ratio))
     assert worst_entry <= 0.5
     assert worst_prob <= 0.5
+
+
+def test_propagator_grid_refuses_an_unpaired_decomposition():
+    ev = defect_evaluator()
+    assert not ev.dec._paired
+    with pytest.raises(ValueError, match="pair"):
+        propagator_grid(ev.dec, ev.rows, ev.cols, np.arange(50.0))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_real_stacks_reduce_to_the_bytes_of_their_complex_cast(n):
+    rng = np.random.default_rng(n)
+    stack = rng.normal(size=(200, n, n))
+    stack[::5, :, 0] = 0.0                      # a zero column
+    if n > 1:
+        stack[1::5, -1] = 3.0 * stack[1::5, 0]  # two parallel rows
+    for reduce in (fermion_prob, boson_prob):
+        real = reduce(stack)
+        assert real.tobytes() == reduce(stack.astype(complex)).tobytes()
+        assert reduce(stack[3]) == reduce(stack[3].astype(complex))
+    assert np.all(fermion_prob(stack[::5]) == 0.0)
 
 
 def test_propagator_grid_chunks_like_one_product(monkeypatch):
     ev = SubmatrixEvaluator(decompose_chain(ChainSpec(n_s=4, n_w=61, j0=0.01, h=0.7)), 4)
     grid = np.arange(378000.0, 378125.0, 2.0 * math.pi / 64)
     chunked, bound = propagator_grid(ev.dec, ev.rows, ev.cols, grid)
-    assert CHUNK_ELEMENTS < len(grid) * 16 * ev.dec.n
+    # the anchors' coefficients (16 entries of ceil(N/2) levels each) span
+    # more than one chunk
+    anchors = math.isqrt(len(grid) - 1) + 1
+    assert CHUNK_ELEMENTS < anchors * 16 * ((ev.dec.n + 1) // 2)
     monkeypatch.setattr(amplitudes, "CHUNK_ELEMENTS", 1 << 40)
     whole, whole_bound = propagator_grid(ev.dec, ev.rows, ev.cols, grid)
     assert np.array_equal(chunked, whole) and bound == whole_bound
@@ -681,6 +721,30 @@ def exact_window_max(ev, reduce, center, j):
     if values[k] > p:
         return float(grid[k]), float(values[k])
     return float(t), float(p)
+
+
+# (evaluator, window centre): the reported fermion peaks of (4,81) and
+# (2,41) (odd N) and (2,102) (even N), an h = 0.7 chain of each parity
+# near its predicted transfer time, and the unpaired defect chain
+WINDOW_CASES = [
+    (ChainSpec(4, 81, 0.01), float.fromhex("0x1.7240791aca0f0p+18")),
+    (ChainSpec(2, 102, 0.01), float.fromhex("0x1.e31ae95fde40bp+15")),
+    (ChainSpec(2, 41, 0.01), float.fromhex("0x1.a0564539354fcp+11")),
+    (ChainSpec(2, 61, 0.01, h=0.7), 63023.0),
+    (ChainSpec(2, 62, 0.01, h=0.7), 2036.0),
+    (None, 250.0),
+]
+
+
+@pytest.mark.parametrize("spec, center", WINDOW_CASES,
+                         ids=["4-81", "2-102", "2-41", "2-61-h", "2-62-h", "defect"])
+@pytest.mark.parametrize("reduce", [fermion_prob, boson_prob], ids=["fermion", "boson"])
+def test_window_max_is_an_exact_sweep(spec, center, reduce):
+    ev = defect_evaluator() if spec is None else SubmatrixEvaluator(decompose_chain(spec), spec.n_s)
+    j = 1.0 if spec is None else spec.j
+    got = _window_max(ev, reduce, center, j)
+    want = exact_window_max(ev, reduce, center, j)
+    assert [x.hex() for x in got] == [x.hex() for x in want]
 
 
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)

@@ -9,8 +9,9 @@ commit fcfb0d1 (before the eigensolver took a coupling profile), and the
 `battery` hash, re-pinned when the sublattice real form of the
 receiver-block weight began to take cos and sin of the positive levels
 from one Cody-Waite reduction, one sin and one square root per angle
-instead of libm's cos and sin, and the (4,81) and (2,102) peaks,
-added at commit 81c35d1; all with
+instead of libm's cos and sin, the (4,81) and (2,102) peaks,
+added at commit 81c35d1, and the other eleven fixed `peak_sweep` chains,
+added at commit b63765f; all with
 Python 3.11, numpy 2.4 and OpenBLAS on x86-64, and the same with 1 or 2
 OpenBLAS threads.  A change that claims to leave outputs unchanged must
 keep these exact bits: peaks as `float.hex` of (t_fermion, p_fermion,
@@ -40,6 +41,30 @@ PEAKS = {
               "0x1.7248d5a3efb28p+18", "0x1.fb056689d1fcbp-1"),
     (2, 102): ("0x1.e31ae95fde40bp+15", "0x1.fccae56430397p-1",
                "0x1.e317eba6fdf36p+15", "0x1.fcca6bda8a565p-1"),
+    # the rest of the fixed part of the benchmark's `peak_sweep` round
+    # (n_s 2-4 x n_w = 20l+1), added at commit b63765f
+    (2, 21): ("0x1.f0e0c491eb716p+15", "0x1.ff0c92b2398fdp-1",
+              "0x1.f0e315421ea71p+15", "0x1.ff0af5ed7ba6cp-1"),
+    (2, 61): ("0x1.ddb46ade41debp+15", "0x1.fd0f1943d9b28p-1",
+              "0x1.ddb1d1d2e35bfp+15", "0x1.fd0ea7a5c4e69p-1"),
+    (2, 81): ("0x1.ebc5fa0bfc3f0p+15", "0x1.fd93aef8f8368p-1",
+              "0x1.ebc82bbb079a6p+15", "0x1.fd92d152c7d59p-1"),
+    (2, 101): ("0x1.431e34d023eebp+12", "0x1.fe4f012ddcb7bp-1",
+               "0x1.432f744305413p+12", "0x1.fe4ecd6db3bfap-1"),
+    (3, 21): ("0x1.5a014ca74d0f1p+17", "0x1.ff7122b3f8cb2p-1",
+              "0x1.59ff8a1a7bfbep+17", "0x1.ff6bdf0232577p-1"),
+    (3, 61): ("0x1.5c8bf37bcce8cp+17", "0x1.fe90952be0c5ap-1",
+              "0x1.5c8ca2c898d5fp+17", "0x1.fe8e74e0374b5p-1"),
+    (3, 81): ("0x1.61a91eebecf81p+17", "0x1.fdc6852b15e4cp-1",
+              "0x1.61a49b11a1035p+17", "0x1.fdbb9f3e44438p-1"),
+    (3, 101): ("0x1.55c2e54abbb0fp+17", "0x1.fb82e5f4f8b16p-1",
+               "0x1.55c37d9120866p+17", "0x1.fb8221292a4a7p-1"),
+    (4, 21): ("0x1.6df8bdce2e58ap+18", "0x1.fc4f0dad62f3dp-1",
+              "0x1.6df88cf515e15p+18", "0x1.fb68647fae1eap-1"),
+    (4, 41): ("0x1.6f213363c9058p+18", "0x1.fc9255d69f1afp-1",
+              "0x1.6f2ad56b01d48p+18", "0x1.fa795795cb6cbp-1"),
+    (4, 61): ("0x1.702353d40dfe0p+18", "0x1.fc94f5a03796cp-1",
+              "0x1.7027b9ba2c888p+18", "0x1.f9e8894a1bcbfp-1"),
 }
 
 STDOUT_SHA256 = {

@@ -218,6 +218,30 @@ def test_ratio_diagnostics_empty_for_single_block():
     assert ratio_diagnostics(ChainSpec(n_s=1, n_w=5, j0=0.01)) == []
 
 
+def test_report_at_a_ratio_coupling_decomposes_each_coupling_once(monkeypatch):
+    # J0 = 1e-3 is the coarse ratio coupling: the report's own clusters
+    # serve that probe, so only the fine probe builds another chain
+    from ppxfer import perturbation
+
+    spec = ChainSpec(n_s=3, n_w=41, j0=1e-3)
+    want = ratio_diagnostics(spec)
+    built = []
+    original = perturbation.decompose_chain
+
+    def recorder(chain):
+        built.append(chain.j0)
+        return original(chain)
+
+    monkeypatch.setattr(perturbation, "decompose_chain", recorder)
+    report = perturbation_report(spec)
+    assert built == [1e-3, 1e-4]
+    assert len(report.ratios) == len(want) == 1
+    for got, ref in zip(report.ratios, want):
+        assert got.name == ref.name
+        for field in ("value", "value_coarse", "error"):
+            assert getattr(got, field).hex() == getattr(ref, field).hex(), field
+
+
 def test_envelope_resonant_class_is_quartic_sine():
     spec = ChainSpec(n_s=3, n_w=41, j0=0.01)
     dec = decompose_chain(spec)
