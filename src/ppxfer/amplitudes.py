@@ -128,12 +128,40 @@ def propagator_block(dec: SpectralDecomposition, rows, cols, times) -> np.ndarra
     scaled = np.empty((len(phases), n_rows, dec.n), dtype=complex)
     for part in parts:
         k = len(times[part])
-        np.multiply(left, dec._phases(times[part], phases[:k])[:, None, :], out=scaled[:k])
+        np.multiply(left, _phases(dec, times[part], phases[:k])[:, None, :], out=scaled[:k])
         if fold:
             np.matmul(scaled[:k].reshape(-1, dec.n), right, out=out[part].reshape(-1, n_cols))
         else:
             np.matmul(scaled[:k], right, out=out[part])
     return out[0] if scalar else out
+
+
+def _phases(dec: SpectralDecomposition, times: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """exp(-i (w_k + h) t) for every level and each time of a checked 1-D
+    array, written into out (T, N), exact-conjugate over +/- pairs.
+
+    Every row has the same per-element arithmetic, so a row's bits do not
+    depend on the other times.  When the bare levels pair exactly, exp is
+    evaluated on the upper half only (the middle zero level included) and
+    the lower half is its reversed conjugate: the same bits as the direct
+    expression, whose sin/cos are odd/even bitwise, once the -0.0
+    imaginary parts that conj makes at t = 0 are turned back into +0.0.
+    Every step runs in place in out: the same ufuncs, the same bits.
+    """
+    t = times[:, None]
+    w = dec.bare_eigenvalues
+    if dec._paired:
+        half = len(w) // 2
+        upper = out[..., half:]
+        np.exp(np.multiply(-1j * w[half:], t, out=upper), out=upper)
+        lower = out[..., :half]
+        np.conjugate(out[..., len(w) - half:][..., ::-1], out=lower)
+        lower.imag += 0.0
+    else:
+        np.exp(np.multiply(-1j * w, t, out=out), out=out)
+    if dec.offset:
+        out *= np.exp(-1j * dec.offset * t)
+    return out
 
 
 def _block_weight(dec: SpectralDecomposition, rows: np.ndarray, cols: np.ndarray,

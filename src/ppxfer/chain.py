@@ -23,7 +23,8 @@ WEAK_COUPLING_LIMIT = 0.1
 
 class NumericalConsistencyError(RuntimeError):
     """A computed value failed a numerical check: a probability was non-finite
-    or left [0, 1] beyond tolerance, or the eigensolver did not converge."""
+    or left [0, 1] beyond tolerance, or the eigensolver did not converge,
+    broke down or did not resolve a mirror chain's parities."""
 
 
 def _size(name: str, value, low: int = 1, high: int | None = None) -> int:
@@ -141,7 +142,7 @@ class ChainSpec:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CouplingProfile:
     """Physical couplings J_i (length N-1) and on-site energies (length N),
     all finite: twice the off-diagonal and the diagonal of the chain matrix."""

@@ -36,8 +36,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .chain import (ChainSpec, CouplingProfile, NumericalConsistencyError, _size, _times,
-                    build_profile)
+from .chain import ChainSpec, CouplingProfile, NumericalConsistencyError, _size, build_profile
 
 MACHEP = 2.0 ** -52
 MAX_SWEEPS = 30
@@ -62,7 +61,7 @@ class _Rotations(NamedTuple):
     mirror: bool
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpectralDecomposition:
     """Eigenvalues ascending; eigenvector k in column k of `eigenvectors`.
 
@@ -70,12 +69,13 @@ class SpectralDecomposition:
     persymmetric matrix and 0 when the input had no mirror symmetry.
 
     `bare_eigenvalues` are the eigenvalues less the uniform on-site term
-    `offset` (0 unless `decompose_chain` peeled one off).  For a chain those
-    are the exact levels of the zero-diagonal hopping part, which come in
+    `offset` (0 unless `decompose_chain` peeled one off), and `eigenvalues`
+    is derived from them on first read.  For a chain the bare levels are
+    the exact levels of the zero-diagonal hopping part, which come in
     exact +/- pairs.  Folding the offset into each level before multiplying
     by t would round each level differently and break that pairing by
-    ~ulp(offset), an error the propagator phases amplify linearly in t;
-    `phases` therefore applies the offset as one global factor instead.
+    ~ulp(offset), an error the propagator phases amplify linearly in t; the
+    kernel (`amplitudes`) therefore applies the offset as one global factor.
 
     The levels are computed eagerly; `eigenvectors` and `parities` are built
     on the first read of either, from the rotation record `_rotations` that
@@ -88,10 +88,13 @@ class SpectralDecomposition:
     first read (as in `decompose_chain`) and raises AttributeError after.
     """
 
-    eigenvalues: np.ndarray
     bare_eigenvalues: np.ndarray
-    _rotations: _Rotations = field(repr=False, compare=False)
+    _rotations: _Rotations = field(repr=False)
     offset: float = 0.0
+
+    @cached_property
+    def eigenvalues(self) -> np.ndarray:
+        return self.bare_eigenvalues + self.offset
 
     @cached_property
     def eigenvectors(self) -> np.ndarray:
@@ -115,49 +118,13 @@ class SpectralDecomposition:
 
     @property
     def n(self) -> int:
-        return len(self.eigenvalues)
+        return len(self.bare_eigenvalues)
 
     @cached_property
     def _paired(self) -> bool:
         """Whether the bare levels are exact +/- pairs, w_k = -w_{N-1-k}."""
         w = self.bare_eigenvalues
         return bool(np.array_equal(w, -w[::-1]))
-
-    def phases(self, t) -> np.ndarray:
-        """exp(-i w_k t) for all levels: (N,) for a scalar t, (T, N) for a
-        time array (`chain._times`)."""
-        times, scalar = _times(t)
-        base = self._phases(times)
-        return base[0] if scalar else base
-
-    def _phases(self, times: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """`phases` of a checked 1-D time array, exact-conjugate over +/- pairs.
-
-        Every row has the same per-element arithmetic, so row k is bitwise
-        phases(times[k]).  When the bare levels pair exactly, exp is
-        evaluated on the upper half only (the middle zero level included)
-        and the lower half is its reversed conjugate: the same bits as the
-        direct expression, whose
-        sin/cos are odd/even bitwise, once the -0.0 imaginary parts that
-        conj makes at t = 0 are turned back into the direct +0.0.
-        Written into `out` when given (`propagator_block`'s per-call
-        scratch), with every step in place: the same ufuncs, the same bits.
-        """
-        t = times[:, None]
-        w = self.bare_eigenvalues
-        base = np.empty((len(times), len(w)), dtype=complex) if out is None else out
-        if self._paired:
-            half = len(w) // 2
-            upper = base[..., half:]
-            np.exp(np.multiply(-1j * w[half:], t, out=upper), out=upper)
-            lower = base[..., :half]
-            np.conjugate(base[..., len(w) - half:][..., ::-1], out=lower)
-            lower.imag += 0.0
-        else:
-            np.exp(np.multiply(-1j * w, t, out=base), out=base)
-        if self.offset:
-            base *= np.exp(-1j * self.offset * t)
-        return base
 
 
 def _ql_implicit(d: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, array, array]:
@@ -278,6 +245,13 @@ def _eigenbasis(rotations: _Rotations, w: np.ndarray) -> tuple[np.ndarray, np.nd
     z = _apply_rotations(len(w), rotations.sweeps, rotations.factors)[:, rotations.order]
     if rotations.mirror:
         parities = _purify_parity(z)
+        # a mirror chain of N sites has exactly ceil(N/2) even eigenvectors
+        even, expected = np.count_nonzero(parities > 0), (len(w) + 1) // 2
+        if even != expected:
+            raise NumericalConsistencyError(
+                f"eigensolver did not resolve the mirror parities: {even} of {len(w)} "
+                f"eigenvectors came out even, not {expected}"
+            )
     else:
         parities = np.zeros(len(w))
     _reorthogonalize_clusters(w, z)
@@ -325,7 +299,14 @@ def diagonalize(profile: CouplingProfile) -> SpectralDecomposition:
     """Spectrum of the chain matrix with `profile.onsite` on the diagonal
     and `profile.hop / 2` off it; the eigenvectors wait for their first
     read (see `SpectralDecomposition`)."""
-    d, sweeps, factors = _ql_implicit(profile.onsite, profile.hop / 2.0)
+    try:
+        d, sweeps, factors = _ql_implicit(profile.onsite, profile.hop / 2.0)
+    except ZeroDivisionError as exc:
+        # products of a tiny coupling underflowed to f = g = 0 in a Givens rotation
+        raise NumericalConsistencyError(
+            "tridiagonal QL broke down: division by zero in a Givens rotation "
+            "(products of a coupling underflowed)"
+        ) from exc
     order = np.argsort(d, kind="stable")
     w = d[order]
 
@@ -338,7 +319,7 @@ def diagonalize(profile: CouplingProfile) -> SpectralDecomposition:
         w = 0.5 * (w - w[::-1])
 
     rotations = _Rotations(sweeps, factors, order, profile.is_mirror_symmetric())
-    return SpectralDecomposition(eigenvalues=w, bare_eigenvalues=w, _rotations=rotations)
+    return SpectralDecomposition(bare_eigenvalues=w, _rotations=rotations)
 
 
 def decompose_chain(spec: ChainSpec) -> SpectralDecomposition:
@@ -351,7 +332,7 @@ def decompose_chain(spec: ChainSpec) -> SpectralDecomposition:
     """
     profile = build_profile(spec)
     bare = diagonalize(CouplingProfile(hop=profile.hop, onsite=profile.onsite - spec.h))
-    return replace(bare, eigenvalues=bare.eigenvalues + spec.h, offset=spec.h)
+    return replace(bare, offset=spec.h)
 
 
 def wire_spectrum(n_w: int, h: float = 0.0) -> np.ndarray:

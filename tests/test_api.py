@@ -95,7 +95,6 @@ ARGUMENTS = {
     "site": lambda spec, dec: spec.n_sites,
 }
 INSTANCES = {
-    "SpectralDecomposition": lambda spec, dec: dec,
     "SubmatrixEvaluator": lambda spec, dec: ppxfer.SubmatrixEvaluator(dec, spec.n_s),
 }
 
@@ -120,10 +119,9 @@ def call_with_time(func, time_name, spec, dec, t):
 def test_the_time_registry_sees_the_public_time_arguments():
     labels = {label for label, _, _ in TIME_CALLABLES}
     assert {"propagator_block", "SubmatrixEvaluator.submatrix", "SubmatrixEvaluator.p_fermion",
-            "SubmatrixEvaluator.p_boson", "SpectralDecomposition.phases", "occupation",
-            "occupation_profile", "magnetization_receiver", "interaction_energy",
-            "switching_energy", "envelope", "oracle_transfer_prob",
-            "oracle_occupation"} == labels
+            "SubmatrixEvaluator.p_boson", "occupation", "occupation_profile",
+            "magnetization_receiver", "interaction_energy", "switching_energy", "envelope",
+            "oracle_transfer_prob", "oracle_occupation"} == labels
 
 
 @pytest.mark.parametrize("label, func, time_name", TIME_CALLABLES,

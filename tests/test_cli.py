@@ -409,6 +409,24 @@ def test_eigensolver_non_convergence_exits_with_the_numeric_code(monkeypatch, ca
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command", ["spectrum", "transfer"])
+def test_eigensolver_underflow_exits_with_the_numeric_code(capsys, command):
+    # products of the junction hop underflow to zero in a Givens rotation of the QL
+    code, out, err = run_cli(capsys, [command, "--ns", "1", "--nw", "5", "--j0", "1e-200"])
+    assert code == EXIT_NUMERIC
+    assert out == ""
+    assert err.startswith("error: tridiagonal QL broke down")
+    assert err.count("\n") == 1
+
+
+def test_unresolved_mirror_parities_exit_with_the_numeric_code(capsys):
+    code, out, err = run_cli(capsys, ["spectrum", "--ns", "2", "--nw", "6", "--j0", "1e-16"])
+    assert code == EXIT_NUMERIC
+    assert out == ""
+    assert err == ("error: eigensolver did not resolve the mirror parities: "
+                   "7 of 10 eigenvectors came out even, not 5\n")
+
+
 def test_transfer_boson_column_only(capsys):
     argv = ["transfer", "--ns", "1", "--nw", "4", "--j0", "0.1", "--tmax", "20", "--samples", "5"]
     columns = {}
