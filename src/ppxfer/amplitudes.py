@@ -16,10 +16,11 @@ chunks of about CHUNK_ELEMENTS complex numbers, one matrix product per
 chunk, and `fermion_prob` /
 `boson_prob` reduce a whole stack at once.  The battery samples need only
 sum |F_ab|^2 over one block, which `_block_weight` takes from the
-sublattice real form, with no complex block.  The golden polish evaluates
-each probe it has not seen together with every probe of its next
-GOLDEN_LOOKAHEAD iterations in one array call, and returns the bits of a
-one-probe-at-a-time search.
+sublattice real form, with no complex block and with its time chunks
+spread over one thread per usable CPU (the only threads this package
+starts).  The golden polish evaluates each probe it has not seen together
+with every probe of its next GOLDEN_LOOKAHEAD iterations in one array
+call, and returns the bits of a one-probe-at-a-time search.
 
 The dense window sweep is the one place a surrogate is allowed:
 `propagator_grid` builds real blocks M of a uniform grid in the sublattice
@@ -39,6 +40,8 @@ unpaired decomposition gets no surrogate (every point is evaluated).
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,7 +53,12 @@ from . import perturbation
 DET_DIM_CAP = 64
 PERM_DIM_CAP = 12
 PROB_TOL = 1e-9
-CHUNK_ELEMENTS = 1 << 13            # complex numbers per time chunk of a batched product
+CHUNK_ELEMENTS = 1 << 13            # entries per time chunk of a batched product
+# `_block_weight`'s chunks, which run on worker threads.  At 2^13 reals a
+# ufunc pass is too short to cover the GIL hand-over: two threads ran a
+# battery round at 1.12 of one, against 0.85 at 2^14.  2^15 (0.75) cost
+# 3.6 MB of peak memory against 1.4 MB at 2^14 (BENCH_29.json).
+WEIGHT_CHUNK_ELEMENTS = 1 << 14
 UNIT_ROUNDOFF = 2.0 ** -53          # float64 round-to-nearest relative error
 # pi/2 as fdlibm's pio2_1 + pio2_2 + pio2_2t; the first two have 31 significant bits
 PIO2_PARTS = (1.5707963267341256, 6.077100506303966e-11, 2.0222662487959506e-21)
@@ -167,7 +175,8 @@ def _phases(dec: SpectralDecomposition, times: np.ndarray, out: np.ndarray) -> n
 def _block_weight(dec: SpectralDecomposition, rows: np.ndarray, cols: np.ndarray,
                   times: np.ndarray) -> np.ndarray:
     """sum_ab |F_ab(t)|^2 over the block rows x cols (0-based site arrays)
-    for each time of a checked 1-D array, from the sublattice real form.
+    for each time of a checked, non-empty 1-D array, from the sublattice
+    real form.
 
     Precondition: `dec` is the decomposition of a `ChainSpec` chain, whose
     bare diagonal is zero once `decompose_chain` peels h off as `offset`.
@@ -187,10 +196,19 @@ def _block_weight(dec: SpectralDecomposition, rows: np.ndarray, cols: np.ndarray
     purely imaginary: the chain's hopping energies vanish exactly.
 
     The pair products 2 V_ak V_bk are formed once per class.  Each time
-    chunk takes cos and sin of t w_k on the N/2 positive levels from
-    `_cos_sin` (within about 2 ulp), one real product per class, and sums
-    the squares, into scratch allocated once per call and sized by the
-    (T_chunk, N/2) trig tables, like `propagator_block`'s (README, Numerical notes).
+    chunk (`_weight_chunks`) takes cos and sin of t w_k on the N/2
+    positive levels from `_cos_sin` (within about 2 ulp; a chunk whose
+    angles all stay below REDUCTION_CAP quarter turns skips the libm
+    branch), one real product per class, and sums the squares.  The
+    chunks run in contiguous groups, one per CPU this process may use
+    (`_chunk_groups`): every group but the last on a worker thread, the
+    last (which holds a lone last time) in the calling thread.  Each group
+    has scratch of its own, sized by the (T_chunk, N/2) trig tables and
+    allocated once per call (README, Numerical notes), and writes only its
+    own times.  Every worker is joined before the return, and an exception
+    in any group is raised here.  Every numpy pass releases the GIL, so
+    the groups overlap.  A time's arithmetic does not depend on its chunk
+    or group, so the bits are those of one serial pass.
     """
     if not dec._paired:
         raise ValueError("the real form needs a decomposition whose bare levels pair "
@@ -203,32 +221,93 @@ def _block_weight(dec: SpectralDecomposition, rows: np.ndarray, cols: np.ndarray
     cos_pairs, sin_pairs = pairs[even].T, pairs[~even].T
     n_even = cos_pairs.shape[1]
     middle = dec.eigenvectors[:, half]
-    zero_level = (middle[rows][:, None] * middle[cols][None, :])[even] if dec.n % 2 else 0.0
-    # one slot past the grid, for a lone last time run as two
-    weight = np.empty(len(times) + 1)
-    parts = time_chunks(len(times), max(even.size, half))
+    zero_level = (middle[rows][:, None] * middle[cols][None, :])[even] if dec.n % 2 else None
+    weight = np.empty(len(times))
+    parts = _weight_chunks(len(times), even.size, dec.n)
     size = max(2, len(times[parts[0]]))
-    angles, cos, sin, *work = np.empty((6, size, half))
-    work += [np.empty((size, half), dtype=np.intp), np.empty((size, half), dtype=bool)]
-    values = np.empty((size, even.size))
-    for part in parts:
-        # A correctness condition, like `propagator_block`'s fold: the
-        # products of one row go to dot/gemv, which round otherwise than the
-        # gemm of a longer chunk, so a lone time is broadcast to two rows.
-        k = max(2, len(times[part]))
-        np.multiply(times[part, None], levels, out=angles[:k])
-        _cos_sin(angles[:k], cos[:k], sin[:k], *(w[:k] for w in work))
-        np.matmul(cos[:k], cos_pairs, out=values[:k, :n_even])
-        np.matmul(sin[:k], sin_pairs, out=values[:k, n_even:])
-        values[:k, :n_even] += zero_level
-        np.square(values[:k], out=values[:k])
-        np.sum(values[:k], axis=1, out=weight[part.start:part.start + k])
-    return weight[:-1]
+
+    def run(group: list[slice], buffers: tuple) -> None:
+        angles, cos, sin, *work, values, sums = buffers
+        for part in group:
+            span = times[part]
+            # A correctness condition, like `propagator_block`'s fold: the
+            # products of one row go to dot/gemv, which round otherwise than
+            # the gemm of a longer chunk, so a lone time is broadcast to two
+            # rows (and summed as two, so that its row sum has a chunk's shape).
+            k = max(2, len(span))
+            np.multiply(span[:, None], levels, out=angles[:k])
+            # at least every |angle|, since rounding is monotone
+            reach = float(np.max(np.abs(span))) * float(levels[-1])
+            _cos_sin(angles[:k], reach, cos[:k], sin[:k], *(w[:k] for w in work))
+            np.matmul(cos[:k], cos_pairs, out=values[:k, :n_even])
+            np.matmul(sin[:k], sin_pairs, out=values[:k, n_even:])
+            if zero_level is not None:
+                # (even N has none: adding 0.0 would only turn -0.0 into
+                # +0.0, which the square does anyway)
+                values[:k, :n_even] += zero_level
+            np.square(values[:k], out=values[:k])
+            np.sum(values[:k], axis=1, out=sums[:k])
+            # the chunk's own times only: a lone time's second row would
+            # land on the next group's first time
+            weight[part] = sums[:len(span)]
+
+    errors = []
+
+    def guarded(group: list[slice], buffers: tuple) -> None:
+        try:
+            run(group, buffers)
+        except BaseException as exc:  # raised again in the calling thread
+            errors.append(exc)
+
+    *others, last = _chunk_groups(parts)
+    # One block per scratch kind for all groups, from the calling thread.
+    # glibc serves a block above its mmap threshold by mmap and, once it is
+    # freed, raises its thresholds to that size, so the next call's block
+    # comes from the heap and keeps its pages.  With a block per group (or
+    # scratch from a worker's own arena) the freed heap top passed the trim
+    # threshold and every call faulted about 350 pages back in, against 2.
+    count = len(others) + 1
+    buffers = list(zip(*np.empty((6, count, size, half)),
+                       np.empty((count, size, half), dtype=np.intp),
+                       np.empty((count, size, half), dtype=bool),
+                       np.empty((count, size, even.size)), np.empty((count, size))))
+    workers = []
+    try:
+        for group, own in zip(others, buffers):
+            worker = threading.Thread(target=guarded, args=(group, own))
+            worker.start()
+            workers.append(worker)
+        run(last, buffers[-1])
+    finally:
+        for worker in workers:
+            worker.join()
+    if errors:
+        raise errors[0]
+    return weight
 
 
-def _cos_sin(theta, cos, sin, q, aux, tmp, quadrant, above) -> None:
+def _weight_chunks(n_times: int, block_size: int, n: int) -> list[slice]:
+    """`_block_weight`'s time chunks for a block of block_size site pairs
+    on an n-site chain, each time point counted as max(block_size, n/2)
+    reals; the one plan its tests take chunk boundaries from."""
+    return time_chunks(n_times, max(block_size, n // 2), WEIGHT_CHUNK_ELEMENTS)
+
+
+def _chunk_groups(parts: list[slice]) -> list[list[slice]]:
+    """parts in contiguous groups of near-equal count, one per CPU this
+    process may run on (its affinity mask where the OS has one, else the
+    machine's CPU count) and at most one per part; the last group ends
+    with the last part."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
+    count = min(cpus, len(parts))
+    return [parts[len(parts) * g // count:len(parts) * (g + 1) // count] for g in range(count)]
+
+
+def _cos_sin(theta, reach, cos, sin, q, aux, tmp, quadrant, above) -> None:
     """cos and sin of theta into cos and sin from one Cody-Waite reduction
-    (Cody & Waite 1980); the rest is scratch of theta's shape.
+    (Cody & Waite 1980); reach is a float with |theta| <= reach for every
+    element, and the rest is scratch of theta's shape.
 
     q = rint(2 theta/pi), r = ((theta - q P1) - q P2) - q P3 (PIO2_PARTS):
     for |q| < REDUCTION_CAP, q P1, q P2 and theta - q P1 (Sterbenz) are
@@ -238,10 +317,17 @@ def _cos_sin(theta, cos, sin, q, aux, tmp, quadrant, above) -> None:
     within about 2 ulp after the exact quarter turn (a, b) = (cos, sin) of
     q pi/2: cos theta = a c - b s, sin theta = b c + a s.  Where |q| >=
     REDUCTION_CAP libm's bits are kept: each element depends on its angle only.
+
+    Rounding and rint are monotone and odd, so every |q| is at most
+    q* = rint(fl(reach (2/pi))).  When q* < REDUCTION_CAP no element takes
+    the libm branch, and its five passes (abs, the cap test, the copy and
+    the two masked libm calls), which would change nothing, are skipped.
     """
     np.rint(np.multiply(theta, 2.0 / np.pi, out=q), out=q)
-    np.greater_equal(np.abs(q, out=aux), REDUCTION_CAP, out=above)
-    np.copyto(q, 0.0, where=above)
+    fallback = np.rint(reach * (2.0 / np.pi)) >= REDUCTION_CAP
+    if fallback:
+        np.greater_equal(np.abs(q, out=aux), REDUCTION_CAP, out=above)
+        np.copyto(q, 0.0, where=above)
     np.bitwise_and(q, 3, out=quadrant, dtype=np.intp, casting="unsafe")
     np.subtract(theta, np.multiply(q, PIO2_PARTS[0], out=aux), out=sin)
     for part in PIO2_PARTS[1:]:
@@ -253,8 +339,9 @@ def _cos_sin(theta, cos, sin, q, aux, tmp, quadrant, above) -> None:
     np.multiply(b, sin, out=tmp)
     np.add(np.multiply(b, cos, out=b), np.multiply(a, sin, out=sin), out=sin)
     np.subtract(np.multiply(a, cos, out=cos), tmp, out=cos)
-    np.cos(theta, out=cos, where=above)
-    np.sin(theta, out=sin, where=above)
+    if fallback:
+        np.cos(theta, out=cos, where=above)
+        np.sin(theta, out=sin, where=above)
 
 
 def _gamma(m: int) -> float:
@@ -378,10 +465,12 @@ def propagator_grid(dec: SpectralDecomposition, rows, cols, times) -> tuple[np.n
     return blocks.reshape(n_times, len(rows), len(cols)), float(bound)
 
 
-def time_chunks(n_times: int, width: int) -> list[slice]:
-    """Consecutive slices of a time axis, each carrying about CHUNK_ELEMENTS
-    complex numbers when every time point carries `width` of them."""
-    step = max(1, CHUNK_ELEMENTS // max(1, width))
+def time_chunks(n_times: int, width: int, elements: int | None = None) -> list[slice]:
+    """Consecutive slices of a time axis, each carrying about `elements`
+    entries (CHUNK_ELEMENTS by default) when every time point carries
+    `width` of them: complex ones in `propagator_block`'s stacks, reals in
+    `propagator_grid`'s tables and `_block_weight`'s."""
+    step = max(1, (elements or CHUNK_ELEMENTS) // max(1, width))
     return [slice(start, start + step) for start in range(0, n_times, step)]
 
 

@@ -17,7 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .chain import ChainSpec, WEAK_COUPLING_LIMIT, _real, _times
+from .chain import ChainSpec, NumericalConsistencyError, WEAK_COUPLING_LIMIT, _real, _times
 from .resonance import Feasibility, pp_feasible, resonant_pairs
 from .spectral import SpectralDecomposition, decompose_chain, sender_spectrum
 
@@ -88,12 +88,27 @@ class PerturbationReport:
 
 
 def find_clusters(dec: SpectralDecomposition, spec: ChainSpec) -> list[LevelCluster]:
-    """Assign chain levels to sender-mode clusters by nearest energy."""
+    """Assign chain levels to sender-mode clusters by nearest energy.
+
+    A cluster's spread is a difference of computed levels, so it means
+    something only above their roundoff.  The QL eigensolve of the bare
+    chain H0 is backward stable: its levels are the exact ones of H0 + E
+    with ||E||_2 <= p(N) u ||H0||_2 (u = 2^-53; each Givens rotation adds a
+    few u ||H0||, p(N) grows modestly with N, and p(N) = N is taken here).
+    By Weyl's inequality each bare level is then within N u ||H0||_2 of an
+    exact one, and ||H0||_2 <= max|omega| because the levels pair
+    (max|omega| = max|bare| + |h|).  Adding the offset h rounds once more,
+    by at most u max|omega|.  A spread at or below twice the sum,
+    (N + 1) eps max|omega| with eps = 2^-52, cannot be told from a zero
+    splitting, and raises NumericalConsistencyError instead of giving a
+    time scale of roundoff.
+    """
     if dec.n != spec.n_sites:
         raise ValueError(f"decomposition has {dec.n} levels, chain has {spec.n_sites} sites")
     resonant_modes = {k for k, _ in resonant_pairs(spec.n_s, spec.n_w)}
     energies = sender_spectrum(spec.n_s, spec.h)
     omega = dec.eigenvalues
+    resolution = (dec.n + 1) * np.finfo(float).eps * float(np.max(np.abs(omega)))
     clusters = []
     claimed: dict[int, int] = {}
     for k in range(1, spec.n_s + 1):
@@ -109,6 +124,10 @@ def find_clusters(dec: SpectralDecomposition, spec: ChainSpec) -> list[LevelClus
                 )
             claimed[level] = k
         spread = float(omega[members[-1]] - omega[members[0]])
+        if spread <= resolution:
+            raise NumericalConsistencyError(
+                f"sender mode {k}: cluster spread {spread:.3g} is within the levels' "
+                f"roundoff ({resolution:.3g}); j0={spec.j0} is too small to resolve it")
         clusters.append(
             LevelCluster(
                 sender_mode=k,

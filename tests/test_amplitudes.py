@@ -2,6 +2,9 @@
 
 import itertools
 import math
+import os
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -25,12 +28,15 @@ from ppxfer.amplitudes import (
     PEAK_POINTS_PER_PERIOD,
     PEAK_WINDOW_PERIODS,
     REDUCTION_CAP,
+    WEIGHT_CHUNK_ELEMENTS,
     _block_weight,
     _certified_argmax,
+    _chunk_groups,
     _checked_prob,
     _cos_sin,
     _golden_max,
     _probability_slack,
+    _weight_chunks,
     _window_max,
     boson_prob,
     fermion_prob,
@@ -39,7 +45,6 @@ from ppxfer.amplitudes import (
     propagator_grid,
     scan_scales,
     single_particle_bound,
-    time_chunks,
 )
 from ppxfer.chain import build_profile
 from ppxfer.observables import interaction_energy, switching_energy
@@ -347,8 +352,8 @@ def test_block_weight_matches_the_complex_kernel(h):
     for n_s, n_w in itertools.product([1, 2, 3, 4], [6, 7]):
         spec = ChainSpec(n_s=n_s, n_w=n_w, j0=0.05, h=h)
         dec = decompose_chain(spec)
-        # the sender-receiver chunk of `_block_weight`, width max(n_s n_r, N/2)
-        chunk = time_chunks(CHUNK_ELEMENTS, max(n_s * n_s, dec.n // 2))[0].stop
+        # the first sender-receiver chunk of `_block_weight`'s own plan
+        chunk = _weight_chunks(WEIGHT_CHUNK_ELEMENTS, n_s * n_s, dec.n)[0].stop
         times = np.linspace(0.0, 2e4, chunk + 1)
         senders, receivers = np.arange(n_s), np.arange(dec.n - n_s, dec.n)
         for rows, cols in ((senders, receivers),
@@ -365,6 +370,74 @@ def test_block_weight_matches_the_complex_kernel(h):
         assert shifted.tobytes() == weight[1:].tobytes(), (n_s, n_w)
 
 
+def sender_receiver_weight(spec, times):
+    dec = decompose_chain(spec)
+    return _block_weight(dec, np.arange(spec.n_s), np.arange(dec.n - spec.n_s, dec.n), times)
+
+
+def test_block_weight_bits_do_not_depend_on_the_worker_count(monkeypatch):
+    # `_block_weight` runs its chunks in one group per CPU the process may
+    # use.  One, two and eight groups (more than the cores of a small host,
+    # under a short switch interval) give the same bytes on a grid whose
+    # chunk and group boundaries fall inside it and whose last chunk is one
+    # time.  Without an affinity mask the machine's CPU count decides.
+    spec = ChainSpec(n_s=3, n_w=9, j0=0.05, h=2.0)
+    step = _weight_chunks(WEIGHT_CHUNK_ELEMENTS, spec.n_s ** 2, spec.n_sites)[0].stop
+    times = np.linspace(0.0, 3e4, 8 * step + 1)
+    parts = _weight_chunks(len(times), spec.n_s ** 2, spec.n_sites)
+    assert len(parts) == 9 and len(range(len(times))[parts[-1]]) == 1
+    weights = {}
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for cpus in (1, 2, 8):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, n=cpus: set(range(n)),
+                                raising=False)
+            groups = _chunk_groups(parts)
+            assert len(groups) == cpus and sum(groups, []) == parts
+            weights[cpus] = sender_receiver_weight(spec, times).tobytes()
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        for count, groups in ((2, 2), (None, 1)):
+            monkeypatch.setattr(os, "cpu_count", lambda n=count: n)
+            assert len(_chunk_groups(parts)) == groups
+        weights["cpu_count"] = sender_receiver_weight(spec, times).tobytes()
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(set(weights.values())) == 1
+
+
+def test_block_weight_skips_libm_only_where_no_angle_of_the_chunk_reaches_the_cap():
+    # One chunk from t = 0 to far above REDUCTION_CAP quarter turns: the
+    # chunk's reach comes from its largest |t|, so the late times keep
+    # libm's bits, those each has alone.  Reduced, they would not.
+    spec = ChainSpec(n_s=2, n_w=6, j0=0.05, h=2.0)
+    times = np.concatenate([[0.0], np.linspace(1e8, 1e8 + 1e3, 9)])
+    weight = sender_receiver_weight(spec, times)
+    for k in range(len(times)):
+        assert sender_receiver_weight(spec, times[k:k + 1]).tobytes() == weight[k:k + 1].tobytes()
+
+
+@pytest.mark.parametrize("failing", ["worker", "caller"])
+def test_block_weight_joins_its_workers_and_raises_their_errors(monkeypatch, failing):
+    # An exception in either thread reaches the caller, and no worker
+    # thread is left running when `_block_weight` returns.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    caller, original = threading.get_ident(), amplitudes._cos_sin
+
+    def cos_sin(*args):
+        if (threading.get_ident() == caller) == (failing == "caller"):
+            raise FloatingPointError(failing)
+        original(*args)
+
+    monkeypatch.setattr(amplitudes, "_cos_sin", cos_sin)
+    spec = ChainSpec(n_s=2, n_w=6, j0=0.05, h=2.0)
+    step = _weight_chunks(WEIGHT_CHUNK_ELEMENTS, spec.n_s ** 2, spec.n_sites)[0].stop
+    before = set(threading.enumerate())
+    with pytest.raises(FloatingPointError, match=failing):
+        sender_receiver_weight(spec, np.linspace(0.0, 1e3, 3 * step))
+    assert set(threading.enumerate()) == before
+
+
 def test_block_weight_refuses_an_unpaired_decomposition():
     # the on-site defect `validate --asymmetry` diagonalises: a nonzero
     # diagonal, so the levels do not pair and the real form does not hold
@@ -378,11 +451,14 @@ def test_block_weight_refuses_an_unpaired_decomposition():
         _block_weight(dec, np.arange(2), np.arange(7, 9), np.array([0.0, 1.0]))
 
 
-def reduced_cos_sin(theta):
-    """`_cos_sin` on a float array, with fresh scratch."""
+def reduced_cos_sin(theta, reach=None):
+    """`_cos_sin` on a float array, with fresh scratch; reach defaults to
+    the largest |theta|."""
     theta = np.asarray(theta, dtype=float)
+    if reach is None:
+        reach = float(np.max(np.abs(theta)))
     scratch = [np.empty_like(theta) for _ in range(5)]
-    _cos_sin(theta, *scratch, np.empty(theta.shape, dtype=np.intp),
+    _cos_sin(theta, reach, *scratch, np.empty(theta.shape, dtype=np.intp),
              np.empty(theta.shape, dtype=bool))
     return scratch[0], scratch[1]
 
@@ -401,6 +477,12 @@ def test_reduced_cos_sin_matches_libm():
     cos, sin = reduced_cos_sin(below)
     assert np.max(np.abs(cos - np.cos(below))) <= 2 * eps
     assert np.max(np.abs(sin - np.sin(below))) <= 2 * eps
+    # Where the reach rules the libm branch out, its passes are skipped;
+    # running them anyway (an infinite reach) gives the same bytes.
+    inside = below[np.rint(np.abs(below) * (2.0 / np.pi)) < REDUCTION_CAP]
+    assert np.rint(np.max(np.abs(inside)) * (2.0 / np.pi)) == REDUCTION_CAP - 1
+    for full, skipped in zip(reduced_cos_sin(inside, reach=np.inf), reduced_cos_sin(inside)):
+        assert full.tobytes() == skipped.tobytes()
     cos, sin = reduced_cos_sin([0.0])
     assert (cos[0], sin[0]) == (1.0, 0.0) and not np.signbit(sin[0])
     above = rng.uniform(span, 1e8, 1000)

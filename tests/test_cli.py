@@ -427,6 +427,16 @@ def test_unresolved_mirror_parities_exit_with_the_numeric_code(capsys):
                    "7 of 10 eigenvectors came out even, not 5\n")
 
 
+def test_roundoff_splittings_exit_with_the_numeric_code(capsys):
+    # at J0 = 1e-20 both clusters of (2,5) come out 1.5 ulp wide: roundoff,
+    # not a splitting whose Rabi period could be a transfer time
+    code, out, err = run_cli(capsys, ["perturbation", "--ns", "2", "--nw", "5", "--j0", "1e-20"])
+    assert code == EXIT_NUMERIC
+    assert out == ""
+    assert err.startswith("error: sender mode 1: cluster spread ")
+    assert err.count("\n") == 1
+
+
 def test_transfer_boson_column_only(capsys):
     argv = ["transfer", "--ns", "1", "--nw", "4", "--j0", "0.1", "--tmax", "20", "--samples", "5"]
     columns = {}

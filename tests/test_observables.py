@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from ppxfer import ChainSpec, occupation_profile
-from ppxfer.amplitudes import REDUCTION_CAP, time_chunks
+from ppxfer.amplitudes import REDUCTION_CAP, WEIGHT_CHUNK_ELEMENTS, _weight_chunks
 from ppxfer.chain import CouplingProfile, build_profile
 from ppxfer.observables import (
     battery_metrics,
@@ -228,11 +228,13 @@ def test_battery_grid_matches_point_by_point_observables():
     # chunk boundary must equal the single-time observables.
     spec = ChainSpec(n_s=2, n_w=6, j0=0.05, h=2.0)
     dec = decompose_chain(spec)
-    grid = np.linspace(0.0, 4e4, 5000)
+    # three and a half chunks of `_block_weight`'s own plan
+    step = _weight_chunks(WEIGHT_CHUNK_ELEMENTS, spec.n_s ** 2, dec.n)[0].stop
+    grid = np.linspace(0.0, 4e4, 7 * step // 2)
+    cut = len(grid) // 2
     rep = battery_metrics(spec, grid)
-    # the chunks of `_block_weight`, whose width is max(n_s n_r, N/2)
-    starts = [part.start for part in time_chunks(len(grid), max(spec.n_s ** 2, dec.n // 2))]
-    assert len(starts) > 2 and 2500 not in starts
+    starts = [part.start for part in _weight_chunks(len(grid), spec.n_s ** 2, dec.n)]
+    assert len(starts) > 2 and cut not in starts
     for k in {0, len(grid) - 1, *(b + d for b in starts[1:] for d in (-1, 0, 1))}:
         t = float(grid[k])
         e_onsite = spec.h * magnetization_receiver(spec, t, dec)
@@ -242,7 +244,7 @@ def test_battery_grid_matches_point_by_point_observables():
         assert abs(switching_energy(spec, t, dec)) <= 1e-10
     # Every chunk reuses one receiver-block buffer: a grid split off the
     # chunk boundaries gives the same bytes, half by half.
-    halves = [battery_metrics(spec, grid[:2500]), battery_metrics(spec, grid[2500:])]
+    halves = [battery_metrics(spec, grid[:cut]), battery_metrics(spec, grid[cut:])]
     for name in ("e_b", "e_hop", "delta_e_sw"):
         split = np.concatenate([getattr(half, name) for half in halves])
         assert split.tobytes() == getattr(rep, name).tobytes(), name
@@ -277,21 +279,27 @@ def test_battery_real_form_matches_the_magnetization_on_a_long_grid():
 
 def test_battery_across_the_reduction_cap():
     """Angles w_k t that straddle REDUCTION_CAP quarter turns, where the real
-    form's cos and sin pass from the reduction to libm level by level: each
-    sample has its grid bytes alone and in a shifted grid (around every
-    level's crossing and on both sides of the chunk boundary), and E_B
-    stays within 2 n_s^2 N t eps h of the complex kernel's magnetization."""
+    form's cos and sin pass from the reduction to libm level by level, and
+    a first chunk whose angles all stay below it, which skips the libm
+    passes: each sample has its grid bytes alone and in a shifted grid
+    (around every level's crossing and on both sides of each chunk
+    boundary), and E_B stays within 2 n_s^2 N t eps h of the complex
+    kernel's magnetization."""
     spec = ChainSpec(n_s=2, n_w=6, j0=0.05, h=2.0)
     dec = decompose_chain(spec)
-    grid = np.linspace(0.0, 3e6, 2000)
+    # four chunks of `_block_weight`'s own plan and a lone last time
+    step = _weight_chunks(WEIGHT_CHUNK_ELEMENTS, spec.n_s ** 2, dec.n)[0].stop
+    grid = np.linspace(0.0, 3e6, 4 * step + 1)
     levels = dec.bare_eigenvalues[dec.n // 2:]
     quarter_turns = np.rint(np.outer(grid, levels) * (2.0 / np.pi))
     above = quarter_turns[-1] >= REDUCTION_CAP
     assert above.any() and not above.all()
+    starts = [part.start for part in _weight_chunks(len(grid), spec.n_s ** 2, dec.n)]
+    assert np.max(quarter_turns[:starts[1]]) < REDUCTION_CAP
     rep = battery_metrics(spec, grid)
     crossings = np.argmax(quarter_turns[:, above] >= REDUCTION_CAP, axis=0)
-    chunk = time_chunks(len(grid), max(spec.n_s ** 2, dec.n // 2))[1].start
-    for k in {*crossings, *(crossings - 1), chunk - 1, chunk, *range(0, len(grid), 50)}:
+    edges = {b + d for b in starts[1:] for d in (-1, 0)}
+    for k in {*crossings, *(crossings - 1), *edges, *range(0, len(grid), len(grid) // 40)}:
         alone = battery_metrics(spec, grid[k:k + 1])
         assert alone.e_b.tobytes() == rep.e_b[k:k + 1].tobytes(), k
     assert battery_metrics(spec, grid[1:]).e_b.tobytes() == rep.e_b[1:].tobytes()
