@@ -13,35 +13,35 @@ Every grid (scan, coarse pass, window sweep, battery samples) is evaluated
 in array calls along the time axis, not one time point at a time:
 `propagator_block` builds the (T, rows, cols) stack of propagator blocks in
 chunks of about CHUNK_ELEMENTS complex numbers, one matrix product per
-chunk, and `fermion_prob` /
-`boson_prob` reduce a whole stack at once.  The battery samples need only
-sum |F_ab|^2 over one block, which `_block_weight` takes from the
-sublattice real form, with no complex block and with its time chunks
-spread over one thread per usable CPU (the only threads this package
-starts).  The golden polish evaluates each probe it has not seen together
-with every probe of its next GOLDEN_LOOKAHEAD iterations in one array
-call, and returns the bits of a one-probe-at-a-time search.
+chunk, and `fermion_prob` / `boson_prob` reduce a whole stack at once.  The
+battery samples need only sum |F_ab|^2 over one block, which
+`_block_weight` takes from the sublattice real form (derived in
+`_real_form`), with no complex block and with its time chunks spread over
+one thread per usable CPU (the only threads this package starts).  The
+golden polish evaluates each probe it has not seen together with every
+probe of its next GOLDEN_LOOKAHEAD iterations in one array call, and
+returns the bits of a one-probe-at-a-time search.
 
 The dense window sweep is the one place a surrogate is allowed:
 `propagator_grid` builds real blocks M of a uniform grid in the sublattice
-real form (F = exp(-i h t) diag((-i)^a) M diag(i^b) on a paired
-decomposition), from anchor and shift cos/sin tables combined by angle
-addition (about 2 sqrt(T) cos and sin per positive level instead of T),
-and returns a rigorous bound on their distance from `propagator_block`'s
-values.  |det M| and |perm M| are those of F, so the surrogate
-probabilities are det(M)^2 through LAPACK and Ryser on the real M.  They
-only choose which grid points `propagator_block` evaluates: every point
-whose bounded surrogate probability could reach the maximum is evaluated
-exactly, so the sweep's maximum, its index and everything after it are
-those of an exact sweep.  No surrogate value is ever returned, and an
-unpaired decomposition gets no surrogate (every point is evaluated).
+real form of `_real_form` (F = exp(-i h t) diag((-i)^a) M diag(i^b) on a
+paired decomposition), from anchor and shift cos/sin tables combined by
+angle addition (about 2 sqrt(T) cos and sin per positive level instead of
+T), and returns a rigorous bound on their distance from
+`propagator_block`'s values.  |det M| and |perm M| are those of F, so the
+surrogate probabilities are det(M)^2 through LAPACK and Ryser on the real
+M.  They only choose which grid points `propagator_block` evaluates: every
+point whose bounded surrogate probability could reach the maximum is
+evaluated exactly, so the sweep's maximum, its index and everything after
+it are those of an exact sweep.  No surrogate value is ever returned, and
+an unpaired decomposition gets no surrogate (every point is evaluated).
 """
 
 from __future__ import annotations
 
 import math
 import os
-import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -172,11 +172,9 @@ def _phases(dec: SpectralDecomposition, times: np.ndarray, out: np.ndarray) -> n
     return out
 
 
-def _block_weight(dec: SpectralDecomposition, rows: np.ndarray, cols: np.ndarray,
-                  times: np.ndarray) -> np.ndarray:
-    """sum_ab |F_ab(t)|^2 over the block rows x cols (0-based site arrays)
-    for each time of a checked, non-empty 1-D array, from the sublattice
-    real form.
+def _real_form(dec: SpectralDecomposition, rows: np.ndarray, cols: np.ndarray) -> tuple:
+    """The sublattice real form of the block rows x cols (0-based site
+    arrays): (levels, even, cos_pairs, sin_pairs, zero_level).
 
     Precondition: `dec` is the decomposition of a `ChainSpec` chain, whose
     bare diagonal is zero once `decompose_chain` peels h off as `offset`.
@@ -195,33 +193,46 @@ def _block_weight(dec: SpectralDecomposition, rows: np.ndarray, cols: np.ndarray
     fall in opposite classes, so a bond product conj(F_sa) F_s,a+1 is
     purely imaginary: the chain's hopping energies vanish exactly.
 
-    The pair products 2 V_ak V_bk are formed once per class.  Each time
-    chunk (`_weight_chunks`) takes cos and sin of t w_k on the N/2
-    positive levels from `_cos_sin` (within about 2 ulp; a chunk whose
-    angles all stay below REDUCTION_CAP quarter turns skips the libm
-    branch), one real product per class, and sums the squares.  The
-    chunks run in contiguous groups, one per CPU this process may use
-    (`_chunk_groups`): every group but the last on a worker thread, the
-    last (which holds a lone last time) in the calling thread.  Each group
-    has scratch of its own, sized by the (T_chunk, N/2) trig tables and
-    allocated once per call (README, Numerical notes), and writes only its
-    own times.  Every worker is joined before the return, and an exception
-    in any group is raised here.  Every numpy pass releases the GIL, so
-    the groups overlap.  A time's arithmetic does not depend on its chunk
-    or group, so the bits are those of one serial pass.
+    levels are the N/2 positive bare levels, ascending; even is the (rows,
+    cols) mask of a + b even; cos_pairs and sin_pairs hold 2 V_ak V_bk of
+    the even and odd entries (rows in the mask's row-major order, columns
+    per level); zero_level, V_a,mid V_b,mid per even entry, is None for even N.
     """
     if not dec._paired:
         raise ValueError("the real form needs a decomposition whose bare levels pair "
                          "exactly (a zero bare diagonal)")
     half = dec.n // 2
     upper = dec.eigenvectors[:, dec.n - half:]
-    levels = dec.bare_eigenvalues[dec.n - half:]
     even = (rows[:, None] + cols[None, :]) % 2 == 0
     pairs = 2.0 * upper[rows][:, None, :] * upper[cols][None, :, :]
-    cos_pairs, sin_pairs = pairs[even].T, pairs[~even].T
-    n_even = cos_pairs.shape[1]
     middle = dec.eigenvectors[:, half]
     zero_level = (middle[rows][:, None] * middle[cols][None, :])[even] if dec.n % 2 else None
+    return dec.bare_eigenvalues[dec.n - half:], even, pairs[even], pairs[~even], zero_level
+
+
+def _block_weight(dec: SpectralDecomposition, rows: np.ndarray, cols: np.ndarray,
+                  times: np.ndarray) -> np.ndarray:
+    """sum_ab |F_ab(t)|^2 over the block rows x cols (0-based site arrays)
+    for each time of a checked, non-empty 1-D array, from the sublattice
+    real form (`_real_form`, whose precondition it shares).
+
+    Each time chunk (`_weight_chunks`) takes cos and sin of t w_k on the
+    N/2 positive levels from `_cos_sin` (within about 2 ulp; a chunk whose
+    angles all stay below REDUCTION_CAP quarter turns skips the libm
+    branch), one real product with the pair products per class, and sums
+    the squares.  The chunks run in contiguous groups, one per CPU this
+    process may use (`_chunk_groups`): every group but the last on a
+    `ThreadPoolExecutor` worker, the last (which holds a lone last time)
+    in the calling thread.  Each group has scratch of its own, sized by
+    the (T_chunk, N/2) trig tables and allocated once per call (README,
+    Numerical notes), and writes only its own times.  Every worker is
+    joined before the return, and an exception in any group is raised
+    here.  Every numpy pass releases the GIL, so the groups overlap.  A
+    time's arithmetic does not depend on its chunk or group, so the bits
+    are those of one serial pass.
+    """
+    levels, even, cos_pairs, sin_pairs, zero_level = _real_form(dec, rows, cols)
+    n_even, half = len(cos_pairs), len(levels)
     weight = np.empty(len(times))
     parts = _weight_chunks(len(times), even.size, dec.n)
     size = max(2, len(times[parts[0]]))
@@ -239,8 +250,8 @@ def _block_weight(dec: SpectralDecomposition, rows: np.ndarray, cols: np.ndarray
             # at least every |angle|, since rounding is monotone
             reach = float(np.max(np.abs(span))) * float(levels[-1])
             _cos_sin(angles[:k], reach, cos[:k], sin[:k], *(w[:k] for w in work))
-            np.matmul(cos[:k], cos_pairs, out=values[:k, :n_even])
-            np.matmul(sin[:k], sin_pairs, out=values[:k, n_even:])
+            np.matmul(cos[:k], cos_pairs.T, out=values[:k, :n_even])
+            np.matmul(sin[:k], sin_pairs.T, out=values[:k, n_even:])
             if zero_level is not None:
                 # (even N has none: adding 0.0 would only turn -0.0 into
                 # +0.0, which the square does anyway)
@@ -250,14 +261,6 @@ def _block_weight(dec: SpectralDecomposition, rows: np.ndarray, cols: np.ndarray
             # the chunk's own times only: a lone time's second row would
             # land on the next group's first time
             weight[part] = sums[:len(span)]
-
-    errors = []
-
-    def guarded(group: list[slice], buffers: tuple) -> None:
-        try:
-            run(group, buffers)
-        except BaseException as exc:  # raised again in the calling thread
-            errors.append(exc)
 
     *others, last = _chunk_groups(parts)
     # One block per scratch kind for all groups, from the calling thread.
@@ -271,18 +274,12 @@ def _block_weight(dec: SpectralDecomposition, rows: np.ndarray, cols: np.ndarray
                        np.empty((count, size, half), dtype=np.intp),
                        np.empty((count, size, half), dtype=bool),
                        np.empty((count, size, even.size)), np.empty((count, size))))
-    workers = []
-    try:
-        for group, own in zip(others, buffers):
-            worker = threading.Thread(target=guarded, args=(group, own))
-            worker.start()
-            workers.append(worker)
+    # leaving the block joins every worker, also when the caller's group raises
+    with ThreadPoolExecutor(count) as pool:
+        futures = [pool.submit(run, group, own) for group, own in zip(others, buffers)]
         run(last, buffers[-1])
-    finally:
-        for worker in workers:
-            worker.join()
-    if errors:
-        raise errors[0]
+        for future in futures:
+            future.result()
     return weight
 
 
@@ -356,26 +353,26 @@ def propagator_grid(dec: SpectralDecomposition, rows, cols, times) -> tuple[np.n
     Returns (blocks, bound): blocks is a real (T, len(rows), len(cols))
     stack M with F(t) = exp(-i h t) diag((-i)^a) M(t) diag(i^b), a and b
     the 0-based sites of rows and cols, and every entry of that F lies
-    within bound of `propagator_block(dec, rows, cols, times)`.  This is
-    `_block_weight`'s real form (whose precondition it shares; ValueError
-    if the levels do not pair) with i^(a-b) folded into M:
+    within bound of `propagator_block(dec, rows, cols, times)`.  M_ab is
+    the real sum of `_real_form` (whose precondition it shares), the
+    cosine sum for a + b even and the sine sum for a + b odd, times
+    (-1)^floor((a-b)/2), which folds i^(a-b) into M.  The diagonal factors
+    have unit modulus, so |det F| = |det M| and |perm F| = |perm M|.
 
-        M_ab = (-1)^floor((a-b)/2) [2 sum_{w_k>0} V_ak V_bk cos(w_k t) + V_a,mid V_b,mid]  (a + b even)
-        M_ab = (-1)^floor((a-b)/2) 2 sum_{w_k>0} V_ak V_bk sin(w_k t)                     (a + b odd)
-
-    The diagonal factors have unit modulus, so |det F| = |det M| and
-    |perm F| = |perm M|.  With B = ceil(sqrt(T)) and the grid's own step
-    d = t_1 - t_0, time t_{aB+b} is split into the anchor t_{aB} and the
-    shift b d: cos and sin of w (t_{aB} + b d) come by angle addition from
-    an anchor and a shift table over the K = ceil(N/2) levels w >= 0 (the
-    zero level of odd N counts once), about 2 sqrt(T) cos and sin per level
-    instead of T.  Each entry's 2K coefficients, its pair products times
-    the anchor cos and sin, meet the (2K, B) shift table in one real matrix
-    product per chunk of anchors (coefficients worth about CHUNK_ELEMENTS
-    complex numbers), whatever the block's shape: surrogate values need no
-    bitwise match with `propagator_block`, and the bound below holds for
-    any summation order.  Any time array `chain._times` accepts is taken as
-    a grid; the less uniform it is, the larger the bound.
+    With B = ceil(sqrt(T)) and the grid's own step d = t_1 - t_0, time
+    t_{aB+b} is split into the anchor t_{aB} and the shift b d: cos and
+    sin of w (t_{aB} + b d) come by angle addition from an anchor and a
+    shift table over the K = floor(N/2) positive levels, about 2 sqrt(T)
+    cos and sin per level instead of T.  Each entry's 2K coefficients, its
+    pair products times the anchor cos and sin, meet the (2K, B) shift
+    table in one real matrix product per chunk of anchors (coefficients
+    worth about CHUNK_ELEMENTS complex numbers), whatever the block's
+    shape, with the entries in class order and the sign folded into each
+    entry's coefficients.  The zero level of odd N is added after the
+    product, and the entries are scattered back into the stack.  Surrogate
+    values need no bitwise match with `propagator_block`, and the bound
+    below holds for any summation order.  Any time array `chain._times`
+    accepts is taken as a grid; the less uniform it is, the larger the bound.
 
     The bound compares both computations with the exact
     G_ab(t) = sum_k V_ak V_bk exp(-i (w_k + h) t), evaluated at the float
@@ -397,16 +394,18 @@ def propagator_grid(dec: SpectralDecomposition, rows, cols, times) -> tuple[np.n
       - (-1)^(a+b) V_a,N-1-k V_b,N-1-k| of G (measured: the computed sum
       over 1 - gamma_{N+1}, plus u S for the rounded products), and its
       coefficients sum in modulus to at most S + P.
-    - Here.  Each pair product rounds once (u).  The anchor angle w t_{aB}
-      rounds once (u Omega t_max), the shift b d and its angle once each
-      (2u Omega B |d|), and t_{aB} + b d is within 2D of t_j.  numpy's
-      float64 cos and sin are within one ulp (2u, the tolerance of numpy's
-      own accuracy tests), so each table's (cos, sin) is within
-      2 sqrt(2) u of the unit vector at its angle, and the angle-addition
-      product within 4 sqrt(2) u + O(u^2) of the one at the summed angle.
-      Scaling by the anchor table rounds once (u), and the matrix product
-      over 2K <= N + 1 terms, each at most |coefficient| (1 + O(u)) by
-      Cauchy-Schwarz, adds gamma_{N+1}: M is within
+    - Here.  Each pair product rounds once (u), as does the zero level's.
+      The anchor angle w t_{aB} rounds once (u Omega t_max), the shift b d
+      and its angle once each (2u Omega B |d|), and t_{aB} + b d is within
+      2D of t_j.  numpy's float64 cos and sin are within one ulp (2u, the
+      tolerance of numpy's own accuracy tests), so each table's (cos, sin)
+      is within 2 sqrt(2) u of the unit vector at its angle, and the
+      angle-addition product within 4 sqrt(2) u + O(u^2) of the one at the
+      summed angle.  Scaling by the anchor table rounds once (u).  The
+      matrix product over 2K <= N terms, each at most |coefficient|
+      (1 + O(u)) by Cauchy-Schwarz, adds gamma_N, and the zero-level add
+      of odd N one rounding of a sum at most S + P in modulus: gamma_N + u
+      <= gamma_{N+1} together.  The signs are exact, so M is within
       (S + P) (Omega (u (t_max + 2 B |d|) + 2D) + 8u + gamma_{N+1}) of R.
     - The three add up to the returned
       bound = (S + P) (2 Omega (u (t_max + B |d|) + D) + 20u
@@ -414,44 +413,44 @@ def propagator_grid(dec: SpectralDecomposition, rows, cols, times) -> tuple[np.n
       the 2u beyond the 18u listed covers the second-order terms.
     """
     times, _ = _times(times)
-    if not dec._paired:
-        raise ValueError("the real surrogate needs a decomposition whose bare levels pair "
-                         "exactly (a zero bare diagonal)")
     rows, cols = np.asarray(rows), np.asarray(cols)
-    n_times, n = len(times), dec.n
+    levels, even, cos_pairs, sin_pairs, zero_level = _real_form(dec, rows, cols)
+    n_times, n, n_even, n_levels = len(times), dec.n, len(cos_pairs), len(levels)
+    # (-1)^floor((a-b)/2) = 1 - ((a-b) & 2) on each entry's coefficients,
+    # which negates its sums exactly: one pass over the pairs, not the stack
+    sign = 1 - ((rows[:, None] - cols[None, :]) & 2)
+    cos_pairs, sin_pairs = cos_pairs * sign[even, None], sin_pairs * sign[~even, None]
     span = math.isqrt(n_times - 1) + 1
     step = times[1] - times[0] if n_times > 1 else 0.0
-    levels = dec.bare_eigenvalues[n // 2:]
-    weights = np.full(len(levels), 2.0)
-    weights[:n % 2] = 1.0
-    products = dec.eigenvectors[rows][:, None, :] * dec.eigenvectors[cols][None, :, :]
-    gap = rows[:, None] - cols[None, :]
-    # 2 V_ak V_bk (once for the zero level) times (-1)^floor((a-b)/2)
-    pairs = (products[..., n // 2:] * weights * (1.0 - 2.0 * (gap // 2 % 2))[..., None])
-    pairs = pairs.reshape(-1, 1, len(levels))
     # an entry's coefficients take (cos, -sin) of the anchor angle for the
-    # cosine class (a + b even) and (sin, cos) for the sine class, so that
-    # against (cos, sin) of the shift they give cos and sin of the sum
+    # cosine class and (sin, cos) for the sine class, so that against
+    # (cos, sin) of the shift they give cos and sin of the sum
     anchors = np.multiply.outer(times[::span], levels)
-    trig = np.stack([np.sin(anchors), np.cos(anchors), -np.sin(anchors)], axis=1)
-    pick = (gap % 2 == 0).reshape(-1, 1) + np.arange(2)
+    sin = np.sin(anchors)
+    trig = np.stack([sin, np.cos(anchors), -sin], axis=1)[:, None]
     shift = np.multiply.outer(np.arange(span) * step, levels)
     shifts = np.concatenate([np.cos(shift), np.sin(shift)], axis=1).T
-    out = np.empty((len(anchors), len(pairs), span))
-    parts = time_chunks(len(anchors), pairs.size)
-    table = np.empty((len(anchors[parts[0]]), len(pairs), 2, len(levels)))
+    out = np.empty((len(anchors), even.size, span))
+    parts = time_chunks(len(anchors), even.size * n_levels)
+    table = np.empty((len(anchors[parts[0]]), even.size, 2, n_levels))
     for part in parts:
         k = len(anchors[part])
-        np.multiply(trig[part][:, pick], pairs, out=table[:k])
-        np.matmul(table[:k].reshape(-1, 2 * len(levels)), shifts,
+        np.multiply(trig[part, :, 1:], cos_pairs[:, None], out=table[:k, :n_even])
+        np.multiply(trig[part, :, :2], sin_pairs[:, None], out=table[:k, n_even:])
+        np.matmul(table[:k].reshape(-1, 2 * n_levels), shifts,
                   out=out[part].reshape(-1, span))
+    if zero_level is not None:
+        out[:, :n_even] += (zero_level * sign[even])[:, None]
     # laid out time-fastest, so that the Ryser updates and the slack's row
     # sums run along contiguous memory
-    blocks = out.transpose(1, 0, 2).reshape(len(pairs), -1)[:, :n_times].T
+    blocks = np.empty((len(rows), len(cols), len(anchors), span))
+    entries = out.transpose(1, 0, 2)
+    blocks[even], blocks[~even] = entries[:n_even], entries[n_even:]
 
+    products = dec.eigenvectors[rows][:, None, :] * dec.eigenvectors[cols][None, :, :]
     u = UNIT_ROUNDOFF
     weight = np.max(np.sum(np.abs(products), axis=-1)) / (1.0 - _gamma(n))
-    parity = (1.0 - 2.0 * (gap % 2))[..., None]
+    parity = np.where(even, 1.0, -1.0)[..., None]
     unpaired = (0.5 * np.max(np.sum(np.abs(products - parity * products[..., ::-1]), axis=-1))
                 / (1.0 - _gamma(n + 1)) + u * weight)
     from_start = times - times[0]
@@ -462,7 +461,7 @@ def propagator_grid(dec: SpectralDecomposition, rows, cols, times) -> tuple[np.n
     t_max = np.max(np.abs(times))
     bound = (weight + unpaired) * (2.0 * omega * (u * (t_max + span * abs(step)) + drift)
                                    + 20.0 * u + (1.0 + math.sqrt(2.0)) * _gamma(n + 3)) + unpaired
-    return blocks.reshape(n_times, len(rows), len(cols)), float(bound)
+    return blocks.reshape(len(rows), len(cols), -1)[..., :n_times].transpose(2, 0, 1), float(bound)
 
 
 def time_chunks(n_times: int, width: int, elements: int | None = None) -> list[slice]:
@@ -548,6 +547,7 @@ def boson_prob(sub):
     a (T,) array); every block follows the same subset sequence.  A real
     input stays real and gives the bits of its complex cast: a zero
     imaginary part adds only exact zeros, and |total| is exact either way.
+    The sum omits Ryser's global sign (-1)^n, which |perm|^2 does not see.
     """
     a = _square_stack(sub, PERM_DIM_CAP, "permanent")
     count, n = len(a), a.shape[-1]
@@ -566,8 +566,6 @@ def boson_prob(sub):
             total -= np.multiply.reduce(w, axis=1)
         else:
             total += np.multiply.reduce(w, axis=1)
-    if n % 2:
-        total = -total
     return _like_input(_abs_squared(total.real, total.imag), sub)
 
 

@@ -217,12 +217,6 @@ def splitting_scaling(spec: ChainSpec, j0_list) -> dict[int, float]:
     }
 
 
-def _top_two_clusters(clusters):
-    """Clusters of the two highest unperturbed energies (modes k=1, k=2)."""
-    by_energy = sorted(clusters, key=lambda c: c.unperturbed_energy, reverse=True)
-    return by_energy[0], by_energy[1]
-
-
 def _top_ratio(spec: ChainSpec, j0: float = RATIO_COUPLINGS[-1], own=None) -> float:
     """Top-over-second splitting ratio of `spec`'s chain at coupling j0;
     by default at the coupling whose ratio `RatioEstimate.value` reports.
@@ -231,7 +225,8 @@ def _top_ratio(spec: ChainSpec, j0: float = RATIO_COUPLINGS[-1], own=None) -> fl
     probe = replace(spec, j0=j0)
     if own is None or probe != spec:
         own = find_clusters(decompose_chain(probe), probe)
-    top, second = _top_two_clusters(own)
+    # the clusters of the two highest unperturbed energies (modes k=1, k=2)
+    top, second = sorted(own, key=lambda c: c.unperturbed_energy, reverse=True)[:2]
     return top.delta / second.delta
 
 

@@ -1,8 +1,10 @@
 """The public names exported by the package, and the time-argument and
 count/position rules every one of them follows."""
 
+import ast
 import inspect
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -57,6 +59,28 @@ def test_only_the_two_entry_points_decompose_on_their_own():
         assert dec.default is inspect.Parameter.empty, func.__name__
     for func in (amplitudes.find_transfer_peak, perturbation.predict_transfer_time):
         assert inspect.signature(func).parameters["dec"].default is None, func.__name__
+
+
+def test_amplitudes_is_the_only_module_that_starts_threads():
+    # what makes "the only threads this package starts" (README) hold:
+    # `spectral` imports threading for a Lock, which starts none, so the
+    # check is on the names that start a thread or a process
+    starters = ("concurrent.futures", "multiprocessing", "_thread", "threading.Thread",
+                "threading.Timer")
+    found = set()
+    for path in Path(ppxfer.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [f"{node.module}.{alias.name}" for alias in node.names]
+            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                names = [f"{node.value.id}.{node.attr}"]
+            else:
+                continue
+            if any(f"{name}.".startswith(f"{start}.") for name in names for start in starters):
+                found.add(path.stem)
+    assert found == {"amplitudes"}
 
 
 def test_eigensolver_reads_the_profile_not_a_matrix():
