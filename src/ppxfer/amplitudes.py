@@ -14,34 +14,36 @@ in array calls along the time axis, not one time point at a time:
 `propagator_block` builds the (T, rows, cols) stack of propagator blocks in
 chunks of about CHUNK_ELEMENTS complex numbers, one matrix product per
 chunk, and `fermion_prob` / `boson_prob` reduce a whole stack at once.  The
-battery samples need only sum |F_ab|^2 over one block, which
-`_block_weight` takes from the sublattice real form (derived in
-`_real_form`), with no complex block and with its time chunks spread over
-one thread per usable CPU (the only threads this package starts).  The
 golden polish evaluates each probe it has not seen together with every
 probe of its next GOLDEN_LOOKAHEAD iterations in one array call, and
 returns the bits of a one-probe-at-a-time search.
 
-The dense window sweep is the one place a surrogate is allowed:
-`propagator_grid` builds real blocks M of a uniform grid in the sublattice
-real form of `_real_form` (F = exp(-i h t) diag((-i)^a) M diag(i^b) on a
-paired decomposition), from anchor and shift cos/sin tables combined by
-angle addition (about 2 sqrt(T) cos and sin per positive level instead of
-T), and returns a rigorous bound on their distance from
-`propagator_block`'s values.  |det M| and |perm M| are those of F, so the
-surrogate probabilities are det(M)^2 through LAPACK and Ryser on the real
-M.  They only choose which grid points `propagator_block` evaluates: every
-point whose bounded surrogate probability could reach the maximum is
-evaluated exactly, so the sweep's maximum, its index and everything after
-it are those of an exact sweep.  No surrogate value is ever returned, and
-an unpaired decomposition gets no surrogate (every point is evaluated).
+The sublattice real form (derived in `_real_form`: F = exp(-i h t)
+diag((-i)^a) M diag(i^b) with M real on a paired decomposition) has one
+grid routine, `_lattice`: it splits each time into an anchor and a shift
+and builds M's sums from anchor and shift cos/sin tables combined by angle
+addition, about 2 sqrt(T) cos and sin per positive level instead of T,
+in one real matrix product per chunk of anchors.  Its two callers:
+
+- `_block_weight`, the battery's sum |F_ab|^2 over one block: the squares
+  of the sums, on the lattice when the grid is uniform to a few ulp and
+  with each time its own anchor (its sums taken row by row, not by the
+  product) otherwise, so that a time of a non-uniform grid, and a single
+  time, keeps the bits it has alone;
+- `propagator_grid`, the dense window sweep's surrogate, with a rigorous
+  bound on its distance from `propagator_block`'s values.  |det M| and
+  |perm M| are those of F, so the surrogate probabilities are det(M)^2
+  through LAPACK and Ryser on the real M.  They only choose which grid
+  points `propagator_block` evaluates: every point whose bounded
+  surrogate probability could reach the maximum is evaluated exactly, so
+  the sweep's maximum, its index and everything after it are those of an
+  exact sweep.  No surrogate value is ever returned, and an unpaired
+  decomposition gets no surrogate (every point is evaluated).
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,16 +56,8 @@ DET_DIM_CAP = 64
 PERM_DIM_CAP = 12
 PROB_TOL = 1e-9
 CHUNK_ELEMENTS = 1 << 13            # entries per time chunk of a batched product
-# `_block_weight`'s chunks, which run on worker threads.  At 2^13 reals a
-# ufunc pass is too short to cover the GIL hand-over: two threads ran a
-# battery round at 1.12 of one, against 0.85 at 2^14.  2^15 (0.75) cost
-# 3.6 MB of peak memory against 1.4 MB at 2^14 (BENCH_29.json).
-WEIGHT_CHUNK_ELEMENTS = 1 << 14
 UNIT_ROUNDOFF = 2.0 ** -53          # float64 round-to-nearest relative error
-# pi/2 as fdlibm's pio2_1 + pio2_2 + pio2_2t; the first two have 31 significant bits
-PIO2_PARTS = (1.5707963267341256, 6.077100506303966e-11, 2.0222662487959506e-21)
-REDUCTION_CAP = 2.0 ** 20           # quarter turns below which `_cos_sin` reduces exactly
-_QUARTER_TURNS = np.array([[1.0, 0.0, -1.0, 0.0], [0.0, 1.0, 0.0, -1.0]])  # cos, sin of q pi/2
+LATTICE_DRIFT = 16.0                # D / (u max|t|) up to which `_block_weight` takes a grid as uniform
 
 COARSE_POINTS_PER_SLOW_PERIOD = 20  # coarse spacing pi/(20 delta*)
 FINE_POINTS_PER_FAST_PERIOD = 40    # fine spacing pi/(40 delta_max)
@@ -210,135 +204,133 @@ def _real_form(dec: SpectralDecomposition, rows: np.ndarray, cols: np.ndarray) -
     return dec.bare_eigenvalues[dec.n - half:], even, pairs[even], pairs[~even], zero_level
 
 
+def _lattice(dec: SpectralDecomposition, rows: np.ndarray, cols: np.ndarray, times: np.ndarray,
+             span: int, step: float, out: np.ndarray | None = None):
+    """The real sums of the block rows x cols (0-based site arrays) on the
+    lattice t_{aB} + b d of a checked 1-D time array (B = span, d = step,
+    a an anchor and 0 <= b < B), one chunk of anchors times[::B] at a time:
+    a generator of (part, values), part the chunk's slice of the anchors
+    and values its (k, E, B) sums, E = len(rows) len(cols).
+
+    The sums are those of `_real_form` (whose precondition it shares): the
+    cosine sum for a + b even, the sine sum for a + b odd, the entries in
+    class order (the cosine class first, each class row-major) and each
+    times (-1)^floor((a-b)/2), the sign `propagator_grid` folds into M.
+    cos and sin of w (t_{aB} + b d) come by angle addition from an anchor
+    table over the chunk's anchors and a shift table over b d, both over
+    the K = floor(N/2) positive levels: each entry's 2K coefficients, its
+    pair products (sign folded) times the anchor cos and sin, meet the
+    (2K, B) shift table in one real matrix product per chunk (coefficients
+    worth about CHUNK_ELEMENTS complex numbers), whatever the block's
+    shape.  The zero level of odd N is added after the product.  With B = 1
+    the one shift is b d = 0, whose cos and sin are exactly 1 and 0: each
+    time is its own anchor, and its sums depend on that time only.
+
+    With out, an (n_anchors, E, B) array, each chunk's sums are written
+    into out[part]; without, they go to scratch that every chunk reuses
+    (allocated once per call; README, Numerical notes), and with B = 1 each
+    sum is taken row by row (np.sum) from the half of its coefficients
+    that meets the shift's cos 1, instead of by the product: a product
+    with one column goes to gemv or dot, whose rows round by their place in
+    the chunk, so a time would have other bits inside a grid than alone.
+    """
+    levels, even, cos_pairs, sin_pairs, zero_level = _real_form(dec, rows, cols)
+    n_even, n_levels = len(cos_pairs), len(levels)
+    # (-1)^floor((a-b)/2) = 1 - ((a-b) & 2) on each entry's coefficients,
+    # which negates its sums exactly: one pass over the pairs, not the sums
+    sign = 1 - ((rows[:, None] - cols[None, :]) & 2)
+    cos_pairs = cos_pairs * sign[even, None]
+    # against the anchor table (cos, sin) a cosine entry takes (c, -c) and a
+    # sine entry (s, s) on the reversed table (sin, cos), so that against
+    # (cos, sin) of the shift they give c cos and s sin of the summed angle
+    cos_pairs = np.stack([cos_pairs, -cos_pairs], axis=1)
+    sin_pairs = (sin_pairs * sign[~even, None])[:, None]
+    if zero_level is not None:
+        zero_level = (zero_level * sign[even])[:, None]
+    shift = np.multiply.outer(np.arange(span) * step, levels)
+    shifts = np.concatenate([np.cos(shift), np.sin(shift)], axis=1).T
+    anchors = times[::span]
+    parts = time_chunks(len(anchors), even.size * n_levels)
+    size = len(anchors[parts[0]])
+    angles, trig = np.empty((size, n_levels)), np.empty((size, 2, n_levels))
+    table = np.empty((size, even.size, 2, n_levels))
+    scratch = np.empty((size, even.size, span)) if out is None else None
+    for part in parts:
+        k = len(anchors[part])
+        np.multiply(anchors[part, None], levels, out=angles[:k])
+        np.cos(angles[:k], out=trig[:k, 0])
+        np.sin(angles[:k], out=trig[:k, 1])
+        values = scratch[:k] if out is None else out[part]
+        if span == 1 and out is None:
+            # against the one shift (1, 0) only each entry's first half counts
+            np.multiply(trig[:k, None, 0], cos_pairs[:, 0], out=table[:k, :n_even, 0])
+            np.multiply(trig[:k, None, 1], sin_pairs[:, 0], out=table[:k, n_even:, 0])
+            np.sum(table[:k, :, 0], axis=-1, out=values[..., 0])
+        else:
+            np.multiply(trig[:k, None], cos_pairs, out=table[:k, :n_even])
+            np.multiply(trig[:k, None, ::-1], sin_pairs, out=table[:k, n_even:])
+            np.matmul(table[:k].reshape(-1, 2 * n_levels), shifts, out=values.reshape(-1, span))
+        if zero_level is not None:
+            values[:, :n_even] += zero_level
+        yield part, values
+
+
+def _drift(times: np.ndarray) -> tuple[float, float]:
+    """(d, D) of a checked 1-D time array: its step d = t_1 - t_0 (0.0 for
+    one time) and D >= max_j |t_j - (t_0 + j d)|, the measured distances
+    plus the three roundings of each (4u (|t_j - t_0| + |j d|))."""
+    step = times[1] - times[0] if len(times) > 1 else 0.0
+    from_start = times - times[0]
+    line = np.arange(len(times)) * step
+    drift = (np.max(np.abs(from_start - line))
+             + 4.0 * UNIT_ROUNDOFF * np.max(np.abs(from_start) + np.abs(line)))
+    return step, drift
+
+
 def _block_weight(dec: SpectralDecomposition, rows: np.ndarray, cols: np.ndarray,
                   times: np.ndarray) -> np.ndarray:
     """sum_ab |F_ab(t)|^2 over the block rows x cols (0-based site arrays)
-    for each time of a checked, non-empty 1-D array, from the sublattice
-    real form (`_real_form`, whose precondition it shares).
+    for each time of a checked, non-empty 1-D array: the squares of
+    `_lattice`'s real sums (whose precondition, that of `_real_form`, it
+    shares), summed per time.  The sign folded into a sum drops out of its
+    square.
 
-    Each time chunk (`_weight_chunks`) takes cos and sin of t w_k on the
-    N/2 positive levels from `_cos_sin` (within about 2 ulp; a chunk whose
-    angles all stay below REDUCTION_CAP quarter turns skips the libm
-    branch), one real product with the pair products per class, and sums
-    the squares.  The chunks run in contiguous groups, one per CPU this
-    process may use (`_chunk_groups`): every group but the last on a
-    `ThreadPoolExecutor` worker, the last (which holds a lone last time)
-    in the calling thread.  Each group has scratch of its own, sized by
-    the (T_chunk, N/2) trig tables and allocated once per call (README,
-    Numerical notes), and writes only its own times.  Every worker is
-    joined before the return, and an exception in any group is raised
-    here.  Every numpy pass releases the GIL, so the groups overlap.  A
-    time's arithmetic does not depend on its chunk or group, so the bits
-    are those of one serial pass.
+    A grid whose drift D (`_drift`) is at most LATTICE_DRIFT u max|t|
+    (u = 2^-53) is taken as uniform and runs on the lattice with span
+    B = ceil(sqrt(T)), as `propagator_grid` does: about 2 sqrt(T) cos and
+    sin per positive level instead of T, and a sample's last bits depend on
+    its anchor.  An exactly uniform grid from t_0 = 0 measures D up to
+    8u max|t| from `_drift`'s allowance alone (|t_j - t_0| and |j d| are
+    each at most max|t|), and np.linspace and np.arange add a rounding or
+    two of max|t|; 16u max|t| is 8 to 16 ulp of the grid's largest time.
+    Any other grid runs with span 1: each time is its own anchor, so a time
+    of such a grid, and a single time, has the bits it has alone.
+
+    Bound.  With G, S, P and d as in `propagator_grid` and Omega = max_k
+    |w_k| (the real form does not see h), that docstring's Pairing and
+    Here terms put every sum within e of a unit-modulus multiple of its
+    G_ab, with
+        e = (S + P) (Omega (u (t_max + 2 B |d|) + 2D) + 8u + gamma_{N+1}) + P
+    on the lattice and
+        e = (S + P) (Omega u t_max + 8u + gamma_{N+1}) + P
+    with span 1 (every shift is the exact b d = 0 and every anchor its own
+    time).  |G_ab| <= S, so each square is within e (2S + e) of |G_ab|^2,
+    and rounding the squares and their sum over the E = len(rows)
+    len(cols) entries adds at most gamma_E E (S + e)^2: each weight lies
+    within W(e) = E e (2S + e) + gamma_{E+1} E (S + e)^2 of
+    sum_ab |G_ab(t)|^2.  `propagator_grid`'s bound for the same block and
+    grid is at least either e, and its entries put `propagator_block`'s
+    sum_ab |F_ab|^2 (one more rounding, for |F_ab|) within W of it as well,
+    so the two weights lie within twice W of `propagator_grid`'s bound of
+    each other.
     """
-    levels, even, cos_pairs, sin_pairs, zero_level = _real_form(dec, rows, cols)
-    n_even, half = len(cos_pairs), len(levels)
-    weight = np.empty(len(times))
-    parts = _weight_chunks(len(times), even.size, dec.n)
-    size = max(2, len(times[parts[0]]))
-
-    def run(group: list[slice], buffers: tuple) -> None:
-        angles, cos, sin, *work, values, sums = buffers
-        for part in group:
-            span = times[part]
-            # A correctness condition, like `propagator_block`'s fold: the
-            # products of one row go to dot/gemv, which round otherwise than
-            # the gemm of a longer chunk, so a lone time is broadcast to two
-            # rows (and summed as two, so that its row sum has a chunk's shape).
-            k = max(2, len(span))
-            np.multiply(span[:, None], levels, out=angles[:k])
-            # at least every |angle|, since rounding is monotone
-            reach = float(np.max(np.abs(span))) * float(levels[-1])
-            _cos_sin(angles[:k], reach, cos[:k], sin[:k], *(w[:k] for w in work))
-            np.matmul(cos[:k], cos_pairs.T, out=values[:k, :n_even])
-            np.matmul(sin[:k], sin_pairs.T, out=values[:k, n_even:])
-            if zero_level is not None:
-                # (even N has none: adding 0.0 would only turn -0.0 into
-                # +0.0, which the square does anyway)
-                values[:k, :n_even] += zero_level
-            np.square(values[:k], out=values[:k])
-            np.sum(values[:k], axis=1, out=sums[:k])
-            # the chunk's own times only: a lone time's second row would
-            # land on the next group's first time
-            weight[part] = sums[:len(span)]
-
-    *others, last = _chunk_groups(parts)
-    # One block per scratch kind for all groups, from the calling thread.
-    # glibc serves a block above its mmap threshold by mmap and, once it is
-    # freed, raises its thresholds to that size, so the next call's block
-    # comes from the heap and keeps its pages.  With a block per group (or
-    # scratch from a worker's own arena) the freed heap top passed the trim
-    # threshold and every call faulted about 350 pages back in, against 2.
-    count = len(others) + 1
-    buffers = list(zip(*np.empty((6, count, size, half)),
-                       np.empty((count, size, half), dtype=np.intp),
-                       np.empty((count, size, half), dtype=bool),
-                       np.empty((count, size, even.size)), np.empty((count, size))))
-    # leaving the block joins every worker, also when the caller's group raises
-    with ThreadPoolExecutor(count) as pool:
-        futures = [pool.submit(run, group, own) for group, own in zip(others, buffers)]
-        run(last, buffers[-1])
-        for future in futures:
-            future.result()
-    return weight
-
-
-def _weight_chunks(n_times: int, block_size: int, n: int) -> list[slice]:
-    """`_block_weight`'s time chunks for a block of block_size site pairs
-    on an n-site chain, each time point counted as max(block_size, n/2)
-    reals; the one plan its tests take chunk boundaries from."""
-    return time_chunks(n_times, max(block_size, n // 2), WEIGHT_CHUNK_ELEMENTS)
-
-
-def _chunk_groups(parts: list[slice]) -> list[list[slice]]:
-    """parts in contiguous groups of near-equal count, one per CPU this
-    process may run on (its affinity mask where the OS has one, else the
-    machine's CPU count) and at most one per part; the last group ends
-    with the last part."""
-    affinity = getattr(os, "sched_getaffinity", None)
-    cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
-    count = min(cpus, len(parts))
-    return [parts[len(parts) * g // count:len(parts) * (g + 1) // count] for g in range(count)]
-
-
-def _cos_sin(theta, reach, cos, sin, q, aux, tmp, quadrant, above) -> None:
-    """cos and sin of theta into cos and sin from one Cody-Waite reduction
-    (Cody & Waite 1980); reach is a float with |theta| <= reach for every
-    element, and the rest is scratch of theta's shape.
-
-    q = rint(2 theta/pi), r = ((theta - q P1) - q P2) - q P3 (PIO2_PARTS):
-    for |q| < REDUCTION_CAP, q P1, q P2 and theta - q P1 (Sterbenz) are
-    exact, so |r| <= pi/4 is within 2u|r| + 1e-30 of theta - q pi/2 (u =
-    2^-53).  s = sin r adds libm's error; c = sqrt(1 - s^2) >= 1/sqrt(2)
-    takes that of s times |s|/c <= 1 plus three roundings.  So both are
-    within about 2 ulp after the exact quarter turn (a, b) = (cos, sin) of
-    q pi/2: cos theta = a c - b s, sin theta = b c + a s.  Where |q| >=
-    REDUCTION_CAP libm's bits are kept: each element depends on its angle only.
-
-    Rounding and rint are monotone and odd, so every |q| is at most
-    q* = rint(fl(reach (2/pi))).  When q* < REDUCTION_CAP no element takes
-    the libm branch, and its five passes (abs, the cap test, the copy and
-    the two masked libm calls), which would change nothing, are skipped.
-    """
-    np.rint(np.multiply(theta, 2.0 / np.pi, out=q), out=q)
-    fallback = np.rint(reach * (2.0 / np.pi)) >= REDUCTION_CAP
-    if fallback:
-        np.greater_equal(np.abs(q, out=aux), REDUCTION_CAP, out=above)
-        np.copyto(q, 0.0, where=above)
-    np.bitwise_and(q, 3, out=quadrant, dtype=np.intp, casting="unsafe")
-    np.subtract(theta, np.multiply(q, PIO2_PARTS[0], out=aux), out=sin)
-    for part in PIO2_PARTS[1:]:
-        np.subtract(sin, np.multiply(q, part, out=aux), out=sin)
-    np.sin(sin, out=sin)
-    np.sqrt(np.subtract(1.0, np.square(sin, out=cos), out=cos), out=cos)
-    a = np.take(_QUARTER_TURNS[0], quadrant, mode="clip", out=q)
-    b = np.take(_QUARTER_TURNS[1], quadrant, mode="clip", out=aux)
-    np.multiply(b, sin, out=tmp)
-    np.add(np.multiply(b, cos, out=b), np.multiply(a, sin, out=sin), out=sin)
-    np.subtract(np.multiply(a, cos, out=cos), tmp, out=cos)
-    if fallback:
-        np.cos(theta, out=cos, where=above)
-        np.sin(theta, out=sin, where=above)
+    step, drift = _drift(times)
+    uniform = drift <= LATTICE_DRIFT * UNIT_ROUNDOFF * np.max(np.abs(times))
+    span = math.isqrt(len(times) - 1) + 1 if uniform else 1
+    sums = np.empty((len(times[::span]), span))
+    for part, values in _lattice(dec, rows, cols, times, span, step):
+        np.sum(np.square(values, out=values), axis=1, out=sums[part])
+    return sums.reshape(-1)[:len(times)]
 
 
 def _gamma(m: int) -> float:
@@ -359,27 +351,21 @@ def propagator_grid(dec: SpectralDecomposition, rows, cols, times) -> tuple[np.n
     (-1)^floor((a-b)/2), which folds i^(a-b) into M.  The diagonal factors
     have unit modulus, so |det F| = |det M| and |perm F| = |perm M|.
 
-    With B = ceil(sqrt(T)) and the grid's own step d = t_1 - t_0, time
-    t_{aB+b} is split into the anchor t_{aB} and the shift b d: cos and
-    sin of w (t_{aB} + b d) come by angle addition from an anchor and a
-    shift table over the K = floor(N/2) positive levels, about 2 sqrt(T)
-    cos and sin per level instead of T.  Each entry's 2K coefficients, its
-    pair products times the anchor cos and sin, meet the (2K, B) shift
-    table in one real matrix product per chunk of anchors (coefficients
-    worth about CHUNK_ELEMENTS complex numbers), whatever the block's
-    shape, with the entries in class order and the sign folded into each
-    entry's coefficients.  The zero level of odd N is added after the
-    product, and the entries are scattered back into the stack.  Surrogate
-    values need no bitwise match with `propagator_block`, and the bound
-    below holds for any summation order.  Any time array `chain._times`
-    accepts is taken as a grid; the less uniform it is, the larger the bound.
+    The sums are `_lattice`'s with span B = ceil(sqrt(T)) and the grid's
+    own step d = t_1 - t_0: time t_{aB+b} is split into the anchor t_{aB}
+    and the shift b d, about 2 sqrt(T) cos and sin per positive level
+    instead of T.  The entries are scattered back from class order into
+    the stack.  Surrogate values need no bitwise match with
+    `propagator_block`, and the bound below holds for any summation order.
+    Any time array `chain._times` accepts is taken as a grid; the less
+    uniform it is, the larger the bound.
 
     The bound compares both computations with the exact
     G_ab(t) = sum_k V_ak V_bk exp(-i (w_k + h) t), evaluated at the float
     grid values from the float V, w and offset h.  Write u = 2^-53,
     Omega = max_k |w_k| + |h|, S = max_ab sum_k |V_ak V_bk|, t_max =
     max_j |t_j|, and D = max_j |t_j - (t_0 + j d)| (measured on the grid,
-    plus the rounding of that measurement).
+    plus the rounding of that measurement; `_drift`).
 
     - `propagator_block`.  A `_phases` entry rounds its argument once per
       exp (u |w t| and u |h t|), each cos and sin is within one ulp (2u)
@@ -414,37 +400,18 @@ def propagator_grid(dec: SpectralDecomposition, rows, cols, times) -> tuple[np.n
     """
     times, _ = _times(times)
     rows, cols = np.asarray(rows), np.asarray(cols)
-    levels, even, cos_pairs, sin_pairs, zero_level = _real_form(dec, rows, cols)
-    n_times, n, n_even, n_levels = len(times), dec.n, len(cos_pairs), len(levels)
-    # (-1)^floor((a-b)/2) = 1 - ((a-b) & 2) on each entry's coefficients,
-    # which negates its sums exactly: one pass over the pairs, not the stack
-    sign = 1 - ((rows[:, None] - cols[None, :]) & 2)
-    cos_pairs, sin_pairs = cos_pairs * sign[even, None], sin_pairs * sign[~even, None]
+    n_times, n = len(times), dec.n
     span = math.isqrt(n_times - 1) + 1
-    step = times[1] - times[0] if n_times > 1 else 0.0
-    # an entry's coefficients take (cos, -sin) of the anchor angle for the
-    # cosine class and (sin, cos) for the sine class, so that against
-    # (cos, sin) of the shift they give cos and sin of the sum
-    anchors = np.multiply.outer(times[::span], levels)
-    sin = np.sin(anchors)
-    trig = np.stack([sin, np.cos(anchors), -sin], axis=1)[:, None]
-    shift = np.multiply.outer(np.arange(span) * step, levels)
-    shifts = np.concatenate([np.cos(shift), np.sin(shift)], axis=1).T
-    out = np.empty((len(anchors), even.size, span))
-    parts = time_chunks(len(anchors), even.size * n_levels)
-    table = np.empty((len(anchors[parts[0]]), even.size, 2, n_levels))
-    for part in parts:
-        k = len(anchors[part])
-        np.multiply(trig[part, :, 1:], cos_pairs[:, None], out=table[:k, :n_even])
-        np.multiply(trig[part, :, :2], sin_pairs[:, None], out=table[:k, n_even:])
-        np.matmul(table[:k].reshape(-1, 2 * n_levels), shifts,
-                  out=out[part].reshape(-1, span))
-    if zero_level is not None:
-        out[:, :n_even] += (zero_level * sign[even])[:, None]
+    step, drift = _drift(times)
+    out = np.empty((len(times[::span]), rows.size * cols.size, span))
+    for _ in _lattice(dec, rows, cols, times, span, step, out):
+        pass  # each chunk's sums land in out
     # laid out time-fastest, so that the Ryser updates and the slack's row
     # sums run along contiguous memory
-    blocks = np.empty((len(rows), len(cols), len(anchors), span))
+    even = (rows[:, None] + cols[None, :]) % 2 == 0
+    blocks = np.empty((len(rows), len(cols), len(out), span))
     entries = out.transpose(1, 0, 2)
+    n_even = np.count_nonzero(even)
     blocks[even], blocks[~even] = entries[:n_even], entries[n_even:]
 
     products = dec.eigenvectors[rows][:, None, :] * dec.eigenvectors[cols][None, :, :]
@@ -453,10 +420,6 @@ def propagator_grid(dec: SpectralDecomposition, rows, cols, times) -> tuple[np.n
     parity = np.where(even, 1.0, -1.0)[..., None]
     unpaired = (0.5 * np.max(np.sum(np.abs(products - parity * products[..., ::-1]), axis=-1))
                 / (1.0 - _gamma(n + 1)) + u * weight)
-    from_start = times - times[0]
-    line = np.arange(n_times) * step
-    # D from the computed differences, plus their three roundings
-    drift = np.max(np.abs(from_start - line)) + 4.0 * u * np.max(np.abs(from_start) + np.abs(line))
     omega = np.max(np.abs(dec.bare_eigenvalues)) + abs(dec.offset)
     t_max = np.max(np.abs(times))
     bound = (weight + unpaired) * (2.0 * omega * (u * (t_max + span * abs(step)) + drift)
@@ -464,12 +427,12 @@ def propagator_grid(dec: SpectralDecomposition, rows, cols, times) -> tuple[np.n
     return blocks.reshape(len(rows), len(cols), -1)[..., :n_times].transpose(2, 0, 1), float(bound)
 
 
-def time_chunks(n_times: int, width: int, elements: int | None = None) -> list[slice]:
-    """Consecutive slices of a time axis, each carrying about `elements`
-    entries (CHUNK_ELEMENTS by default) when every time point carries
-    `width` of them: complex ones in `propagator_block`'s stacks, reals in
-    `propagator_grid`'s tables and `_block_weight`'s."""
-    step = max(1, (elements or CHUNK_ELEMENTS) // max(1, width))
+def time_chunks(n_times: int, width: int) -> list[slice]:
+    """Consecutive slices of a time axis, each carrying about
+    CHUNK_ELEMENTS entries when every time point carries `width` of them:
+    complex ones in `propagator_block`'s stacks, reals (counted as half a
+    complex number each) in `_lattice`'s coefficient tables."""
+    step = max(1, CHUNK_ELEMENTS // max(1, width))
     return [slice(start, start + step) for start in range(0, n_times, step)]
 
 

@@ -98,8 +98,11 @@ def battery_metrics(spec: ChainSpec, t_grid: np.ndarray | None = None) -> Batter
     (f_s^i)* f_s^{i+1}, whose real part the two energies take, is purely
     imaginary.  Both facts need the chain of a `ChainSpec` (a bipartite
     hopping line with uniform h), so this function takes no `dec` and
-    decomposes that chain itself.  The grid's time chunks run on one
-    thread per CPU the process may use; the bits do not depend on how many.
+    decomposes that chain itself.  A uniform grid (as `battery --tmax T
+    --samples S` makes) runs on the angle-addition lattice of
+    `amplitudes._block_weight`, where a sample's last bits depend on its
+    anchor; any other grid, the default one included, evaluates each time
+    on its own, with the bits it has alone.
     """
     if spec.h <= 1.0:
         warnings.warn(

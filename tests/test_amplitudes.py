@@ -2,9 +2,6 @@
 
 import itertools
 import math
-import os
-import sys
-import threading
 
 import numpy as np
 import pytest
@@ -24,19 +21,16 @@ from ppxfer import amplitudes
 from ppxfer.amplitudes import (
     CHUNK_ELEMENTS,
     GOLDEN_ITERS,
+    LATTICE_DRIFT,
     NON_PP_HORIZON_FACTOR,
     PEAK_POINTS_PER_PERIOD,
     PEAK_WINDOW_PERIODS,
-    REDUCTION_CAP,
-    WEIGHT_CHUNK_ELEMENTS,
+    UNIT_ROUNDOFF,
     _block_weight,
     _certified_argmax,
-    _chunk_groups,
     _checked_prob,
-    _cos_sin,
     _golden_max,
     _probability_slack,
-    _weight_chunks,
     _window_max,
     boson_prob,
     fermion_prob,
@@ -45,6 +39,7 @@ from ppxfer.amplitudes import (
     propagator_grid,
     scan_scales,
     single_particle_bound,
+    time_chunks,
 )
 from ppxfer.chain import build_profile
 from ppxfer.observables import interaction_energy, switching_energy
@@ -340,102 +335,92 @@ def test_propagator_block_matches_direct_construction(h):
                 assert np.max(np.abs(block[k] - direct_block(dec, rows, cols, times[k]))) < tol
 
 
+def sender_receiver_weight(dec, n_s, times):
+    return _block_weight(dec, np.arange(n_s), np.arange(dec.n - n_s, dec.n), times)
+
+
 @pytest.mark.parametrize("h", [0.0, 2.0])
 def test_block_weight_matches_the_complex_kernel(h):
     # The real form against sum |F_ab|^2 of `propagator_block` on odd and
     # even N, on the sender-receiver block and on scattered sites (both
-    # parity classes; for n_s = 1 the block has one class only).  On the
-    # sender-receiver block each time alone has its bits in the grid, also
-    # the lone time that ends the grid's last chunk.
+    # parity classes; for n_s = 1 the block has one class only), on a
+    # uniform grid (the lattice) and a non-uniform one (span 1).  On the
+    # non-uniform grid each time has its bits alone and in a shifted grid,
+    # also the lone time that ends the grid's last chunk.
     rng = np.random.default_rng(47)
     eps = np.finfo(float).eps
     for n_s, n_w in itertools.product([1, 2, 3, 4], [6, 7]):
         spec = ChainSpec(n_s=n_s, n_w=n_w, j0=0.05, h=h)
         dec = decompose_chain(spec)
-        # the first sender-receiver chunk of `_block_weight`'s own plan
-        chunk = _weight_chunks(WEIGHT_CHUNK_ELEMENTS, n_s * n_s, dec.n)[0].stop
-        times = np.linspace(0.0, 2e4, chunk + 1)
+        # one anchor per chunk more than the first chunk of a span-1 grid
+        chunk = time_chunks(CHUNK_ELEMENTS, n_s * n_s * (dec.n // 2))[0].stop
+        uniform = np.linspace(0.0, 2e4, chunk + 1)
+        scattered = np.concatenate([[0.0], np.sort(rng.uniform(0.0, 2e4, chunk))])
         senders, receivers = np.arange(n_s), np.arange(dec.n - n_s, dec.n)
-        for rows, cols in ((senders, receivers),
-                           (rng.permutation(dec.n)[:3], rng.permutation(dec.n)[:4])):
+        for times, (rows, cols) in itertools.product(
+                (uniform, scattered),
+                ((senders, receivers), (rng.permutation(dec.n)[:3], rng.permutation(dec.n)[:4]))):
             weight = _block_weight(dec, rows, cols, times)
             exact = np.sum(np.abs(propagator_block(dec, rows, cols, times)) ** 2, axis=(1, 2))
             tol = 2 * len(rows) * len(cols) * dec.n * eps * (times + 1.0)
             assert np.all(np.abs(weight - exact) <= tol), (n_s, n_w)
-        weight = _block_weight(dec, senders, receivers, times)
+        weight = sender_receiver_weight(dec, n_s, scattered)
         for k in (0, 1, chunk - 1, chunk):
-            alone = _block_weight(dec, senders, receivers, times[k:k + 1])
+            alone = sender_receiver_weight(dec, n_s, scattered[k:k + 1])
             assert alone.tobytes() == weight[k:k + 1].tobytes(), (n_s, n_w, k)
-        shifted = _block_weight(dec, senders, receivers, times[1:])
+        shifted = sender_receiver_weight(dec, n_s, scattered[1:])
         assert shifted.tobytes() == weight[1:].tobytes(), (n_s, n_w)
 
 
-def sender_receiver_weight(spec, times):
-    dec = decompose_chain(spec)
-    return _block_weight(dec, np.arange(spec.n_s), np.arange(dec.n - spec.n_s, dec.n), times)
+def test_block_weight_takes_only_uniform_grids_onto_the_lattice(monkeypatch):
+    # `_block_weight` runs a grid on the lattice (span ceil(sqrt(T))) when
+    # its drift D is within LATTICE_DRIFT u max|t|, and any other with
+    # span 1: linspace and arange grids from 0 and an offset linspace are
+    # uniform, a sorted random grid and one time moved by 1e-9 of the
+    # range are not.  A grid of one time is uniform, with span 1.
+    spans = []
+    lattice = amplitudes._lattice
+
+    def recorded(dec, rows, cols, times, span, step, out=None):
+        spans.append(span)
+        return lattice(dec, rows, cols, times, span, step, out)
+
+    monkeypatch.setattr(amplitudes, "_lattice", recorded)
+    dec = decompose_chain(ChainSpec(n_s=2, n_w=9, j0=0.05, h=2.0))
+    nudged = np.linspace(0.0, 5e4, 2_000)
+    nudged[700] += 5e-5
+    grids = {
+        "linspace": (np.linspace(0.0, 5e4, 20_000), True),
+        "arange": (np.arange(0.0, 1e4, 2.0 * math.pi / 64), True),
+        "offset": (np.linspace(1e6, 1e6 + 1e3, 9), True),
+        "random": (np.sort(np.random.default_rng(3).uniform(0.0, 5e4, 1_000)), False),
+        "nudged": (nudged, False),
+        "one time": (np.array([7.5]), True),
+    }
+    for name, (times, uniform) in grids.items():
+        spans.clear()
+        sender_receiver_weight(dec, 2, times)
+        assert spans == [math.isqrt(len(times) - 1) + 1 if uniform else 1], name
+        _, drift = amplitudes._drift(times)
+        assert (drift <= LATTICE_DRIFT * UNIT_ROUNDOFF * np.max(np.abs(times))) == uniform, name
 
 
-def test_block_weight_bits_do_not_depend_on_the_worker_count(monkeypatch):
-    # `_block_weight` runs its chunks in one group per CPU the process may
-    # use.  One, two and eight groups (more than the cores of a small host,
-    # under a short switch interval) give the same bytes on a grid whose
-    # chunk and group boundaries fall inside it and whose last chunk is one
-    # time.  Without an affinity mask the machine's CPU count decides.
-    spec = ChainSpec(n_s=3, n_w=9, j0=0.05, h=2.0)
-    step = _weight_chunks(WEIGHT_CHUNK_ELEMENTS, spec.n_s ** 2, spec.n_sites)[0].stop
-    times = np.linspace(0.0, 3e4, 8 * step + 1)
-    parts = _weight_chunks(len(times), spec.n_s ** 2, spec.n_sites)
-    assert len(parts) == 9 and len(range(len(times))[parts[-1]]) == 1
-    weights = {}
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for cpus in (1, 2, 8):
-            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, n=cpus: set(range(n)),
-                                raising=False)
-            groups = _chunk_groups(parts)
-            assert len(groups) == cpus and sum(groups, []) == parts
-            weights[cpus] = sender_receiver_weight(spec, times).tobytes()
-        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-        for count, groups in ((2, 2), (None, 1)):
-            monkeypatch.setattr(os, "cpu_count", lambda n=count: n)
-            assert len(_chunk_groups(parts)) == groups
-        weights["cpu_count"] = sender_receiver_weight(spec, times).tobytes()
-    finally:
-        sys.setswitchinterval(interval)
-    assert len(set(weights.values())) == 1
-
-
-def test_block_weight_skips_libm_only_where_no_angle_of_the_chunk_reaches_the_cap():
-    # One chunk from t = 0 to far above REDUCTION_CAP quarter turns: the
-    # chunk's reach comes from its largest |t|, so the late times keep
-    # libm's bits, those each has alone.  Reduced, they would not.
-    spec = ChainSpec(n_s=2, n_w=6, j0=0.05, h=2.0)
-    times = np.concatenate([[0.0], np.linspace(1e8, 1e8 + 1e3, 9)])
-    weight = sender_receiver_weight(spec, times)
-    for k in range(len(times)):
-        assert sender_receiver_weight(spec, times[k:k + 1]).tobytes() == weight[k:k + 1].tobytes()
-
-
-@pytest.mark.parametrize("failing", ["worker", "caller"])
-def test_block_weight_joins_its_workers_and_raises_their_errors(monkeypatch, failing):
-    # An exception in either thread reaches the caller, and no worker
-    # thread is left running when `_block_weight` returns.
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    caller, original = threading.get_ident(), amplitudes._cos_sin
-
-    def cos_sin(*args):
-        if (threading.get_ident() == caller) == (failing == "caller"):
-            raise FloatingPointError(failing)
-        original(*args)
-
-    monkeypatch.setattr(amplitudes, "_cos_sin", cos_sin)
-    spec = ChainSpec(n_s=2, n_w=6, j0=0.05, h=2.0)
-    step = _weight_chunks(WEIGHT_CHUNK_ELEMENTS, spec.n_s ** 2, spec.n_sites)[0].stop
-    before = set(threading.enumerate())
-    with pytest.raises(FloatingPointError, match=failing):
-        sender_receiver_weight(spec, np.linspace(0.0, 1e3, 3 * step))
-    assert set(threading.enumerate()) == before
+def test_propagator_grid_bound_covers_a_pairing_defect():
+    # The positive-level eigenvectors moved by about 1e-9 while the levels
+    # stay paired: the real form, which reads only that half, then misses
+    # `propagator_block` by about 1e-9 at any time, and only the pairing
+    # term P of the bound covers it (the other terms are ~1e-14 here).
+    rng = np.random.default_rng(53)
+    for n_s, n_w in ((1, 8), (2, 7), (3, 10)):
+        spec = ChainSpec(n_s=n_s, n_w=n_w, j0=0.05, h=0.7)
+        ev = SubmatrixEvaluator(decompose_chain(spec), n_s)
+        n = ev.dec.n
+        ev.dec.eigenvectors[:, n - n // 2:] += 1e-9 * rng.standard_normal((n, n // 2))
+        assert ev.dec._paired
+        grid = 3.0 + 0.05 * np.arange(40)
+        blocks, bound = propagator_grid(ev.dec, ev.rows, ev.cols, grid)
+        distance = np.max(np.abs(as_propagator(ev, blocks, grid) - ev.submatrix(grid)))
+        assert 1e-11 < distance <= bound, (n_s, n_w)
 
 
 @pytest.mark.parametrize("kernel", [_block_weight, propagator_grid],
@@ -451,47 +436,6 @@ def test_real_form_refuses_an_unpaired_decomposition(kernel):
     assert not dec._paired
     with pytest.raises(ValueError, match="pair"):
         kernel(dec, np.arange(2), np.arange(7, 9), np.array([0.0, 1.0]))
-
-
-def reduced_cos_sin(theta, reach=None):
-    """`_cos_sin` on a float array, with fresh scratch; reach defaults to
-    the largest |theta|."""
-    theta = np.asarray(theta, dtype=float)
-    if reach is None:
-        reach = float(np.max(np.abs(theta)))
-    scratch = [np.empty_like(theta) for _ in range(5)]
-    _cos_sin(theta, reach, *scratch, np.empty(theta.shape, dtype=np.intp),
-             np.empty(theta.shape, dtype=bool))
-    return scratch[0], scratch[1]
-
-
-def test_reduced_cos_sin_matches_libm():
-    # Below the cap the reduction is within 2 ulp of libm's cos and sin:
-    # seeded angles over the whole reduced range and both float neighbours
-    # of k pi/4, where the quarter turn changes (up to the cap's own edge
-    # at k = 2^21 - 1).  At and above the cap every byte is libm's.
-    eps = np.finfo(float).eps
-    span = REDUCTION_CAP * np.pi / 2
-    rng = np.random.default_rng(25)
-    k = np.concatenate([np.arange(1, 65), 2 ** 21 - np.arange(1, 9)]) * np.pi / 4
-    edges = np.concatenate([np.nextafter(k, 0.0), k, np.nextafter(k, np.inf)])
-    below = np.concatenate([rng.uniform(-span, span, 100_000), edges, -edges])
-    cos, sin = reduced_cos_sin(below)
-    assert np.max(np.abs(cos - np.cos(below))) <= 2 * eps
-    assert np.max(np.abs(sin - np.sin(below))) <= 2 * eps
-    # Where the reach rules the libm branch out, its passes are skipped;
-    # running them anyway (an infinite reach) gives the same bytes.
-    inside = below[np.rint(np.abs(below) * (2.0 / np.pi)) < REDUCTION_CAP]
-    assert np.rint(np.max(np.abs(inside)) * (2.0 / np.pi)) == REDUCTION_CAP - 1
-    for full, skipped in zip(reduced_cos_sin(inside, reach=np.inf), reduced_cos_sin(inside)):
-        assert full.tobytes() == skipped.tobytes()
-    cos, sin = reduced_cos_sin([0.0])
-    assert (cos[0], sin[0]) == (1.0, 0.0) and not np.signbit(sin[0])
-    above = rng.uniform(span, 1e8, 1000)
-    above = np.concatenate([above, -above, [np.nextafter(span - np.pi / 4, np.inf), 1e300]])
-    cos, sin = reduced_cos_sin(above)
-    assert cos.tobytes() == np.cos(above).tobytes()
-    assert sin.tobytes() == np.sin(above).tobytes()
 
 
 def test_grid_evaluation_matches_point_by_point():
@@ -822,6 +766,39 @@ def test_window_max_is_an_exact_sweep(spec, center, reduce):
     j = 1.0 if spec is None else spec.j
     got = _window_max(ev, reduce, center, j)
     want = exact_window_max(ev, reduce, center, j)
+    assert [x.hex() for x in got] == [x.hex() for x in want]
+
+
+@pytest.mark.parametrize("reduce", [fermion_prob, boson_prob], ids=["fermion", "boson"])
+def test_window_max_stays_exact_when_the_surrogate_uses_its_whole_bound(monkeypatch, reduce):
+    # `propagator_grid` may return any blocks within its bound of the exact
+    # ones.  Here they move by up to B = 1e-2 more and the bound grows by B:
+    # the blocks of the three points around the exact sweep's maximum
+    # shrink and every other block grows, by a common factor that moves no
+    # entry by more than B, so that det and perm scale with it and the
+    # surrogate's own maximum lands at least two points off.  The certified
+    # sweep still returns the exact sweep's (t, p), which it would not
+    # without its slack.
+    spec, center = WINDOW_CASES[0]
+    ev = SubmatrixEvaluator(decompose_chain(spec), spec.n_s)
+    want = exact_window_max(ev, reduce, center, spec.j)
+    half_window = PEAK_WINDOW_PERIODS * 2.0 * math.pi / spec.j
+    step = 2.0 * math.pi / (spec.j * PEAK_POINTS_PER_PERIOD)
+    grid = np.arange(max(0.0, center - half_window), center + half_window, step)
+    k = int(np.argmax(_checked_prob(reduce(ev.submatrix(grid)))))
+    original, moved = amplitudes.propagator_grid, 1e-2
+
+    def inflated(dec, rows, cols, times):
+        blocks, bound = original(dec, rows, cols, times)
+        assert np.array_equal(times, grid)
+        away = np.ones(len(times))
+        away[max(0, k - 1):k + 2] = -1.0
+        blocks = blocks * (1.0 + moved / np.max(np.abs(blocks)) * away)[:, None, None]
+        assert abs(int(np.argmax(surrogate_prob(reduce, blocks))) - k) > 1
+        return blocks, bound + moved
+
+    monkeypatch.setattr(amplitudes, "propagator_grid", inflated)
+    got = _window_max(ev, reduce, center, spec.j)
     assert [x.hex() for x in got] == [x.hex() for x in want]
 
 

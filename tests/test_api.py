@@ -61,10 +61,10 @@ def test_only_the_two_entry_points_decompose_on_their_own():
         assert inspect.signature(func).parameters["dec"].default is None, func.__name__
 
 
-def test_amplitudes_is_the_only_module_that_starts_threads():
-    # what makes "the only threads this package starts" (README) hold:
-    # `spectral` imports threading for a Lock, which starts none, so the
-    # check is on the names that start a thread or a process
+def test_no_module_starts_threads():
+    # the package starts no thread and no process: `spectral` imports
+    # threading for a Lock, which starts none, so the check is on the names
+    # that start a thread or a process
     starters = ("concurrent.futures", "multiprocessing", "_thread", "threading.Thread",
                 "threading.Timer")
     found = set()
@@ -80,7 +80,7 @@ def test_amplitudes_is_the_only_module_that_starts_threads():
                 continue
             if any(f"{name}.".startswith(f"{start}.") for name in names for start in starters):
                 found.add(path.stem)
-    assert found == {"amplitudes"}
+    assert found == set()
 
 
 def test_eigensolver_reads_the_profile_not_a_matrix():

@@ -1,5 +1,6 @@
 """Tests for occupations, receiver magnetization, and battery metrics."""
 
+import itertools
 import os
 import subprocess
 import sys
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 from ppxfer import ChainSpec, occupation_profile
-from ppxfer.amplitudes import REDUCTION_CAP, WEIGHT_CHUNK_ELEMENTS, _weight_chunks
+from ppxfer.amplitudes import CHUNK_ELEMENTS, _block_weight, propagator_grid, time_chunks
 from ppxfer.chain import CouplingProfile, build_profile
 from ppxfer.observables import (
     battery_metrics,
@@ -224,26 +225,28 @@ def test_battery_extrema_are_consistent_with_their_grids():
 
 
 def test_battery_grid_matches_point_by_point_observables():
-    # The grid is evaluated chunk by chunk; samples on both sides of each
-    # chunk boundary must equal the single-time observables.
+    # A non-uniform grid runs with span 1, each time its own anchor, chunk
+    # by chunk: samples on both sides of each chunk boundary equal the
+    # single-time observables, and a grid split off the chunk boundaries
+    # gives the same bytes, half by half.
     spec = ChainSpec(n_s=2, n_w=6, j0=0.05, h=2.0)
     dec = decompose_chain(spec)
-    # three and a half chunks of `_block_weight`'s own plan
-    step = _weight_chunks(WEIGHT_CHUNK_ELEMENTS, spec.n_s ** 2, dec.n)[0].stop
-    grid = np.linspace(0.0, 4e4, 7 * step // 2)
+    width = spec.n_s ** 2 * (dec.n // 2)
+    # three and a half chunks of a span-1 grid
+    step = time_chunks(CHUNK_ELEMENTS, width)[0].stop
+    grid = np.concatenate([[0.0], np.sort(np.random.default_rng(5).uniform(0.0, 4e4, 7 * step // 2))])
     cut = len(grid) // 2
     rep = battery_metrics(spec, grid)
-    starts = [part.start for part in _weight_chunks(len(grid), spec.n_s ** 2, dec.n)]
+    starts = [part.start for part in time_chunks(len(grid), width)]
     assert len(starts) > 2 and cut not in starts
     for k in {0, len(grid) - 1, *(b + d for b in starts[1:] for d in (-1, 0, 1))}:
         t = float(grid[k])
         e_onsite = spec.h * magnetization_receiver(spec, t, dec)
         assert rep.e_onsite[k] == pytest.approx(e_onsite, abs=1e-13)
+        assert battery_metrics(spec, grid[k:k + 1]).e_b.tobytes() == rep.e_b[k:k + 1].tobytes()
         assert rep.e_hop[k] == 0.0 and rep.delta_e_sw[k] == 0.0
         assert abs(interaction_energy(spec, t, dec)) <= 1e-10
         assert abs(switching_energy(spec, t, dec)) <= 1e-10
-    # Every chunk reuses one receiver-block buffer: a grid split off the
-    # chunk boundaries gives the same bytes, half by half.
     halves = [battery_metrics(spec, grid[:cut]), battery_metrics(spec, grid[cut:])]
     for name in ("e_b", "e_hop", "delta_e_sw"):
         split = np.concatenate([getattr(half, name) for half in halves])
@@ -277,35 +280,36 @@ def test_battery_real_form_matches_the_magnetization_on_a_long_grid():
     assert np.all(np.abs(rep.e_onsite - expected) <= bound)
 
 
-def test_battery_across_the_reduction_cap():
-    """Angles w_k t that straddle REDUCTION_CAP quarter turns, where the real
-    form's cos and sin pass from the reduction to libm level by level, and
-    a first chunk whose angles all stay below it, which skips the libm
-    passes: each sample has its grid bytes alone and in a shifted grid
-    (around every level's crossing and on both sides of each chunk
-    boundary), and E_B stays within 2 n_s^2 N t eps h of the complex
-    kernel's magnetization."""
-    spec = ChainSpec(n_s=2, n_w=6, j0=0.05, h=2.0)
-    dec = decompose_chain(spec)
-    # four chunks of `_block_weight`'s own plan and a lone last time
-    step = _weight_chunks(WEIGHT_CHUNK_ELEMENTS, spec.n_s ** 2, dec.n)[0].stop
-    grid = np.linspace(0.0, 3e6, 4 * step + 1)
-    levels = dec.bare_eigenvalues[dec.n // 2:]
-    quarter_turns = np.rint(np.outer(grid, levels) * (2.0 / np.pi))
-    above = quarter_turns[-1] >= REDUCTION_CAP
-    assert above.any() and not above.all()
-    starts = [part.start for part in _weight_chunks(len(grid), spec.n_s ** 2, dec.n)]
-    assert np.max(quarter_turns[:starts[1]]) < REDUCTION_CAP
-    rep = battery_metrics(spec, grid)
-    crossings = np.argmax(quarter_turns[:, above] >= REDUCTION_CAP, axis=0)
-    edges = {b + d for b in starts[1:] for d in (-1, 0)}
-    for k in {*crossings, *(crossings - 1), *edges, *range(0, len(grid), len(grid) // 40)}:
-        alone = battery_metrics(spec, grid[k:k + 1])
-        assert alone.e_b.tobytes() == rep.e_b[k:k + 1].tobytes(), k
-    assert battery_metrics(spec, grid[1:]).e_b.tobytes() == rep.e_b[1:].tobytes()
-    expected = spec.h * magnetization_receiver(spec, grid, dec)
-    bound = 2.0 * spec.n_s ** 2 * spec.n_sites * grid * np.finfo(float).eps * spec.h
-    assert np.all(np.abs(rep.e_onsite - expected) <= bound)
+@pytest.mark.parametrize("h", [0.0, 2.0])
+@pytest.mark.parametrize("n_s", [1, 2, 3, 4])
+def test_battery_weight_holds_its_bound_on_long_uniform_grids(n_s, h):
+    """The lattice of `_block_weight` on uniform grids out to t = 1.2e7,
+    on odd and even N: its receiver magnetization against the complex
+    kernel's `magnetization_receiver`, within the bound of `_block_weight`'s
+    docstring (twice W(e), e being `propagator_grid`'s bound on the same
+    block and grid, plus one rounding of each side's -n_r/2) and within the
+    per-sample phase-error bound 2 n_s^2 N t eps of the benchmark's
+    reference; `battery_metrics`' E_onsite within h times the latter."""
+    eps = np.finfo(float).eps
+    grids = (np.linspace(0.0, 1.2e7, 3_001), np.arange(1e7, 1e7 + 200.0, 2.0 * np.pi / 64))
+    for n_w, grid in itertools.product((8 + n_s, 9 + n_s), grids):
+        spec = ChainSpec(n_s=n_s, n_w=n_w, j0=0.01, h=h)
+        dec = decompose_chain(spec)
+        rows, cols = np.arange(n_s), np.arange(dec.n - n_s, dec.n)
+        expected = magnetization_receiver(spec, grid, dec)
+        distance = np.abs(_block_weight(dec, rows, cols, grid) - spec.n_r / 2.0 - expected)
+        e = propagator_grid(dec, rows, cols, grid)[1]
+        products = dec.eigenvectors[rows][:, None, :] * dec.eigenvectors[cols][None, :, :]
+        s = np.max(np.sum(np.abs(products), axis=-1))
+        entries = n_s * n_s
+        gamma = (entries + 1) * eps / 2 / (1.0 - (entries + 1) * eps / 2)
+        weight_bound = entries * e * (2.0 * s + e) + gamma * entries * (s + e) ** 2
+        assert np.all(distance <= 2.0 * weight_bound + n_s * eps), (n_w, grid[-1])
+        bound = 2.0 * n_s ** 2 * spec.n_sites * grid * eps
+        assert np.all(distance <= bound), (n_w, grid[-1])
+        if h:
+            rep = battery_metrics(spec, grid)
+            assert np.all(np.abs(rep.e_onsite - h * expected) <= bound * h), (n_w, grid[-1])
 
 
 @pytest.mark.parametrize("h", [0.7, 2.0])
