@@ -18,12 +18,13 @@ golden polish evaluates each probe it has not seen together with every
 probe of its next GOLDEN_LOOKAHEAD iterations in one array call, and
 returns the bits of a one-probe-at-a-time search.
 
-The sublattice real form (derived in `_real_form`: F = exp(-i h t)
-diag((-i)^a) M diag(i^b) with M real on a paired decomposition) has one
-grid routine, `_lattice`: it splits each time into an anchor and a shift
-and builds M's sums from anchor and shift cos/sin tables combined by angle
-addition, about 2 sqrt(T) cos and sin per positive level instead of T,
-in one real matrix product per chunk of anchors.  Its two callers:
+The sublattice real form (F = exp(-i h t) diag((-i)^a) M diag(i^b) with
+M real on a paired decomposition) has one owner, `_lattice`, which
+derives it and yields M's sums on a grid chunk by chunk: it splits each
+time into an anchor and a shift and builds the sums from anchor and shift
+cos/sin tables combined by angle addition, about 2 sqrt(T) cos and sin per
+positive level instead of T, in one real matrix product per chunk of
+anchors.  Its two callers:
 
 - `_block_weight`, the battery's sum |F_ab|^2 over one block: the squares
   of the sums, on the lattice when the grid is uniform to a few ulp and
@@ -102,16 +103,14 @@ def propagator_block(dec: SpectralDecomposition, rows, cols, times) -> np.ndarra
     a block's weight: nothing else evaluates F.  Each time evaluates
     the same expression (V_rows * phases(t)) @ V_cols^T, built one chunk of
     about CHUNK_ELEMENTS complex numbers at a time, so scratch memory does
-    not grow with the grid.  The scratch, one (T_chunk, N) phase table and
-    one (T_chunk, rows, N) scaled-rows stack, is allocated once per call
-    and every chunk is written into it through ufunc `out=` arguments, so
-    a long grid frees nothing between chunks (README, Numerical notes).  A
-    chunk's scaled rows are folded into one (T_chunk rows, N) matrix and
-    multiplied by V_cols^T in one matrix product written straight into the
-    output stack, instead of one small product per time.  Blocks with one
-    row or one column keep one product per time, because numpy sends those
-    to dot/gemv, whose rounding differs from gemm's.  So a point has the
-    same bits alone as inside a grid, which
+    not grow with the grid.  A chunk's phase table and scaled rows are its
+    own temporaries, freed before the next chunk makes its own (README,
+    Numerical notes).  The scaled rows are folded into one (T_chunk rows,
+    N) matrix and multiplied by V_cols^T in one matrix product written
+    straight into the output stack, instead of one small product per time.
+    Blocks with one row or one column keep one product per time, because
+    numpy sends those to dot/gemv, whose rounding differs from gemm's.  So
+    a point has the same bits alone as inside a grid, which
     `test_grid_evaluation_matches_point_by_point` checks byte for byte.
     """
     times, scalar = _times(times)
@@ -125,22 +124,21 @@ def propagator_block(dec: SpectralDecomposition, rows, cols, times) -> np.ndarra
     # alone.  From 2 x 2 up each time is a gemm either way, and a gemm row
     # has the same bits whatever rows sit beside it.
     fold = n_rows > 1 and n_cols > 1
-    parts = time_chunks(len(times), left.size)
-    phases = np.empty((len(times[parts[0]]), dec.n), dtype=complex)
-    scaled = np.empty((len(phases), n_rows, dec.n), dtype=complex)
-    for part in parts:
-        k = len(times[part])
-        np.multiply(left, _phases(dec, times[part], phases[:k])[:, None, :], out=scaled[:k])
+    for part in time_chunks(len(times), left.size):
+        scaled = left * _phases(dec, times[part])[:, None, :]
         if fold:
-            np.matmul(scaled[:k].reshape(-1, dec.n), right, out=out[part].reshape(-1, n_cols))
+            np.matmul(scaled.reshape(-1, dec.n), right, out=out[part].reshape(-1, n_cols))
         else:
-            np.matmul(scaled[:k], right, out=out[part])
+            np.matmul(scaled, right, out=out[part])
+        # freed before the next chunk allocates its own, so that one chunk's
+        # rows are live at a time (README, Numerical notes)
+        del scaled
     return out[0] if scalar else out
 
 
-def _phases(dec: SpectralDecomposition, times: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """exp(-i (w_k + h) t) for every level and each time of a checked 1-D
-    array, written into out (T, N), exact-conjugate over +/- pairs.
+def _phases(dec: SpectralDecomposition, times: np.ndarray) -> np.ndarray:
+    """The (T, N) table exp(-i (w_k + h) t) for every level and each time
+    of a checked 1-D array, exact-conjugate over +/- pairs.
 
     Every row has the same per-element arithmetic, so a row's bits do not
     depend on the other times.  When the bare levels pair exactly, exp is
@@ -148,27 +146,29 @@ def _phases(dec: SpectralDecomposition, times: np.ndarray, out: np.ndarray) -> n
     the lower half is its reversed conjugate: the same bits as the direct
     expression, whose sin/cos are odd/even bitwise, once the -0.0
     imaginary parts that conj makes at t = 0 are turned back into +0.0.
-    Every step runs in place in out: the same ufuncs, the same bits.
     """
     t = times[:, None]
     w = dec.bare_eigenvalues
     if dec._paired:
-        half = len(w) // 2
-        upper = out[..., half:]
-        np.exp(np.multiply(-1j * w[half:], t, out=upper), out=upper)
-        lower = out[..., :half]
-        np.conjugate(out[..., len(w) - half:][..., ::-1], out=lower)
+        upper = np.exp(-1j * w[len(w) // 2:] * t)
+        lower = np.conjugate(upper[:, len(w) % 2:][:, ::-1])
         lower.imag += 0.0
+        table = np.concatenate([lower, upper], axis=1)
     else:
-        np.exp(np.multiply(-1j * w, t, out=out), out=out)
+        table = np.exp(-1j * w * t)
     if dec.offset:
-        out *= np.exp(-1j * dec.offset * t)
-    return out
+        table *= np.exp(-1j * dec.offset * t)
+    return table
 
 
-def _real_form(dec: SpectralDecomposition, rows: np.ndarray, cols: np.ndarray) -> tuple:
-    """The sublattice real form of the block rows x cols (0-based site
-    arrays): (levels, even, cos_pairs, sin_pairs, zero_level).
+def _lattice(dec: SpectralDecomposition, rows: np.ndarray, cols: np.ndarray, times: np.ndarray,
+             span: int, step: float):
+    """The sublattice real sums of the block rows x cols (0-based site
+    arrays) on the lattice t_{aB} + b d of a checked 1-D time array
+    (B = span, d = step, a an anchor and 0 <= b < B), one chunk of anchors
+    times[::B] at a time: a generator of (part, values), part the chunk's
+    slice of the anchors and values its (k, E, B) sums, E = len(rows)
+    len(cols), in scratch that the next chunk overwrites.
 
     Precondition: `dec` is the decomposition of a `ChainSpec` chain, whose
     bare diagonal is zero once `decompose_chain` peels h off as `offset`.
@@ -187,81 +187,62 @@ def _real_form(dec: SpectralDecomposition, rows: np.ndarray, cols: np.ndarray) -
     fall in opposite classes, so a bond product conj(F_sa) F_s,a+1 is
     purely imaginary: the chain's hopping energies vanish exactly.
 
-    levels are the N/2 positive bare levels, ascending; even is the (rows,
-    cols) mask of a + b even; cos_pairs and sin_pairs hold 2 V_ak V_bk of
-    the even and odd entries (rows in the mask's row-major order, columns
-    per level); zero_level, V_a,mid V_b,mid per even entry, is None for even N.
+    The sums are these: the cosine sum for a + b even, the sine sum for
+    a + b odd, the entries in class order (the cosine class first, each
+    class row-major) and each times (-1)^floor((a-b)/2), the sign
+    `propagator_grid` folds into M.  cos and sin of w (t_{aB} + b d) come
+    by angle addition from an anchor table over the chunk's anchors and a
+    shift table over b d, both over the K = floor(N/2) positive levels:
+    each entry's 2K coefficients, its pair products 2 V_ak V_bk (sign
+    folded) times the anchor cos and sin, meet the (2K, B) shift table in
+    one real matrix product per chunk (coefficients worth about
+    CHUNK_ELEMENTS complex numbers), whatever the block's shape.  The zero
+    level of odd N is added after the product.  With B = 1 the one shift
+    is b d = 0, whose cos and sin are exactly 1 and 0: each time is its
+    own anchor, and each sum is taken row by row (np.sum) from the half of
+    its coefficients that meets the shift's cos 1, instead of by the
+    product: a product with one column goes to gemv or dot, whose rows
+    round by their place in the chunk, so a time would have other bits
+    inside a grid than alone.  The scratch is allocated once per call: a
+    caller still holds one chunk's values while the generator builds the
+    next, so buffers made per chunk would keep two chunks' worth live
+    (README, Numerical notes).
     """
     if not dec._paired:
         raise ValueError("the real form needs a decomposition whose bare levels pair "
                          "exactly (a zero bare diagonal)")
     half = dec.n // 2
+    levels = dec.bare_eigenvalues[dec.n - half:]
     upper = dec.eigenvectors[:, dec.n - half:]
     even = (rows[:, None] + cols[None, :]) % 2 == 0
-    pairs = 2.0 * upper[rows][:, None, :] * upper[cols][None, :, :]
-    middle = dec.eigenvectors[:, half]
-    zero_level = (middle[rows][:, None] * middle[cols][None, :])[even] if dec.n % 2 else None
-    return dec.bare_eigenvalues[dec.n - half:], even, pairs[even], pairs[~even], zero_level
-
-
-def _lattice(dec: SpectralDecomposition, rows: np.ndarray, cols: np.ndarray, times: np.ndarray,
-             span: int, step: float, out: np.ndarray | None = None):
-    """The real sums of the block rows x cols (0-based site arrays) on the
-    lattice t_{aB} + b d of a checked 1-D time array (B = span, d = step,
-    a an anchor and 0 <= b < B), one chunk of anchors times[::B] at a time:
-    a generator of (part, values), part the chunk's slice of the anchors
-    and values its (k, E, B) sums, E = len(rows) len(cols).
-
-    The sums are those of `_real_form` (whose precondition it shares): the
-    cosine sum for a + b even, the sine sum for a + b odd, the entries in
-    class order (the cosine class first, each class row-major) and each
-    times (-1)^floor((a-b)/2), the sign `propagator_grid` folds into M.
-    cos and sin of w (t_{aB} + b d) come by angle addition from an anchor
-    table over the chunk's anchors and a shift table over b d, both over
-    the K = floor(N/2) positive levels: each entry's 2K coefficients, its
-    pair products (sign folded) times the anchor cos and sin, meet the
-    (2K, B) shift table in one real matrix product per chunk (coefficients
-    worth about CHUNK_ELEMENTS complex numbers), whatever the block's
-    shape.  The zero level of odd N is added after the product.  With B = 1
-    the one shift is b d = 0, whose cos and sin are exactly 1 and 0: each
-    time is its own anchor, and its sums depend on that time only.
-
-    With out, an (n_anchors, E, B) array, each chunk's sums are written
-    into out[part]; without, they go to scratch that every chunk reuses
-    (allocated once per call; README, Numerical notes), and with B = 1 each
-    sum is taken row by row (np.sum) from the half of its coefficients
-    that meets the shift's cos 1, instead of by the product: a product
-    with one column goes to gemv or dot, whose rows round by their place in
-    the chunk, so a time would have other bits inside a grid than alone.
-    """
-    levels, even, cos_pairs, sin_pairs, zero_level = _real_form(dec, rows, cols)
-    n_even, n_levels = len(cos_pairs), len(levels)
     # (-1)^floor((a-b)/2) = 1 - ((a-b) & 2) on each entry's coefficients,
     # which negates its sums exactly: one pass over the pairs, not the sums
     sign = 1 - ((rows[:, None] - cols[None, :]) & 2)
-    cos_pairs = cos_pairs * sign[even, None]
+    pairs = 2.0 * upper[rows][:, None, :] * upper[cols][None, :, :] * sign[..., None]
     # against the anchor table (cos, sin) a cosine entry takes (c, -c) and a
     # sine entry (s, s) on the reversed table (sin, cos), so that against
     # (cos, sin) of the shift they give c cos and s sin of the summed angle
-    cos_pairs = np.stack([cos_pairs, -cos_pairs], axis=1)
-    sin_pairs = (sin_pairs * sign[~even, None])[:, None]
-    if zero_level is not None:
-        zero_level = (zero_level * sign[even])[:, None]
+    cos_pairs = np.stack([pairs[even], -pairs[even]], axis=1)
+    sin_pairs = pairs[~even][:, None]
+    n_even = len(cos_pairs)
+    if dec.n % 2:
+        middle = dec.eigenvectors[:, half]
+        zero_level = (middle[rows][:, None] * middle[cols][None, :] * sign)[even][:, None]
     shift = np.multiply.outer(np.arange(span) * step, levels)
     shifts = np.concatenate([np.cos(shift), np.sin(shift)], axis=1).T
     anchors = times[::span]
-    parts = time_chunks(len(anchors), even.size * n_levels)
+    parts = time_chunks(len(anchors), even.size * half)
     size = len(anchors[parts[0]])
-    angles, trig = np.empty((size, n_levels)), np.empty((size, 2, n_levels))
-    table = np.empty((size, even.size, 2, n_levels))
-    scratch = np.empty((size, even.size, span)) if out is None else None
+    angles, trig = np.empty((size, half)), np.empty((size, 2, half))
+    table = np.empty((size, even.size, 2, half))
+    scratch = np.empty((size, even.size, span))
     for part in parts:
         k = len(anchors[part])
         np.multiply(anchors[part, None], levels, out=angles[:k])
         np.cos(angles[:k], out=trig[:k, 0])
         np.sin(angles[:k], out=trig[:k, 1])
-        values = scratch[:k] if out is None else out[part]
-        if span == 1 and out is None:
+        values = scratch[:k]
+        if span == 1:
             # against the one shift (1, 0) only each entry's first half counts
             np.multiply(trig[:k, None, 0], cos_pairs[:, 0], out=table[:k, :n_even, 0])
             np.multiply(trig[:k, None, 1], sin_pairs[:, 0], out=table[:k, n_even:, 0])
@@ -269,8 +250,8 @@ def _lattice(dec: SpectralDecomposition, rows: np.ndarray, cols: np.ndarray, tim
         else:
             np.multiply(trig[:k, None], cos_pairs, out=table[:k, :n_even])
             np.multiply(trig[:k, None, ::-1], sin_pairs, out=table[:k, n_even:])
-            np.matmul(table[:k].reshape(-1, 2 * n_levels), shifts, out=values.reshape(-1, span))
-        if zero_level is not None:
+            np.matmul(table[:k].reshape(-1, 2 * half), shifts, out=values.reshape(-1, span))
+        if dec.n % 2:
             values[:, :n_even] += zero_level
         yield part, values
 
@@ -291,9 +272,8 @@ def _block_weight(dec: SpectralDecomposition, rows: np.ndarray, cols: np.ndarray
                   times: np.ndarray) -> np.ndarray:
     """sum_ab |F_ab(t)|^2 over the block rows x cols (0-based site arrays)
     for each time of a checked, non-empty 1-D array: the squares of
-    `_lattice`'s real sums (whose precondition, that of `_real_form`, it
-    shares), summed per time.  The sign folded into a sum drops out of its
-    square.
+    `_lattice`'s real sums (whose precondition it shares), summed per
+    time.  The sign folded into a sum drops out of its square.
 
     A grid whose drift D (`_drift`) is at most LATTICE_DRIFT u max|t|
     (u = 2^-53) is taken as uniform and runs on the lattice with span
@@ -346,19 +326,22 @@ def propagator_grid(dec: SpectralDecomposition, rows, cols, times) -> tuple[np.n
     stack M with F(t) = exp(-i h t) diag((-i)^a) M(t) diag(i^b), a and b
     the 0-based sites of rows and cols, and every entry of that F lies
     within bound of `propagator_block(dec, rows, cols, times)`.  M_ab is
-    the real sum of `_real_form` (whose precondition it shares), the
-    cosine sum for a + b even and the sine sum for a + b odd, times
-    (-1)^floor((a-b)/2), which folds i^(a-b) into M.  The diagonal factors
-    have unit modulus, so |det F| = |det M| and |perm F| = |perm M|.
+    the real sum that `_lattice` derives (and whose precondition it
+    shares), the cosine sum for a + b even and the sine sum for a + b odd,
+    times (-1)^floor((a-b)/2), which folds i^(a-b) into M.  The diagonal
+    factors have unit modulus, so |det F| = |det M| and |perm F| = |perm M|.
 
     The sums are `_lattice`'s with span B = ceil(sqrt(T)) and the grid's
     own step d = t_1 - t_0: time t_{aB+b} is split into the anchor t_{aB}
     and the shift b d, about 2 sqrt(T) cos and sin per positive level
-    instead of T.  The entries are scattered back from class order into
-    the stack.  Surrogate values need no bitwise match with
-    `propagator_block`, and the bound below holds for any summation order.
-    Any time array `chain._times` accepts is taken as a grid; the less
-    uniform it is, the larger the bound.
+    instead of T.  Each chunk's entries are scattered from class order
+    straight into the stack.  A grid of one time has B = 1, so its sums are
+    `_lattice`'s row-by-row ones; on the 12 one-time grids of the tests'
+    `bound_cases` these differ from the matrix product's in the last bits
+    of 10 (by at most 6.5e-6 of the bound).  Surrogate values need no
+    bitwise match with `propagator_block`, and the bound below holds for
+    any summation order.  Any time array `chain._times` accepts is taken
+    as a grid; the less uniform it is, the larger the bound.
 
     The bound compares both computations with the exact
     G_ab(t) = sum_k V_ak V_bk exp(-i (w_k + h) t), evaluated at the float
@@ -403,16 +386,14 @@ def propagator_grid(dec: SpectralDecomposition, rows, cols, times) -> tuple[np.n
     n_times, n = len(times), dec.n
     span = math.isqrt(n_times - 1) + 1
     step, drift = _drift(times)
-    out = np.empty((len(times[::span]), rows.size * cols.size, span))
-    for _ in _lattice(dec, rows, cols, times, span, step, out):
-        pass  # each chunk's sums land in out
+    even = (rows[:, None] + cols[None, :]) % 2 == 0
+    n_even = np.count_nonzero(even)
     # laid out time-fastest, so that the Ryser updates and the slack's row
     # sums run along contiguous memory
-    even = (rows[:, None] + cols[None, :]) % 2 == 0
-    blocks = np.empty((len(rows), len(cols), len(out), span))
-    entries = out.transpose(1, 0, 2)
-    n_even = np.count_nonzero(even)
-    blocks[even], blocks[~even] = entries[:n_even], entries[n_even:]
+    blocks = np.empty((len(rows), len(cols), len(times[::span]), span))
+    for part, values in _lattice(dec, rows, cols, times, span, step):
+        blocks[even, part] = values[:, :n_even].transpose(1, 0, 2)
+        blocks[~even, part] = values[:, n_even:].transpose(1, 0, 2)
 
     products = dec.eigenvectors[rows][:, None, :] * dec.eigenvectors[cols][None, :, :]
     u = UNIT_ROUNDOFF

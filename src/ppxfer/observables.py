@@ -64,7 +64,7 @@ def magnetization_receiver(spec: ChainSpec, t, dec: SpectralDecomposition):
 def interaction_energy(spec: ChainSpec, t, dec: SpectralDecomposition):
     """Hopping energy stored on receiver-block bonds, from the n_s x n_r
     sender-receiver block: exactly zero on a `ChainSpec` chain (derived in
-    `amplitudes._real_form`), about 1e-15 here with the chain's own `dec`,
+    `amplitudes._lattice`), about 1e-15 here with the chain's own `dec`,
     and nonzero only through an on-site defect."""
     receivers = np.arange(spec.n_s + spec.n_w, spec.n_sites)
     recv = propagator_block(dec, np.arange(spec.n_s), receivers, t)
@@ -92,7 +92,7 @@ def battery_metrics(spec: ChainSpec, t_grid: np.ndarray | None = None) -> Batter
     An explicit t_grid must be 1-D, finite and strictly increasing, so that
     "earliest grid time attaining" is well defined.  Only sum |F|^2 over
     the n_s x n_r sender-receiver block F is evaluated, in the sublattice
-    real form that `amplitudes._real_form` derives:
+    real form that `amplitudes._lattice` derives:
     e_onsite = h (sum |F|^2 - n_r/2).  e_hop and delta_e_sw are exact zeros
     and e_b is e_onsite, because by that derivation every bond product
     (f_s^i)* f_s^{i+1}, whose real part the two energies take, is purely

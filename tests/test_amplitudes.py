@@ -381,9 +381,9 @@ def test_block_weight_takes_only_uniform_grids_onto_the_lattice(monkeypatch):
     spans = []
     lattice = amplitudes._lattice
 
-    def recorded(dec, rows, cols, times, span, step, out=None):
+    def recorded(dec, rows, cols, times, span, step):
         spans.append(span)
-        return lattice(dec, rows, cols, times, span, step, out)
+        return lattice(dec, rows, cols, times, span, step)
 
     monkeypatch.setattr(amplitudes, "_lattice", recorded)
     dec = decompose_chain(ChainSpec(n_s=2, n_w=9, j0=0.05, h=2.0))
@@ -551,6 +551,20 @@ def test_scan_max_probability_coarsens_to_200k_steps():
     assert curve.times[1] == t_max / 200_000
     assert curve.times[-1] == t_max
     assert float(np.max(curve.p_fermion)) <= p_best <= 1.0
+
+
+def test_scan_max_probability_reaches_past_five_slow_half_periods():
+    # On this non-PP chain the highest peak up to NON_PP_HORIZON_FACTOR
+    # tau* (tau* = pi/(2 delta*), about 1.26e5) sits near 9.3 tau*, and it
+    # beats the maximum of an exact dense scan over [0, 5 tau*] by about
+    # 9e-3: a horizon of 5 tau* would report that lower peak.
+    spec = ChainSpec(n_s=3, n_w=42, j0=0.01)
+    dec = decompose_chain(spec)
+    tau = math.pi / (2.0 * scan_scales(spec, dec)[0])
+    t_best, p_best, _ = scan_max_probability(spec, dec)
+    dense = scan_transfer(spec, np.linspace(0.0, 5.0 * tau, 300_001), dec)
+    assert p_best >= float(np.max(dense.p_fermion)) + 5e-3
+    assert t_best > 5.0 * tau
 
 
 def sequential_golden_max(f, a, b, iters=GOLDEN_ITERS):

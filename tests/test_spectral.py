@@ -403,8 +403,7 @@ def test_sender_spectrum_examples():
 def kernel_phases(dec, t):
     """`amplitudes._phases` of a scalar or 1-D time, shaped like `direct_phases`."""
     times = np.atleast_1d(np.asarray(t, dtype=float))
-    table = amplitudes._phases(dec, times, np.empty((len(times), dec.n), dtype=complex))
-    return table.reshape(np.shape(t) + (dec.n,))
+    return amplitudes._phases(dec, times).reshape(np.shape(t) + (dec.n,))
 
 
 def direct_phases(dec, t):
