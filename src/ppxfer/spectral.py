@@ -23,6 +23,12 @@ Output is deterministic: eigenvalues ascending, each eigenvector's first
 nonzero component positive, and for a mirror-symmetric profile every
 eigenvector is projected onto its parity branch so the symmetry holds
 bitwise, not just to rounding.
+
+`_mirror_sectors` is the second producer, for `battery_metrics` only: it
+solves a `ChainSpec` chain in its two mirror sectors with LAPACK `eigh`,
+eagerly, so its parities and (for even N) its level pairs are exact by
+construction and it runs none of the QL's passes or repairs.  Every other
+caller keeps the QL's bits.
 """
 
 from __future__ import annotations
@@ -83,9 +89,10 @@ class SpectralDecomposition:
     way).  That read runs the O(N^3) apply pass and the symmetry repairs,
     stores both arrays on the instance and drops the record; later reads are
     plain attribute lookups.  Callers that read only levels never pay for
-    the vectors.  `diagonalize` is the one producer of these objects;
-    `dataclasses.replace` carries the record, so it works only before the
-    first read (as in `decompose_chain`) and raises AttributeError after.
+    the vectors.  `dataclasses.replace` carries the record, so it works
+    only before the first read (as in `decompose_chain`) and raises
+    AttributeError after.  `_mirror_sectors` builds its vectors eagerly
+    and leaves the instance as a read one: no record.
     """
 
     bare_eigenvalues: np.ndarray
@@ -320,6 +327,51 @@ def diagonalize(profile: CouplingProfile) -> SpectralDecomposition:
 
     rotations = _Rotations(sweeps, factors, order, profile.is_mirror_symmetric())
     return SpectralDecomposition(bare_eigenvalues=w, _rotations=rotations)
+
+
+def _mirror_sectors(spec: ChainSpec) -> SpectralDecomposition:
+    """`decompose_chain(spec)` from the chain's two mirror sectors, one
+    LAPACK `eigh` each, with eager eigenvectors and parities.
+
+    With the half-chain tridiagonal T (halved hops, h peeled off) and the
+    centre bond c, an even N = 2M gives the even sector T + c e e^T, with
+    vectors [u; Ju]/sqrt2, and the odd sector T - c e e^T = -S (T + c e e^T) S
+    (S = diag((-1)^j), a zero diagonal): its vectors [Su; -JSu]/sqrt2 at
+    the exactly negated levels, from the same `eigh`.  An odd N = 2M + 1
+    gives the even sector on sites 0..M with the centre bond scaled by
+    sqrt2, vectors [u_<M/sqrt2, u_M, J u_<M/sqrt2], and the odd sector T,
+    vectors [u/sqrt2, 0, -Ju/sqrt2].  Every column is mirror even or odd
+    by construction and the sectors are orthogonal, so only the pairing
+    step of `diagonalize` and `_fix_signs` follow.
+    """
+    hop = build_profile(spec).hop / 2.0
+    n, m = len(hop) + 1, (len(hop) + 1) // 2
+    root2 = math.sqrt(2.0)
+    if n % 2 == 0:
+        t = np.diag(hop[:m - 1], -1)
+        t[-1, -1] = hop[m - 1]
+        lam, u = np.linalg.eigh(t)
+        x = u / root2
+        y = x * (1 - 2 * (np.arange(m) % 2))[:, None]
+        levels = np.concatenate([lam, -lam])
+        z = np.hstack([np.vstack([x, x[::-1]]), np.vstack([y, -y[::-1]])])
+    else:
+        lam, u = np.linalg.eigh(np.diag(np.append(hop[:m - 1], root2 * hop[m - 1]), -1))
+        mu, v = np.linalg.eigh(np.diag(hop[:m - 1], -1))
+        x, y = u[:m] / root2, v / root2
+        levels = np.concatenate([lam, mu])
+        z = np.hstack([np.vstack([x, u[m:], x[::-1]]),
+                       np.vstack([y, np.zeros((1, m)), -y[::-1]])])
+    order = np.argsort(levels, kind="stable")
+    w = levels[order]
+    z = z[:, order]
+    _fix_signs(z)
+    dec = SpectralDecomposition(bare_eigenvalues=0.5 * (w - w[::-1]), _rotations=None,
+                                offset=spec.h)
+    # the instance dict of a QL decomposition after its first read
+    del vars(dec)["_rotations"]
+    vars(dec).update(eigenvectors=z, parities=np.where(order < n - m, 1.0, -1.0))
+    return dec
 
 
 def decompose_chain(spec: ChainSpec) -> SpectralDecomposition:

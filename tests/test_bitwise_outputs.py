@@ -6,10 +6,9 @@ phases and the look-ahead golden polish), except the `validate`,
 from commit da5c416 (before the array-valued Fock oracle), and the
 `spectrum --h 0.9` and `validate --asymmetry` hashes, which come from
 commit fcfb0d1 (before the eigensolver took a coupling profile), and the
-`battery` hash, re-pinned when the receiver-block weight moved onto the
-angle-addition lattice (its default grid is not uniform, so each time is
-its own anchor and takes numpy's cos and sin of its own angles, summed
-row by row), the (4,81) and (2,102) peaks,
+`battery` hash, re-pinned when the battery took its spectrum from the
+two mirror sectors (one LAPACK `eigh` each, not the QL), the (4,81) and
+(2,102) peaks,
 added at commit 81c35d1, and the other eleven fixed `peak_sweep` chains,
 added at commit b63765f; all with
 Python 3.11, numpy 2.4 and OpenBLAS on x86-64, and the same with 1 or 2
@@ -70,12 +69,13 @@ PEAKS = {
 STDOUT_SHA256 = {
     "transfer --ns 2 --nw 41 --j0 0.01":
         "563216b7ec05929529a2eaa5cb0fc5b555529df2f514bd777d23d39b7465bcc1",
-    # the lattice's span 1 moved E_B and E_onsite by at most 3.6e-15 in 75
-    # of 135 rows and P_s by at most 1.2e-20 in 74, and E_bar, P_bar and
-    # P_tilde in the last digits; t, E_hop (exact zeros), tau_bar,
-    # tau_tilde and delta_E_sw_max kept their bytes
+    # the mirror-sector spectrum moved the default grid's times by at most
+    # 1.6e-10 relative and added one sample (135 -> 136, t = 662266.795);
+    # at matched samples E_B moved by at most 3.1e-8 and P_s by 5.1e-14,
+    # E_bar by -7.6e-9, tau_bar by +4.6e-5 and tau_tilde by +4.0e-5; E_hop
+    # and delta_E_sw_max stay exact zeros
     "battery --nb 4 --nw 32 --j0 0.01":
-        "d30b85fd2de2967c19eb60550a81664f963324b54dc2deddebad66e0f72a7b93",
+        "49ad49b57615ceb12259fd980cc44664cf66bf51d254db3c260d917da72b934d",
     "spectrum --ns 4 --nw 101 --j0 0.01":
         "c84986e888ade8c67372254d4228b67e4e61bce6609491509c6d37b0367cc29f",
     "transfer --ns 3 --nw 40 --j0 0.01":

@@ -283,13 +283,18 @@ def read_parities_then_eigenvectors():
 
 @pytest.mark.parametrize("run", [
     lambda: find_transfer_peak(ChainSpec(n_s=1, n_w=5, j0=0.1)),
-    lambda: battery_metrics(ChainSpec(n_s=2, n_w=8, j0=0.05, h=2.0)),
     read_parities_then_eigenvectors,
-], ids=["find_transfer_peak", "battery_metrics", "parities_then_eigenvectors"])
+], ids=["find_transfer_peak", "parities_then_eigenvectors"])
 def test_vector_callers_run_one_apply_pass_per_decomposition(passes, run):
     run()
     assert passes["decompositions"] > 0
     assert passes["applies"] == passes["decompositions"]
+
+
+def test_battery_runs_no_ql_and_no_apply_pass(passes):
+    # its spectrum comes from the two mirror sectors
+    battery_metrics(ChainSpec(n_s=2, n_w=8, j0=0.05, h=2.0))
+    assert passes == {"decompositions": 0, "applies": 0}
 
 
 def test_rotation_record_lives_until_the_first_read():
@@ -362,6 +367,45 @@ def test_near_degenerate_clusters_come_out_orthonormal(n_s, n_w):
     without it)."""
     spec = ChainSpec(n_s=n_s, n_w=n_w, j0=1e-13)
     dec = decompose_chain(spec)
+    z = dec.eigenvectors
+    assert np.max(np.abs(z.T @ z - np.eye(dec.n))) < 1e-13
+    residual = adjacency_matrix(build_profile(spec)) @ z - z * dec.eigenvalues
+    assert np.max(np.abs(residual)) < 1e-13
+
+
+@pytest.mark.parametrize("n_s", [1, 2, 3, 4])
+def test_mirror_sectors_pair_and_mirror_exactly(n_s):
+    """The battery's mirror-sector decomposition on odd and even N: exact
+    level pairs and column parities with no repair pass, the QL's parities,
+    levels within the roundoff bound (N + 1) eps max|w| that `find_clusters`
+    uses, an orthonormal basis within gamma_2N = N eps / (1 - N eps), and
+    vectors that do not depend on h; it holds what a QL decomposition holds
+    once read."""
+    eps = np.finfo(float).eps
+    for n_w in (1, 2, 7, 8, 40, 43):
+        spec = ChainSpec(n_s=n_s, n_w=n_w, j0=0.01, h=2.0)
+        dec, ql = spectral._mirror_sectors(spec), decompose_chain(spec)
+        assert set(vars(dec)) == {"bare_eigenvalues", "offset", "eigenvectors", "parities"}
+        n, w, z = dec.n, dec.bare_eigenvalues, dec.eigenvectors
+        assert np.array_equal(w, -w[::-1]), n_w
+        assert all(np.array_equal(z[::-1, k], dec.parities[k] * z[:, k]) for k in range(n))
+        assert np.array_equal(dec.parities, ql.parities), n_w
+        assert np.max(np.abs(w - ql.bare_eigenvalues)) <= (n + 1) * eps * np.max(np.abs(w))
+        assert np.max(np.abs(z.T @ z - np.eye(n))) <= n * eps / (1.0 - n * eps), n_w
+        bare = spectral._mirror_sectors(ChainSpec(n_s=n_s, n_w=n_w, j0=0.01))
+        for name in ("bare_eigenvalues", "eigenvectors", "parities"):
+            assert getattr(bare, name).tobytes() == getattr(dec, name).tobytes(), name
+        copy = pickle.loads(pickle.dumps(dec))
+        assert copy.eigenvectors.tobytes() == z.tobytes() and copy.offset == 2.0
+
+
+@pytest.mark.parametrize("n_s, n_w", [(6, 20), (3, 43)])
+def test_mirror_sectors_need_no_cluster_repair(n_s, n_w):
+    """The chains of `test_near_degenerate_clusters_come_out_orthonormal`:
+    each near-degenerate doublet splits into one level per sector, so the
+    basis is orthonormal and exact to 1e-13 without a Gram-Schmidt."""
+    spec = ChainSpec(n_s=n_s, n_w=n_w, j0=1e-13)
+    dec = spectral._mirror_sectors(spec)
     z = dec.eigenvectors
     assert np.max(np.abs(z.T @ z - np.eye(dec.n))) < 1e-13
     residual = adjacency_matrix(build_profile(spec)) @ z - z * dec.eigenvalues
