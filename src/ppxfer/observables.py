@@ -23,7 +23,7 @@ import numpy as np
 from .amplitudes import (SubmatrixEvaluator, _block_weight, _checked_grid, plan_scan_grid,
                          propagator_block)
 from .chain import ChainSpec, _site
-from .spectral import SpectralDecomposition, _mirror_sectors
+from .spectral import SpectralDecomposition, decompose_chain
 
 
 @dataclass(frozen=True)
@@ -99,8 +99,8 @@ def battery_metrics(spec: ChainSpec, t_grid: np.ndarray | None = None) -> Batter
     imaginary.  Both facts need the chain of a `ChainSpec` (a bipartite
     hopping line with uniform h), so this function takes no `dec` and
     decomposes that chain itself, in its two mirror sectors
-    (`spectral._mirror_sectors`, LAPACK, not the QL of `decompose_chain`:
-    the levels agree to roundoff, not bit for bit).  A uniform grid (as
+    (`decompose_chain(spec, _sectors=True)`, LAPACK, not the QL: the
+    levels agree to roundoff, not bit for bit).  A uniform grid (as
     `battery --tmax T --samples S` makes) runs on the angle-addition lattice of
     `amplitudes._block_weight`, where a sample's last bits depend on its
     anchor; any other grid, the default one included, evaluates each time
@@ -112,7 +112,7 @@ def battery_metrics(spec: ChainSpec, t_grid: np.ndarray | None = None) -> Batter
             "local spectrum",
             stacklevel=2,
         )
-    dec = _mirror_sectors(spec)
+    dec = decompose_chain(spec, _sectors=True)
     if t_grid is None:
         t_grid, _ = plan_scan_grid(spec, dec)
     t_grid = _checked_grid(t_grid)

@@ -24,11 +24,11 @@ nonzero component positive, and for a mirror-symmetric profile every
 eigenvector is projected onto its parity branch so the symmetry holds
 bitwise, not just to rounding.
 
-`_mirror_sectors` is the second producer, for `battery_metrics` only: it
-solves a `ChainSpec` chain in its two mirror sectors with LAPACK `eigh`,
-eagerly, so its parities and (for even N) its level pairs are exact by
-construction and it runs none of the QL's passes or repairs.  Every other
-caller keeps the QL's bits.
+`_mirror_sectors` is the second producer, for `battery_metrics` only
+(`decompose_chain(spec, _sectors=True)`): it solves a `ChainSpec` chain in
+its two mirror sectors with LAPACK `eigh`, eagerly, so its parities and
+(for even N) its level pairs are exact by construction and it runs none
+of the QL's passes or repairs.  Every other caller keeps the QL's bits.
 """
 
 from __future__ import annotations
@@ -92,7 +92,7 @@ class SpectralDecomposition:
     the vectors.  `dataclasses.replace` carries the record, so it works
     only before the first read (as in `decompose_chain`) and raises
     AttributeError after.  `_mirror_sectors` builds its vectors eagerly
-    and leaves the instance as a read one: no record.
+    and makes a read instance directly (`_eager`): no record.
     """
 
     bare_eigenvalues: np.ndarray
@@ -122,6 +122,17 @@ class SpectralDecomposition:
                 state.update(eigenvectors=z, parities=parities)
                 del state["_rotations"]
         return state
+
+    @classmethod
+    def _eager(cls, bare_eigenvalues: np.ndarray, eigenvectors: np.ndarray,
+               parities: np.ndarray, offset: float) -> "SpectralDecomposition":
+        """An instance built with its eigenvectors and parities, in the
+        state a deferred one reaches after its first read (no record)."""
+        dec = cls(bare_eigenvalues, None, offset)
+        state = dec.__dict__
+        del state["_rotations"]
+        state.update(eigenvectors=eigenvectors, parities=parities)
+        return dec
 
     @property
     def n(self) -> int:
@@ -366,22 +377,24 @@ def _mirror_sectors(spec: ChainSpec) -> SpectralDecomposition:
     w = levels[order]
     z = z[:, order]
     _fix_signs(z)
-    dec = SpectralDecomposition(bare_eigenvalues=0.5 * (w - w[::-1]), _rotations=None,
-                                offset=spec.h)
-    # the instance dict of a QL decomposition after its first read
-    del vars(dec)["_rotations"]
-    vars(dec).update(eigenvectors=z, parities=np.where(order < n - m, 1.0, -1.0))
-    return dec
+    return SpectralDecomposition._eager(0.5 * (w - w[::-1]), z,
+                                        np.where(order < n - m, 1.0, -1.0), spec.h)
 
 
-def decompose_chain(spec: ChainSpec) -> SpectralDecomposition:
+def decompose_chain(spec: ChainSpec, *, _sectors: bool = False) -> SpectralDecomposition:
     """Profile -> decomposition for a chain configuration.
 
     The uniform on-site energy commutes with the hopping part, so it is
     peeled off the on-site vector (h - h is exactly 0.0) before the
     eigensolve and added back to the eigenvalues; changing h therefore
     leaves the eigenvectors bitwise identical.
+
+    `_sectors=True` (`battery_metrics` only) solves the two mirror sectors
+    with LAPACK (`_mirror_sectors`) in place of the QL: the same levels to
+    roundoff, not the same bits.
     """
+    if _sectors:
+        return _mirror_sectors(spec)
     profile = build_profile(spec)
     bare = diagonalize(CouplingProfile(hop=profile.hop, onsite=profile.onsite - spec.h))
     return replace(bare, offset=spec.h)

@@ -261,7 +261,7 @@ def count_calls(monkeypatch, owner, name, binders):
 def count_decompositions(monkeypatch):
     """Record the spec of every decompose_chain call."""
     return count_calls(monkeypatch, spectral, "decompose_chain",
-                       {amplitudes, cli, perturbation})
+                       {amplitudes, cli, observables, perturbation})
 
 
 @pytest.mark.parametrize("argv, chains, summary_pp", [

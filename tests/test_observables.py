@@ -21,7 +21,7 @@ from ppxfer.observables import (
     switching_energy,
 )
 from ppxfer.oracle import oracle_occupation
-from ppxfer.spectral import _mirror_sectors, decompose_chain, diagonalize
+from ppxfer.spectral import decompose_chain, diagonalize
 
 
 def defected_decomposition(spec, shift=0.02):
@@ -231,7 +231,7 @@ def test_battery_grid_matches_point_by_point_observables():
     # gives the same bytes, half by half.  The observables read the
     # battery's own (mirror-sector) decomposition.
     spec = ChainSpec(n_s=2, n_w=6, j0=0.05, h=2.0)
-    dec = _mirror_sectors(spec)
+    dec = decompose_chain(spec, _sectors=True)
     width = spec.n_s ** 2 * (dec.n // 2)
     # three and a half chunks of a span-1 grid
     step = time_chunks(CHUNK_ELEMENTS, width)[0].stop

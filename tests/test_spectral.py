@@ -379,20 +379,18 @@ def test_mirror_sectors_pair_and_mirror_exactly(n_s):
     level pairs and column parities with no repair pass, the QL's parities,
     levels within the roundoff bound (N + 1) eps max|w| that `find_clusters`
     uses, an orthonormal basis within gamma_2N = N eps / (1 - N eps), and
-    vectors that do not depend on h; it holds what a QL decomposition holds
-    once read."""
+    vectors that do not depend on h; it pickles with its vectors."""
     eps = np.finfo(float).eps
     for n_w in (1, 2, 7, 8, 40, 43):
         spec = ChainSpec(n_s=n_s, n_w=n_w, j0=0.01, h=2.0)
-        dec, ql = spectral._mirror_sectors(spec), decompose_chain(spec)
-        assert set(vars(dec)) == {"bare_eigenvalues", "offset", "eigenvectors", "parities"}
+        dec, ql = decompose_chain(spec, _sectors=True), decompose_chain(spec)
         n, w, z = dec.n, dec.bare_eigenvalues, dec.eigenvectors
         assert np.array_equal(w, -w[::-1]), n_w
         assert all(np.array_equal(z[::-1, k], dec.parities[k] * z[:, k]) for k in range(n))
         assert np.array_equal(dec.parities, ql.parities), n_w
         assert np.max(np.abs(w - ql.bare_eigenvalues)) <= (n + 1) * eps * np.max(np.abs(w))
         assert np.max(np.abs(z.T @ z - np.eye(n))) <= n * eps / (1.0 - n * eps), n_w
-        bare = spectral._mirror_sectors(ChainSpec(n_s=n_s, n_w=n_w, j0=0.01))
+        bare = decompose_chain(ChainSpec(n_s=n_s, n_w=n_w, j0=0.01), _sectors=True)
         for name in ("bare_eigenvalues", "eigenvectors", "parities"):
             assert getattr(bare, name).tobytes() == getattr(dec, name).tobytes(), name
         copy = pickle.loads(pickle.dumps(dec))
@@ -405,7 +403,7 @@ def test_mirror_sectors_need_no_cluster_repair(n_s, n_w):
     each near-degenerate doublet splits into one level per sector, so the
     basis is orthonormal and exact to 1e-13 without a Gram-Schmidt."""
     spec = ChainSpec(n_s=n_s, n_w=n_w, j0=1e-13)
-    dec = spectral._mirror_sectors(spec)
+    dec = decompose_chain(spec, _sectors=True)
     z = dec.eigenvectors
     assert np.max(np.abs(z.T @ z - np.eye(dec.n))) < 1e-13
     residual = adjacency_matrix(build_profile(spec)) @ z - z * dec.eigenvalues
