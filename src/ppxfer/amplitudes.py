@@ -857,9 +857,12 @@ def plan_scan_grid(spec: ChainSpec, dec: SpectralDecomposition) -> tuple[np.ndar
 
 
 def find_transfer_peak(spec: ChainSpec, dec: SpectralDecomposition | None = None) -> PeakReport:
-    """Locate the fermion transfer peak and the boson peak in its window."""
+    """Locate the fermion transfer peak and the boson peak in its window.
+
+    Without `dec` the chain is decomposed by the QL, whose bits the pinned
+    peaks keep (see `decompose_chain`)."""
     if dec is None:
-        dec = decompose_chain(spec)
+        dec = decompose_chain(spec, _ql=True)
     grid, meta = plan_scan_grid(spec, dec)
     ev = SubmatrixEvaluator(dec, spec.n_s)
     curve = scan_transfer(spec, grid, dec)

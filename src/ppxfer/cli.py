@@ -142,7 +142,8 @@ def cmd_spectrum(args) -> int:
 def cmd_transfer(args) -> int:
     spec, stats = _spec_from_args(args)
     grid = None if args.tmax is None else _uniform_grid(args.tmax, args.samples)
-    dec = decompose_chain(spec)
+    # the peak path keeps the QL's bits (see `decompose_chain`)
+    dec = decompose_chain(spec, _ql=True)
 
     summary: dict = {"config": json.loads(spec.to_json())}
     try:
@@ -252,7 +253,7 @@ def cmd_scaling(args) -> int:
     rows = []
     for n_w in lengths:
         spec = replace(base, n_w=n_w)
-        dec = decompose_chain(spec)
+        dec = decompose_chain(spec, _ql=True)
         tau_pred = predict_transfer_time(spec, dec)
         peak = find_transfer_peak(spec, dec=dec)
         rows.append((n_w, peak.t_fermion, tau_pred))

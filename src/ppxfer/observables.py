@@ -98,10 +98,9 @@ def battery_metrics(spec: ChainSpec, t_grid: np.ndarray | None = None) -> Batter
     (f_s^i)* f_s^{i+1}, whose real part the two energies take, is purely
     imaginary.  Both facts need the chain of a `ChainSpec` (a bipartite
     hopping line with uniform h), so this function takes no `dec` and
-    decomposes that chain itself, in its two mirror sectors
-    (`decompose_chain(spec, _sectors=True)`, LAPACK, not the QL: the
-    levels agree to roundoff, not bit for bit).  A uniform grid (as
-    `battery --tmax T --samples S` makes) runs on the angle-addition lattice of
+    decomposes that chain itself (`decompose_chain(spec)`: its two mirror
+    sectors, LAPACK, not the QL).  A uniform grid (as `battery --tmax T
+    --samples S` makes) runs on the angle-addition lattice of
     `amplitudes._block_weight`, where a sample's last bits depend on its
     anchor; any other grid, the default one included, evaluates each time
     on its own, with the bits it has alone.
@@ -112,7 +111,7 @@ def battery_metrics(spec: ChainSpec, t_grid: np.ndarray | None = None) -> Batter
             "local spectrum",
             stacklevel=2,
         )
-    dec = decompose_chain(spec, _sectors=True)
+    dec = decompose_chain(spec)
     if t_grid is None:
         t_grid, _ = plan_scan_grid(spec, dec)
     t_grid = _checked_grid(t_grid)

@@ -91,10 +91,11 @@ def find_clusters(dec: SpectralDecomposition, spec: ChainSpec) -> list[LevelClus
     """Assign chain levels to sender-mode clusters by nearest energy.
 
     A cluster's spread is a difference of computed levels, so it means
-    something only above their roundoff.  The QL eigensolve of the bare
-    chain H0 is backward stable: its levels are the exact ones of H0 + E
-    with ||E||_2 <= p(N) u ||H0||_2 (u = 2^-53; each Givens rotation adds a
-    few u ||H0||, p(N) grows modestly with N, and p(N) = N is taken here).
+    something only above their roundoff.  Both eigensolves of the bare
+    chain H0 (LAPACK `eigh` on its two mirror sectors, and the QL) are
+    backward stable: the levels are the exact ones of H0 + E with
+    ||E||_2 <= p(N) u ||H0||_2 (u = 2^-53; each rotation or reflection adds
+    a few u ||H0||, p(N) grows modestly with N, and p(N) = N is taken here).
     By Weyl's inequality each bare level is then within N u ||H0||_2 of an
     exact one, and ||H0||_2 <= max|omega| because the levels pair
     (max|omega| = max|bare| + |h|).  Adding the offset h rounds once more,
@@ -328,8 +329,8 @@ def commensurability_check(ratio) -> CommensurabilityVerdict:
 
 
 def perturbation_report(spec: ChainSpec) -> PerturbationReport:
-    # the decomposition (and its rotation record) is dropped before the
-    # ratio probes; a probe at spec.j0 reuses these clusters
+    # the decomposition (with its eigenvectors) is dropped before the ratio
+    # probes; a probe at spec.j0 reuses these clusters
     clusters = find_clusters(decompose_chain(spec), spec)
     rot = rule_of_thumb(clusters)
     delta_star = distinct_splittings(clusters)[0][0]

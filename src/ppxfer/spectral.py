@@ -1,10 +1,20 @@
-"""Symmetric tridiagonal eigensolver and block spectra.
+"""Chain spectra: mirror-sector solves, a tridiagonal QL and block spectra.
 
-The eigensolver reads a chain's coupling profile directly: its on-site
-energies are the diagonal and its halved hoppings the off-diagonal, so no
-dense matrix is built or scanned for structure.  The profile also states
-the two symmetries the output enforces: a zero diagonal (bipartite chain,
-exact +/- level pairs) and mirror symmetry (exact eigenvector parities).
+A `ChainSpec` chain is persymmetric, so `decompose_chain(spec)` solves it
+in its two half-size mirror sectors with LAPACK `eigh` (`_mirror_sectors`),
+eagerly: its parities and (for even N) its level pairs are exact by
+construction and it runs none of the QL's passes or repairs.
+
+The QL is the second producer.  It serves `diagonalize(profile)`, for
+profiles that are not `ChainSpec` chains (an on-site defect, no mirror
+symmetry), and `decompose_chain(spec, _ql=True)`, for the peak path
+(`find_transfer_peak` and the `transfer` and `scaling` commands), whose
+pinned outputs keep the QL's bits.  It reads a coupling profile directly:
+its on-site energies are the diagonal and its halved hoppings the
+off-diagonal, so no dense matrix is built or scanned for structure.  The
+profile also states the two symmetries the output enforces: a zero
+diagonal (bipartite chain, exact +/- level pairs) and mirror symmetry
+(exact eigenvector parities).
 
 Implicit-shift QL with accumulated eigenvectors, written against float64
 and a 30-sweep cap per eigenvalue, in two passes: a scalar pass runs the
@@ -22,13 +32,8 @@ read only levels never run it.
 Output is deterministic: eigenvalues ascending, each eigenvector's first
 nonzero component positive, and for a mirror-symmetric profile every
 eigenvector is projected onto its parity branch so the symmetry holds
-bitwise, not just to rounding.
-
-`_mirror_sectors` is the second producer, for `battery_metrics` only
-(`decompose_chain(spec, _sectors=True)`): it solves a `ChainSpec` chain in
-its two mirror sectors with LAPACK `eigh`, eagerly, so its parities and
-(for even N) its level pairs are exact by construction and it runs none
-of the QL's passes or repairs.  Every other caller keeps the QL's bits.
+bitwise, not just to rounding.  The two producers agree to roundoff, not
+bit for bit.
 """
 
 from __future__ import annotations
@@ -83,16 +88,18 @@ class SpectralDecomposition:
     ~ulp(offset), an error the propagator phases amplify linearly in t; the
     kernel (`amplitudes`) therefore applies the offset as one global factor.
 
-    The levels are computed eagerly; `eigenvectors` and `parities` are built
-    on the first read of either, from the rotation record `_rotations` that
+    `decompose_chain` builds its vectors eagerly in the mirror sectors and
+    makes a read instance directly (`_eager`): no record.  From the QL
+    (`diagonalize`, or `decompose_chain(spec, _ql=True)`) the levels are
+    computed eagerly; `eigenvectors` and `parities` are built on the first
+    read of either, from the rotation record `_rotations` that
     `diagonalize` leaves here (plain arrays, so the object pickles either
     way).  That read runs the O(N^3) apply pass and the symmetry repairs,
     stores both arrays on the instance and drops the record; later reads are
     plain attribute lookups.  Callers that read only levels never pay for
     the vectors.  `dataclasses.replace` carries the record, so it works
-    only before the first read (as in `decompose_chain`) and raises
-    AttributeError after.  `_mirror_sectors` builds its vectors eagerly
-    and makes a read instance directly (`_eager`): no record.
+    only before the first read (as in `decompose_chain(spec, _ql=True)`)
+    and raises AttributeError after.
     """
 
     bare_eigenvalues: np.ndarray
@@ -381,7 +388,7 @@ def _mirror_sectors(spec: ChainSpec) -> SpectralDecomposition:
                                         np.where(order < n - m, 1.0, -1.0), spec.h)
 
 
-def decompose_chain(spec: ChainSpec, *, _sectors: bool = False) -> SpectralDecomposition:
+def decompose_chain(spec: ChainSpec, *, _ql: bool = False) -> SpectralDecomposition:
     """Profile -> decomposition for a chain configuration.
 
     The uniform on-site energy commutes with the hopping part, so it is
@@ -389,11 +396,13 @@ def decompose_chain(spec: ChainSpec, *, _sectors: bool = False) -> SpectralDecom
     eigensolve and added back to the eigenvalues; changing h therefore
     leaves the eigenvectors bitwise identical.
 
-    `_sectors=True` (`battery_metrics` only) solves the two mirror sectors
-    with LAPACK (`_mirror_sectors`) in place of the QL: the same levels to
-    roundoff, not the same bits.
+    The chain is solved in its two mirror sectors with LAPACK
+    (`_mirror_sectors`).  `_ql=True` runs `diagonalize`'s QL on the
+    h-peeled profile instead, for the peak path (`find_transfer_peak`,
+    `transfer`, `scaling`), whose pinned outputs keep the QL's bits: the
+    two producers agree to roundoff, not bit for bit.
     """
-    if _sectors:
+    if not _ql:
         return _mirror_sectors(spec)
     profile = build_profile(spec)
     bare = diagonalize(CouplingProfile(hop=profile.hop, onsite=profile.onsite - spec.h))

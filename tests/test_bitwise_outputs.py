@@ -1,21 +1,30 @@
 """Bitwise regression guard for the peak search and the CLI.
 
-Every pinned value was produced by commit 473b880 (before the paired-level
-phases and the look-ahead golden polish), except the `validate`,
-`oracle-check` and non-PP `transfer --ns 3 --nw 40` hashes, which come
-from commit da5c416 (before the array-valued Fock oracle), and the
-`spectrum --h 0.9` and `validate --asymmetry` hashes, which come from
-commit fcfb0d1 (before the eigensolver took a coupling profile), and the
-`battery` hash, re-pinned when the battery took its spectrum from the
-two mirror sectors (one LAPACK `eigh` each, not the QL), the (4,81) and
-(2,102) peaks,
-added at commit 81c35d1, and the other eleven fixed `peak_sweep` chains,
-added at commit b63765f; all with
-Python 3.11, numpy 2.4 and OpenBLAS on x86-64, and the same with 1 or 2
-OpenBLAS threads.  A change that claims to leave outputs unchanged must
-keep these exact bits: peaks as `float.hex` of (t_fermion, p_fermion,
-t_boson, p_boson), CLI runs as the sha256 of stdout.  A change that moves
-outputs on purpose re-pins the values here and lists each one it moved.
+Where each pinned value comes from:
+
+* the (2,41), (3,41) and (4,101) peaks and the `transfer --ns 2 --nw 41`
+  hash: commit 473b880 (before the paired-level phases and the
+  look-ahead golden polish);
+* the (4,81) and (2,102) peaks: commit 81c35d1; the other eleven fixed
+  `peak_sweep` chains: commit b63765f;
+* the non-PP `transfer --ns 3 --nw 40` hash: commit da5c416 (before the
+  array-valued Fock oracle);
+* the `spectrum --h 0.9` hash: commit fcfb0d1 (before the eigensolver
+  took a coupling profile); its bytes stayed when `spectrum` moved to
+  the mirror sectors;
+* the `battery` hash: re-pinned when the battery took its spectrum from
+  the two mirror sectors (one LAPACK `eigh` each, not the QL);
+* the `validate`, `validate --asymmetry`, `oracle-check` and `spectrum
+  --ns 4 --nw 101` hashes: re-pinned when every chain off the peak path
+  took its spectrum from the mirror sectors (the peak search, `transfer`
+  and `scaling` keep the QL's bits).
+
+All with Python 3.11, numpy 2.4 and OpenBLAS on x86-64, and the same with
+1 or 2 OpenBLAS threads.  A change that claims to leave outputs unchanged
+must keep these exact bits: peaks as `float.hex` of (t_fermion,
+p_fermion, t_boson, p_boson), CLI runs as the sha256 of stdout.  A change
+that moves outputs on purpose re-pins the values here and lists each one
+it moved.
 """
 
 import contextlib
@@ -76,21 +85,28 @@ STDOUT_SHA256 = {
     # and delta_E_sw_max stay exact zeros
     "battery --nb 4 --nw 32 --j0 0.01":
         "49ad49b57615ceb12259fd980cc44664cf66bf51d254db3c260d917da72b934d",
+    # the mirror-sector spectrum moved 88 of the 109 levels by at most
+    # 8.5e-16; every parity stayed
     "spectrum --ns 4 --nw 101 --j0 0.01":
-        "c84986e888ade8c67372254d4228b67e4e61bce6609491509c6d37b0367cc29f",
+        "db3630526fb49070e05b646c30681e1b6a27ace2f0ed60d8aac345018423da6c",
     "transfer --ns 3 --nw 40 --j0 0.01":
         "026e4cdfaf392c716effc504ccd08e5d6885ab6cadadacc62cc9e136a496bf43",
+    # with the mirror-sector spectrum: unitarity 1.11e-15 -> 1.44e-15, parity
+    # reality 2.12e-15 -> 1.15e-15, oracle deviation 1.621e-14 -> 4.441e-15,
+    # statistics independence 1.55e-15 -> 2.44e-15, magnetization identity
+    # 3.85e-17 -> 5.86e-17; the same moves in `validate --asymmetry`
     "validate":
-        "39dfe435333da8958d23ed36b03fa80fe46486107c317aaf5a2a5e5562a9f8fd",
+        "d5a0f7e39363d1da4c66cccf1e2e2750aad1716ad2e25732a86f08fbf005bdf7",
+    # the oracle deviation moved 1.621e-14 -> 4.441e-15
     "oracle-check":
-        "90a64ddb69890cc1e4246941bd9a39b70758123e4458ffc777ede61678de40c8",
+        "6f2bbc8b94a6cda843b5d72c63e75832e5999050dcdac5dac73ff91a7385ca17",
     # a uniform on-site energy peeled off before the eigensolve
     "spectrum --ns 2 --nw 5 --j0 0.03 --h 0.9":
         "6e305ed9d9de6f6cd4160f4bae82ace13367f488b75d6f9d37c897e44fc59422",
     # a chain with no mirror symmetry and a nonzero diagonal; its
     # zero-energy check fails on purpose
     "validate --asymmetry 0.01":
-        "802dbab88a6e52f923ca595b0c5ba2c81116f4b07fff260c8088d3abf54a8e9e",
+        "8d4d3b06f42cc12b626eb44a2fa06b936af9a65143f79ddda3f370a9431f1a88",
 }
 
 EXIT_CODES = {"validate --asymmetry 0.01": EXIT_FAIL}  # every other run exits EXIT_OK

@@ -1,5 +1,6 @@
 """Tests for the command-line interface: formats, exit codes, determinism."""
 
+import functools
 import hashlib
 import importlib.util
 import json
@@ -402,14 +403,14 @@ def test_numerical_inconsistency_exits_with_its_code(monkeypatch, capsys):
 
 def test_eigensolver_non_convergence_exits_with_the_numeric_code(monkeypatch, capsys):
     monkeypatch.setattr(spectral, "MAX_SWEEPS", 0)
-    code, out, err = run_cli(capsys, ["spectrum", "--ns", "2", "--nw", "5"])
+    code, out, err = run_cli(capsys, ["transfer", "--ns", "2", "--nw", "5"])
     assert code == EXIT_NUMERIC
     assert out == ""
     assert err.startswith("error: tridiagonal QL failed to converge")
     assert err.count("\n") == 1
 
 
-@pytest.mark.parametrize("command", ["spectrum", "transfer"])
+@pytest.mark.parametrize("command", ["transfer"])   # `spectrum` takes no QL (see below)
 def test_eigensolver_underflow_exits_with_the_numeric_code(capsys, command):
     # products of the junction hop underflow to zero in a Givens rotation of the QL
     code, out, err = run_cli(capsys, [command, "--ns", "1", "--nw", "5", "--j0", "1e-200"])
@@ -419,12 +420,34 @@ def test_eigensolver_underflow_exits_with_the_numeric_code(capsys, command):
     assert err.count("\n") == 1
 
 
-def test_unresolved_mirror_parities_exit_with_the_numeric_code(capsys):
+def test_unresolved_mirror_parities_exit_with_the_numeric_code(monkeypatch, capsys):
+    # `transfer` stops at this chain's cluster spread before it reads the
+    # QL's vectors, so `spectrum` runs on the QL here
+    monkeypatch.setattr(cli, "decompose_chain", functools.partial(spectral.decompose_chain,
+                                                                  _ql=True))
     code, out, err = run_cli(capsys, ["spectrum", "--ns", "2", "--nw", "6", "--j0", "1e-16"])
     assert code == EXIT_NUMERIC
     assert out == ""
     assert err == ("error: eigensolver did not resolve the mirror parities: "
                    "7 of 10 eigenvectors came out even, not 5\n")
+
+
+@pytest.mark.parametrize("argv, sweeps", [
+    (["--ns", "2", "--nw", "5"], 0),
+    (["--ns", "1", "--nw", "5", "--j0", "1e-200"], None),
+    (["--ns", "2", "--nw", "6", "--j0", "1e-16"], None),
+], ids=["non_convergence", "underflow", "unresolved_parities"])
+def test_spectrum_solves_the_chains_the_ql_fails_on(monkeypatch, capsys, argv, sweeps):
+    """The inputs of the three tests above: `spectrum` takes the mirror
+    sectors, not the QL, and gives ceil(N/2) even levels."""
+    if sweeps is not None:
+        monkeypatch.setattr(spectral, "MAX_SWEEPS", sweeps)
+    code, out, _ = run_cli(capsys, ["spectrum", *argv])
+    assert code == EXIT_OK
+    rows = [line.split(",") for line in out.splitlines()[2:]]
+    parities = [float(row[2]) for row in rows]
+    assert sorted(set(parities)) == [-1.0, 1.0]
+    assert parities.count(1.0) == (len(rows) + 1) // 2
 
 
 def test_roundoff_splittings_exit_with_the_numeric_code(capsys):
@@ -552,12 +575,15 @@ def pinned_stdout_sha256() -> dict:
 
 @pytest.mark.parametrize("threads", ["1", "2"])
 @pytest.mark.parametrize("command", ["transfer --ns 2 --nw 41 --j0 0.01",
-                                     "battery --nb 4 --nw 32 --j0 0.01"])
+                                     "battery --nb 4 --nw 32 --j0 0.01",
+                                     "spectrum --ns 4 --nw 101 --j0 0.01",
+                                     "validate"])
 def test_pinned_stdout_does_not_depend_on_the_blas_thread_count(command, threads):
-    """Two runs `test_bitwise_outputs` pins, in a fresh process whose
-    OpenBLAS thread count is set before numpy loads, keep their stdout
-    bytes.  Their folded propagator products are the first ones large
-    enough for OpenBLAS to split across threads."""
+    """Runs `test_bitwise_outputs` pins, in a fresh process whose OpenBLAS
+    thread count is set before numpy loads, keep their stdout bytes.  The
+    folded propagator products of `transfer` and `battery` are the first
+    ones large enough for OpenBLAS to split across threads; `spectrum` and
+    `validate` take their levels from LAPACK `eigh` (the mirror sectors)."""
     src = Path(__file__).resolve().parent.parent / "src"
     path = [str(src), os.environ.get("PYTHONPATH", "")]
     env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": os.pathsep.join(path)}

@@ -231,7 +231,7 @@ def test_battery_grid_matches_point_by_point_observables():
     # gives the same bytes, half by half.  The observables read the
     # battery's own (mirror-sector) decomposition.
     spec = ChainSpec(n_s=2, n_w=6, j0=0.05, h=2.0)
-    dec = decompose_chain(spec, _sectors=True)
+    dec = decompose_chain(spec)
     width = spec.n_s ** 2 * (dec.n // 2)
     # three and a half chunks of a span-1 grid
     step = time_chunks(CHUNK_ELEMENTS, width)[0].stop

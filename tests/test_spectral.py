@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 import json
 import math
 import os
@@ -102,10 +104,11 @@ def test_spectral_antisymmetry_about_h():
 
 
 def test_h_shift_leaves_eigenvectors_identical():
-    base = decompose_chain(ChainSpec(n_s=2, n_w=5, j0=0.03, h=0.0))
-    lift = decompose_chain(ChainSpec(n_s=2, n_w=5, j0=0.03, h=0.9))
-    assert np.array_equal(base.eigenvectors, lift.eigenvectors)
-    assert np.allclose(lift.eigenvalues - base.eigenvalues, 0.9, atol=1e-12)
+    for ql in (False, True):
+        base = decompose_chain(ChainSpec(n_s=2, n_w=5, j0=0.03, h=0.0), _ql=ql)
+        lift = decompose_chain(ChainSpec(n_s=2, n_w=5, j0=0.03, h=0.9), _ql=ql)
+        assert np.array_equal(base.eigenvectors, lift.eigenvectors)
+        assert np.allclose(lift.eigenvalues - base.eigenvalues, 0.9, atol=1e-12)
 
 
 def test_deterministic_output():
@@ -155,10 +158,10 @@ def random_zero_diagonal_profile(rng, n):
 
 
 DECOMPOSITIONS = {
-    "2-41": lambda: decompose_chain(ChainSpec(n_s=2, n_w=41, j0=0.01)),
-    "4-101": lambda: decompose_chain(ChainSpec(n_s=4, n_w=101, j0=0.01)),
-    "3-43-weak": lambda: decompose_chain(ChainSpec(n_s=3, n_w=43, j0=1e-4)),
-    "2-5-h": lambda: decompose_chain(ChainSpec(n_s=2, n_w=5, j0=0.03, h=0.9)),
+    "2-41": lambda: decompose_chain(ChainSpec(n_s=2, n_w=41, j0=0.01), _ql=True),
+    "4-101": lambda: decompose_chain(ChainSpec(n_s=4, n_w=101, j0=0.01), _ql=True),
+    "3-43-weak": lambda: decompose_chain(ChainSpec(n_s=3, n_w=43, j0=1e-4), _ql=True),
+    "2-5-h": lambda: decompose_chain(ChainSpec(n_s=2, n_w=5, j0=0.03, h=0.9), _ql=True),
     "asymmetric": lambda: diagonalize(validate_asymmetry_profile()),
     "random": lambda: diagonalize(random_profile(np.random.default_rng(31), 37)),
     "random-zero-diagonal":
@@ -166,9 +169,11 @@ DECOMPOSITIONS = {
 }
 
 # sha256 over the bytes of eigenvalues, bare_eigenvalues, eigenvectors and
-# parities, in that order; produced by commit 46990f8 (the QL that recorded
-# one column per rotation) with Python 3.11, numpy 2.4 and OpenBLAS on
-# x86-64, the same with 1 or 2 OpenBLAS threads
+# parities, in that order, all from the QL (the chains through
+# `decompose_chain(spec, _ql=True)`, as the peak path decomposes them);
+# produced by commit 46990f8 (the QL that recorded one column per rotation)
+# with Python 3.11, numpy 2.4 and OpenBLAS on x86-64, the same with 1 or 2
+# OpenBLAS threads
 DECOMPOSITION_SHA256 = {
     "2-41": "c9cbe22ac29a898c994085fc39e15a45501a20593f7f0f9301bd5bd78d92498e",
     "4-101": "80812d7d0af96a22f352f2a61f2ef7e9bca4d24278b5d86bf41c6f895dcb57a2",
@@ -235,11 +240,12 @@ def test_batched_rotations_are_bitwise_sequential(monkeypatch):
     # zero off-diagonals: an empty rotation record at N = 200
     profiles.append(CouplingProfile(hop=np.zeros(199), onsite=rng.uniform(-1, 1, 200)))
     specs = [ChainSpec(n_s=4, n_w=101, j0=0.01), ChainSpec(n_s=2, n_w=102, j0=0.01)]
-    batched = [diagonalize(p) for p in profiles] + [decompose_chain(s) for s in specs]
+    batched = [diagonalize(p) for p in profiles] + [decompose_chain(s, _ql=True) for s in specs]
     for dec in batched:   # build the vectors before the patch
         dec.eigenvectors
     monkeypatch.setattr(spectral, "_apply_rotations", rotate_one_at_a_time)
-    sequential = [diagonalize(p) for p in profiles] + [decompose_chain(s) for s in specs]
+    sequential = [diagonalize(p) for p in profiles] + [decompose_chain(s, _ql=True)
+                                                       for s in specs]
     for got, want in zip(batched, sequential):   # bytes: signed zeros count
         assert got.eigenvalues.tobytes() == want.eigenvalues.tobytes()
         assert got.eigenvectors.tobytes() == want.eigenvectors.tobytes()
@@ -248,9 +254,9 @@ def test_batched_rotations_are_bitwise_sequential(monkeypatch):
 
 @pytest.fixture
 def passes(monkeypatch):
-    """Counts of decompositions (`diagonalize` calls, which every
-    `decompose_chain` makes) and of eigenvector apply passes."""
-    counts = {"decompositions": 0, "applies": 0}
+    """Counts of QL scalar passes (`_ql_implicit`, one per `diagonalize`),
+    of mirror-sector solves and of eigenvector apply passes."""
+    counts = {"ql": 0, "sectors": 0, "applies": 0}
 
     def counted(key, fn):
         def wrapper(*args):
@@ -258,10 +264,46 @@ def passes(monkeypatch):
             return fn(*args)
         return wrapper
 
-    monkeypatch.setattr(spectral, "diagonalize", counted("decompositions", spectral.diagonalize))
-    monkeypatch.setattr(spectral, "_apply_rotations",
-                        counted("applies", spectral._apply_rotations))
+    for key, name in (("ql", "_ql_implicit"), ("sectors", "_mirror_sectors"),
+                      ("applies", "_apply_rotations")):
+        monkeypatch.setattr(spectral, name, counted(key, getattr(spectral, name)))
     return counts
+
+
+def run_cli(argv):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == cli.EXIT_OK
+
+
+# the QL runs where pinned bits need it: the peak path (`find_transfer_peak`
+# and the `transfer` and `scaling` commands, one chain per wire length) and
+# `diagonalize(profile)`, which `validate` runs on its zero-energy chain
+PRODUCERS = {
+    "spectrum": (lambda: run_cli(["spectrum", "--ns", "4", "--nw", "101"]), 0),
+    "oracle-check": (lambda: run_cli(["oracle-check"]), 0),
+    "perturbation": (lambda: run_cli(["perturbation", "--ns", "3", "--nw", "43",
+                                      "--j0", "1e-3"]), 0),
+    "battery": (lambda: run_cli(["battery", "--nb", "2", "--nw", "8", "--j0", "0.05"]), 0),
+    "battery_metrics": (lambda: battery_metrics(ChainSpec(n_s=2, n_w=8, j0=0.05, h=2.0)), 0),
+    "perturbation_report":
+        (lambda: perturbation_report(ChainSpec(n_s=3, n_w=43, j0=1e-3)), 0),
+    "predict_transfer_time":
+        (lambda: predict_transfer_time(ChainSpec(n_s=2, n_w=41, j0=0.01)), 0),
+    "ratio_diagnostics": (lambda: ratio_diagnostics(ChainSpec(n_s=4, n_w=41, j0=1e-3)), 0),
+    "validate": (lambda: run_cli(["validate"]), 1),
+    "transfer": (lambda: run_cli(["transfer", "--ns", "2", "--nw", "41"]), 1),
+    "find_transfer_peak": (lambda: find_transfer_peak(ChainSpec(n_s=1, n_w=5, j0=0.1)), 1),
+    "scaling": (lambda: run_cli(["scaling", "--ns", "1", "--lmin", "1", "--lmax", "2"]), 2),
+}
+
+
+@pytest.mark.parametrize("name", PRODUCERS)
+def test_each_entry_point_runs_its_producer(passes, name):
+    """Every QL decomposition an entry point makes has its vectors read,
+    so the apply passes match the QL scalar passes."""
+    run, ql = PRODUCERS[name]
+    run()
+    assert passes["ql"] == passes["applies"] == ql
 
 
 @pytest.mark.parametrize("run", [
@@ -272,12 +314,12 @@ def passes(monkeypatch):
 ], ids=["perturbation_report", "predict_transfer_time", "ratio_diagnostics", "check_ratios"])
 def test_eigenvalue_only_callers_run_no_apply_pass(passes, run):
     run()
-    assert passes["decompositions"] > 0
-    assert passes["applies"] == 0
+    assert passes["sectors"] > 0
+    assert passes["ql"] == passes["applies"] == 0
 
 
 def read_parities_then_eigenvectors():
-    dec = decompose_chain(ChainSpec(n_s=2, n_w=9, j0=0.05))
+    dec = decompose_chain(ChainSpec(n_s=2, n_w=9, j0=0.05), _ql=True)
     return dec.parities, dec.eigenvectors
 
 
@@ -287,19 +329,13 @@ def read_parities_then_eigenvectors():
 ], ids=["find_transfer_peak", "parities_then_eigenvectors"])
 def test_vector_callers_run_one_apply_pass_per_decomposition(passes, run):
     run()
-    assert passes["decompositions"] > 0
-    assert passes["applies"] == passes["decompositions"]
-
-
-def test_battery_runs_no_ql_and_no_apply_pass(passes):
-    # its spectrum comes from the two mirror sectors
-    battery_metrics(ChainSpec(n_s=2, n_w=8, j0=0.05, h=2.0))
-    assert passes == {"decompositions": 0, "applies": 0}
+    assert passes["ql"] > 0
+    assert passes["applies"] == passes["ql"]
 
 
 def test_rotation_record_lives_until_the_first_read():
     spec = ChainSpec(n_s=2, n_w=9, j0=0.05)
-    dec = decompose_chain(spec)
+    dec = decompose_chain(spec, _ql=True)
     assert "_rotations" in vars(dec)
     unread = pickle.loads(pickle.dumps(dec))
     z, parities = dec.eigenvectors, dec.parities
@@ -326,7 +362,7 @@ def test_concurrent_first_reads_build_one_basis(passes, monkeypatch, names):
         return apply(*args)
 
     monkeypatch.setattr(spectral, "_apply_rotations", slow_apply)
-    dec = decompose_chain(ChainSpec(n_s=3, n_w=41, j0=0.01))
+    dec = decompose_chain(ChainSpec(n_s=3, n_w=41, j0=0.01), _ql=True)
     start = threading.Barrier(len(names))
     got = [None] * len(names)
 
@@ -366,7 +402,7 @@ def test_near_degenerate_clusters_come_out_orthonormal(n_s, n_w):
     Gram-Schmidt keeps the basis orthonormal (off by 0.27 and 0.077
     without it)."""
     spec = ChainSpec(n_s=n_s, n_w=n_w, j0=1e-13)
-    dec = decompose_chain(spec)
+    dec = decompose_chain(spec, _ql=True)
     z = dec.eigenvectors
     assert np.max(np.abs(z.T @ z - np.eye(dec.n))) < 1e-13
     residual = adjacency_matrix(build_profile(spec)) @ z - z * dec.eigenvalues
@@ -375,7 +411,7 @@ def test_near_degenerate_clusters_come_out_orthonormal(n_s, n_w):
 
 @pytest.mark.parametrize("n_s", [1, 2, 3, 4])
 def test_mirror_sectors_pair_and_mirror_exactly(n_s):
-    """The battery's mirror-sector decomposition on odd and even N: exact
+    """The mirror-sector decomposition on odd and even N: exact
     level pairs and column parities with no repair pass, the QL's parities,
     levels within the roundoff bound (N + 1) eps max|w| that `find_clusters`
     uses, an orthonormal basis within gamma_2N = N eps / (1 - N eps), and
@@ -383,29 +419,34 @@ def test_mirror_sectors_pair_and_mirror_exactly(n_s):
     eps = np.finfo(float).eps
     for n_w in (1, 2, 7, 8, 40, 43):
         spec = ChainSpec(n_s=n_s, n_w=n_w, j0=0.01, h=2.0)
-        dec, ql = decompose_chain(spec, _sectors=True), decompose_chain(spec)
+        dec, ql = decompose_chain(spec), decompose_chain(spec, _ql=True)
         n, w, z = dec.n, dec.bare_eigenvalues, dec.eigenvectors
         assert np.array_equal(w, -w[::-1]), n_w
         assert all(np.array_equal(z[::-1, k], dec.parities[k] * z[:, k]) for k in range(n))
         assert np.array_equal(dec.parities, ql.parities), n_w
         assert np.max(np.abs(w - ql.bare_eigenvalues)) <= (n + 1) * eps * np.max(np.abs(w))
         assert np.max(np.abs(z.T @ z - np.eye(n))) <= n * eps / (1.0 - n * eps), n_w
-        bare = decompose_chain(ChainSpec(n_s=n_s, n_w=n_w, j0=0.01), _sectors=True)
+        bare = decompose_chain(ChainSpec(n_s=n_s, n_w=n_w, j0=0.01))
         for name in ("bare_eigenvalues", "eigenvectors", "parities"):
             assert getattr(bare, name).tobytes() == getattr(dec, name).tobytes(), name
         copy = pickle.loads(pickle.dumps(dec))
         assert copy.eigenvectors.tobytes() == z.tobytes() and copy.offset == 2.0
 
 
-@pytest.mark.parametrize("n_s, n_w", [(6, 20), (3, 43)])
-def test_mirror_sectors_need_no_cluster_repair(n_s, n_w):
-    """The chains of `test_near_degenerate_clusters_come_out_orthonormal`:
-    each near-degenerate doublet splits into one level per sector, so the
-    basis is orthonormal and exact to 1e-13 without a Gram-Schmidt."""
-    spec = ChainSpec(n_s=n_s, n_w=n_w, j0=1e-13)
-    dec = decompose_chain(spec, _sectors=True)
+@pytest.mark.parametrize("n_s, n_w, j0", [
+    (6, 20, 1e-13), (3, 43, 1e-13), (2, 2, 1e-20), (2, 41, 1e-16), (5, 101, 1e-10),
+], ids=["6-20", "3-43", "2-2", "2-41", "5-101"])
+def test_mirror_sectors_need_no_cluster_repair(n_s, n_w, j0):
+    """The chains of `test_near_degenerate_clusters_come_out_orthonormal`,
+    and three whose QL basis is far from orthonormal although its parity
+    count comes out right (max |V^T V - I| of 0.99999990, 0.80 and 9.2e-7
+    through `_ql=True`): each near-degenerate doublet splits into one level
+    per sector, so the basis is orthonormal to N eps and exact to 1e-13
+    without a Gram-Schmidt."""
+    spec = ChainSpec(n_s=n_s, n_w=n_w, j0=j0)
+    dec = decompose_chain(spec)
     z = dec.eigenvectors
-    assert np.max(np.abs(z.T @ z - np.eye(dec.n))) < 1e-13
+    assert np.max(np.abs(z.T @ z - np.eye(dec.n))) <= dec.n * np.finfo(float).eps
     residual = adjacency_matrix(build_profile(spec)) @ z - z * dec.eigenvalues
     assert np.max(np.abs(residual)) < 1e-13
 
