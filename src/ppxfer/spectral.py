@@ -1,9 +1,9 @@
 """Chain spectra: mirror-sector solves, a tridiagonal QL and block spectra.
 
 A `ChainSpec` chain is persymmetric, so `decompose_chain(spec)` solves it
-in its two half-size mirror sectors with LAPACK `eigh` (`_mirror_sectors`),
-eagerly: its parities and (for even N) its level pairs are exact by
-construction and it runs none of the QL's passes or repairs.
+in its two half-size mirror sectors with LAPACK `eigh` (`_mirror_sectors`):
+its parities and (for even N) its level pairs are exact by construction
+and it runs none of the QL's passes or repairs.
 
 The QL is the second producer.  It serves `diagonalize(profile)`, for
 profiles that are not `ChainSpec` chains (an on-site defect, no mirror
@@ -24,10 +24,8 @@ down to l, and one (c, s) pair per rotation: 16 bytes a rotation); an
 apply pass rotates the eigenvector columns in place, in a wavefront that
 runs the rotation of sweep j on columns (i, i+1) at step 2j - i, so each
 element sees the same arithmetic in the same order as rotating one pair
-at a time.  The scalar pass runs in
-`diagonalize`; the apply pass, O(N^3) against the scalar pass's O(N^2),
-waits for the first read of the eigenvectors or parities, so callers that
-read only levels never run it.
+at a time.  `diagonalize` runs both passes and the repairs, so every
+decomposition comes out whole and the record dies with the call.
 
 Output is deterministic: eigenvalues ascending, each eigenvector's first
 nonzero component positive, and for a mirror-symmetric profile every
@@ -39,11 +37,9 @@ bit for bit.
 from __future__ import annotations
 
 import math
-import threading
 from array import array
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import NamedTuple
 
 import numpy as np
 
@@ -53,23 +49,6 @@ MACHEP = 2.0 ** -52
 MAX_SWEEPS = 30
 SIGN_EPS = 1e-12
 DEGENERACY_EPS = 1e-12
-
-# serializes first reads of a decomposition's eigenvectors and parities
-_BASIS_LOCK = threading.Lock()
-
-
-class _Rotations(NamedTuple):
-    """What a decomposition still needs to build its eigenvectors: the
-    scalar QL pass's record of Givens rotations (`sweeps` holds each
-    sweep's (l, m), interleaved, the sweep rotating columns (i, i+1) for
-    i = m-1 down to l; `factors` holds each rotation's (c, s), interleaved;
-    both in recording order), the ascending sort of the levels, and whether
-    the profile was mirror symmetric."""
-
-    sweeps: array
-    factors: array
-    order: np.ndarray
-    mirror: bool
 
 
 @dataclass(frozen=True, eq=False)
@@ -88,58 +67,19 @@ class SpectralDecomposition:
     ~ulp(offset), an error the propagator phases amplify linearly in t; the
     kernel (`amplitudes`) therefore applies the offset as one global factor.
 
-    `decompose_chain` builds its vectors eagerly in the mirror sectors and
-    makes a read instance directly (`_eager`): no record.  From the QL
-    (`diagonalize`, or `decompose_chain(spec, _ql=True)`) the levels are
-    computed eagerly; `eigenvectors` and `parities` are built on the first
-    read of either, from the rotation record `_rotations` that
-    `diagonalize` leaves here (plain arrays, so the object pickles either
-    way).  That read runs the O(N^3) apply pass and the symmetry repairs,
-    stores both arrays on the instance and drops the record; later reads are
-    plain attribute lookups.  Callers that read only levels never pay for
-    the vectors.  `dataclasses.replace` carries the record, so it works
-    only before the first read (as in `decompose_chain(spec, _ql=True)`)
-    and raises AttributeError after.
+    Both producers (`diagonalize` and `_mirror_sectors`) build every field
+    before they construct the record, so it pickles and
+    `dataclasses.replace`s like any frozen dataclass.
     """
 
     bare_eigenvalues: np.ndarray
-    _rotations: _Rotations = field(repr=False)
+    eigenvectors: np.ndarray
+    parities: np.ndarray
     offset: float = 0.0
 
     @cached_property
     def eigenvalues(self) -> np.ndarray:
         return self.bare_eigenvalues + self.offset
-
-    @cached_property
-    def eigenvectors(self) -> np.ndarray:
-        return self._basis()["eigenvectors"]
-
-    @cached_property
-    def parities(self) -> np.ndarray:
-        return self._basis()["parities"]
-
-    def _basis(self) -> dict:
-        """The instance dict, with the eigenvectors and parities built into
-        it and the rotation record dropped (once, under a lock, so
-        concurrent first reads build one basis)."""
-        state = self.__dict__
-        with _BASIS_LOCK:
-            if "_rotations" in state:
-                z, parities = _eigenbasis(state["_rotations"], self.bare_eigenvalues)
-                state.update(eigenvectors=z, parities=parities)
-                del state["_rotations"]
-        return state
-
-    @classmethod
-    def _eager(cls, bare_eigenvalues: np.ndarray, eigenvectors: np.ndarray,
-               parities: np.ndarray, offset: float) -> "SpectralDecomposition":
-        """An instance built with its eigenvectors and parities, in the
-        state a deferred one reaches after its first read (no record)."""
-        dec = cls(bare_eigenvalues, None, offset)
-        state = dec.__dict__
-        del state["_rotations"]
-        state.update(eigenvectors=eigenvectors, parities=parities)
-        return dec
 
     @property
     def n(self) -> int:
@@ -155,7 +95,9 @@ class SpectralDecomposition:
 def _ql_implicit(d: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, array, array]:
     """Scalar pass of implicit-shift QL on (diag d, subdiag e): returns the
     eigenvalues unsorted and the record of every Givens rotation, as
-    (w, sweeps, factors) in the layout of `_Rotations`.
+    (w, sweeps, factors): `sweeps` holds each sweep's (l, m), interleaved,
+    the sweep rotating columns (i, i+1) for i = m-1 down to l; `factors`
+    holds each rotation's (c, s), interleaved; both in recording order.
 
     `_apply_rotations` turns the record into the eigenvectors.
     """
@@ -264,26 +206,6 @@ def _apply_rotations(n: int, sweeps: array, factors: array) -> np.ndarray:
     return zt.T
 
 
-def _eigenbasis(rotations: _Rotations, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(eigenvectors, parities) for the sorted levels w from their rotation
-    record: the apply pass, then the parity, cluster and sign repairs."""
-    z = _apply_rotations(len(w), rotations.sweeps, rotations.factors)[:, rotations.order]
-    if rotations.mirror:
-        parities = _purify_parity(z)
-        # a mirror chain of N sites has exactly ceil(N/2) even eigenvectors
-        even, expected = np.count_nonzero(parities > 0), (len(w) + 1) // 2
-        if even != expected:
-            raise NumericalConsistencyError(
-                f"eigensolver did not resolve the mirror parities: {even} of {len(w)} "
-                f"eigenvectors came out even, not {expected}"
-            )
-    else:
-        parities = np.zeros(len(w))
-    _reorthogonalize_clusters(w, z)
-    _fix_signs(z)
-    return z, parities
-
-
 def _purify_parity(z: np.ndarray) -> np.ndarray:
     """Project each column onto its dominant mirror-parity branch."""
     parities = np.empty(z.shape[1])
@@ -322,8 +244,10 @@ def _fix_signs(z: np.ndarray) -> None:
 
 def diagonalize(profile: CouplingProfile) -> SpectralDecomposition:
     """Spectrum of the chain matrix with `profile.onsite` on the diagonal
-    and `profile.hop / 2` off it; the eigenvectors wait for their first
-    read (see `SpectralDecomposition`)."""
+    and `profile.hop / 2` off it, with its eigenvectors and parities: the
+    scalar pass, the O(N^3) apply pass, then the parity, cluster and sign
+    repairs.  A caller that reads only the levels pays the apply pass too;
+    no caller in the package is one."""
     try:
         d, sweeps, factors = _ql_implicit(profile.onsite, profile.hop / 2.0)
     except ZeroDivisionError as exc:
@@ -343,13 +267,26 @@ def diagonalize(profile: CouplingProfile) -> SpectralDecomposition:
         # enforce the pairing exactly on the sorted levels.
         w = 0.5 * (w - w[::-1])
 
-    rotations = _Rotations(sweeps, factors, order, profile.is_mirror_symmetric())
-    return SpectralDecomposition(bare_eigenvalues=w, _rotations=rotations)
+    z = _apply_rotations(len(w), sweeps, factors)[:, order]
+    if profile.is_mirror_symmetric():
+        parities = _purify_parity(z)
+        # a mirror chain of N sites has exactly ceil(N/2) even eigenvectors
+        even, expected = np.count_nonzero(parities > 0), (len(w) + 1) // 2
+        if even != expected:
+            raise NumericalConsistencyError(
+                f"eigensolver did not resolve the mirror parities: {even} of {len(w)} "
+                f"eigenvectors came out even, not {expected}"
+            )
+    else:
+        parities = np.zeros(len(w))
+    _reorthogonalize_clusters(w, z)
+    _fix_signs(z)
+    return SpectralDecomposition(w, z, parities)
 
 
 def _mirror_sectors(spec: ChainSpec) -> SpectralDecomposition:
     """`decompose_chain(spec)` from the chain's two mirror sectors, one
-    LAPACK `eigh` each, with eager eigenvectors and parities.
+    LAPACK `eigh` each, with its eigenvectors and parities.
 
     With the half-chain tridiagonal T (halved hops, h peeled off) and the
     centre bond c, an even N = 2M gives the even sector T + c e e^T, with
@@ -384,8 +321,8 @@ def _mirror_sectors(spec: ChainSpec) -> SpectralDecomposition:
     w = levels[order]
     z = z[:, order]
     _fix_signs(z)
-    return SpectralDecomposition._eager(0.5 * (w - w[::-1]), z,
-                                        np.where(order < n - m, 1.0, -1.0), spec.h)
+    return SpectralDecomposition(0.5 * (w - w[::-1]), z, np.where(order < n - m, 1.0, -1.0),
+                                 spec.h)
 
 
 def decompose_chain(spec: ChainSpec, *, _ql: bool = False) -> SpectralDecomposition:

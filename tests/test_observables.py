@@ -1,6 +1,7 @@
 """Tests for occupations, receiver magnetization, and battery metrics."""
 
 import itertools
+import math
 import os
 import subprocess
 import sys
@@ -334,31 +335,48 @@ def test_battery_reports_sublattice_protected_energies_as_exact_zeros(n_s, h):
     assert np.max(np.abs(switching_energy(spec, grid, dec))) <= 1e-10
 
 
-@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="glibc heap, Linux page faults")
 @pytest.mark.parametrize("threads", ["1", "2"])
 def test_battery_chunks_do_not_fault_their_scratch_back_in(threads):
-    """A second identical `battery_metrics` call reuses its scratch across
-    time chunks, so it takes few minor page faults: freeing about 128 KiB
-    per chunk let glibc trim the heap top and fault it back in, about 7,000
-    faults a call.  A fresh process, because large frees earlier in a test
-    run raise glibc's trim threshold and would hide the churn."""
-    pytest.importorskip("resource")
+    """A second identical 20,000-point `battery_metrics` call reuses
+    `_lattice`'s scratch across its time chunks: its tracemalloc peak, which
+    counts numpy's buffers byte for byte whatever the heap's history, stays
+    within 8 (5T + C) bytes.  5T floats are the five T-float arrays the call
+    returns; they also cover what else it holds at once: `_drift`'s
+    temporaries (five T-float arrays, freed before the chunk loop), or in
+    the loop the anchor-by-span sums (about T floats), the (2K, B) shift
+    table and numpy's temporaries inside one chunk (about 2.7T floats in
+    all on (3,32)).  C floats are one chunk's scratch: k anchors times
+    K + 2K + 2KE + EB (angles, their cos and sin, the coefficient table,
+    the values), with K = floor(N/2) positive levels, E = n_s n_r block
+    entries and span B.  Scratch made per chunk keeps the values the
+    caller still holds while the next chunk's are built, 8kEB bytes more:
+    on (3,32) a peak of 1,517 KiB against 1,047 KiB and a bound of
+    1,397 KiB.  Freed per chunk, it also let glibc trim the heap top and
+    fault it back in, about 7,000 minor faults a call.  A fresh process per
+    OpenBLAS thread count, whose own buffers tracemalloc does not see."""
+    spec, n_times = ChainSpec(3, 32, 0.01, h=2.0), 20_000
+    levels, entries = spec.n_sites // 2, spec.n_s * spec.n_r
+    span = math.isqrt(n_times - 1) + 1
+    n_anchors = -(-n_times // span)
+    anchors = min(time_chunks(n_anchors, entries * levels)[0].stop, n_anchors)
+    bound = 8 * (5 * n_times
+                 + anchors * (3 * levels + 2 * levels * entries + entries * span))
     src = Path(__file__).resolve().parent.parent / "src"
     path = [str(src), os.environ.get("PYTHONPATH", "")]
     env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": os.pathsep.join(path)}
     script = "\n".join([
-        "import resource, numpy as np",
+        "import tracemalloc, numpy as np",
         "from ppxfer import ChainSpec, battery_metrics",
-        "spec, grid = ChainSpec(3, 32, 0.01, h=2.0), np.linspace(0, 1e4, 20_000)",
+        f"spec, grid = ChainSpec(3, 32, 0.01, h=2.0), np.linspace(0, 1e4, {n_times})",
         "battery_metrics(spec, grid)",
-        "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt",
+        "tracemalloc.start()",
         "battery_metrics(spec, grid)",
-        "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)",
+        "print(tracemalloc.get_traced_memory()[1])",
     ])
     child = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                            text=True, timeout=300)
     assert child.returncode == 0, child.stderr
-    assert int(child.stdout) < 1000
+    assert int(child.stdout) <= bound
 
 
 def test_battery_accepts_explicit_grid():

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import hashlib
 import io
 import json
@@ -7,8 +8,6 @@ import os
 import pickle
 import subprocess
 import sys
-import threading
-import time
 from pathlib import Path
 
 import numpy as np
@@ -195,7 +194,15 @@ def decomposition_digest(dec):
 
 @pytest.mark.parametrize("name", sorted(DECOMPOSITIONS))
 def test_decompositions_keep_their_bits(name):
-    assert decomposition_digest(DECOMPOSITIONS[name]()) == DECOMPOSITION_SHA256[name]
+    """The pinned digest, which a pickled copy keeps and a
+    `dataclasses.replace` of the offset keeps in its vectors and parities."""
+    dec = DECOMPOSITIONS[name]()
+    assert decomposition_digest(dec) == DECOMPOSITION_SHA256[name]
+    assert decomposition_digest(pickle.loads(pickle.dumps(dec))) == DECOMPOSITION_SHA256[name]
+    moved = dataclasses.replace(dec, offset=dec.offset + 0.5)
+    assert all(getattr(moved, field) is getattr(dec, field)
+               for field in ("bare_eigenvalues", "eigenvectors", "parities"))
+    assert moved.eigenvalues.tobytes() == (dec.bare_eigenvalues + moved.offset).tobytes()
 
 
 def pinned_bits():
@@ -241,8 +248,6 @@ def test_batched_rotations_are_bitwise_sequential(monkeypatch):
     profiles.append(CouplingProfile(hop=np.zeros(199), onsite=rng.uniform(-1, 1, 200)))
     specs = [ChainSpec(n_s=4, n_w=101, j0=0.01), ChainSpec(n_s=2, n_w=102, j0=0.01)]
     batched = [diagonalize(p) for p in profiles] + [decompose_chain(s, _ql=True) for s in specs]
-    for dec in batched:   # build the vectors before the patch
-        dec.eigenvectors
     monkeypatch.setattr(spectral, "_apply_rotations", rotate_one_at_a_time)
     sequential = [diagonalize(p) for p in profiles] + [decompose_chain(s, _ql=True)
                                                        for s in specs]
@@ -299,11 +304,12 @@ PRODUCERS = {
 
 @pytest.mark.parametrize("name", PRODUCERS)
 def test_each_entry_point_runs_its_producer(passes, name):
-    """Every QL decomposition an entry point makes has its vectors read,
-    so the apply passes match the QL scalar passes."""
+    """The QL scalar passes an entry point runs, each with its one apply
+    pass; one that runs none takes its spectra from the mirror sectors."""
     run, ql = PRODUCERS[name]
     run()
     assert passes["ql"] == passes["applies"] == ql
+    assert ql or passes["sectors"] > 0
 
 
 @pytest.mark.parametrize("run", [
@@ -318,67 +324,15 @@ def test_eigenvalue_only_callers_run_no_apply_pass(passes, run):
     assert passes["ql"] == passes["applies"] == 0
 
 
-def read_parities_then_eigenvectors():
-    dec = decompose_chain(ChainSpec(n_s=2, n_w=9, j0=0.05), _ql=True)
-    return dec.parities, dec.eigenvectors
-
-
 @pytest.mark.parametrize("run", [
     lambda: find_transfer_peak(ChainSpec(n_s=1, n_w=5, j0=0.1)),
-    read_parities_then_eigenvectors,
-], ids=["find_transfer_peak", "parities_then_eigenvectors"])
+], ids=["find_transfer_peak"])
 def test_vector_callers_run_one_apply_pass_per_decomposition(passes, run):
+    """`diagonalize` builds the vectors before it returns: one apply pass
+    per QL scalar pass, none run twice."""
     run()
     assert passes["ql"] > 0
     assert passes["applies"] == passes["ql"]
-
-
-def test_rotation_record_lives_until_the_first_read():
-    spec = ChainSpec(n_s=2, n_w=9, j0=0.05)
-    dec = decompose_chain(spec, _ql=True)
-    assert "_rotations" in vars(dec)
-    unread = pickle.loads(pickle.dumps(dec))
-    z, parities = dec.eigenvectors, dec.parities
-    # once built, a decomposition holds its arrays and no record
-    assert set(vars(dec)) == {"bare_eigenvalues", "offset", "eigenvectors", "parities"}
-    dec.eigenvalues   # derived from the bare levels and cached on first read
-    assert set(vars(dec)) == {"bare_eigenvalues", "offset", "eigenvectors", "parities",
-                              "eigenvalues"}
-    read = pickle.loads(pickle.dumps(dec))
-    assert "_rotations" not in vars(read)
-    for copy in (unread, read):
-        assert copy.eigenvectors.tobytes() == z.tobytes()
-        assert copy.parities.tobytes() == parities.tobytes()
-    assert "_rotations" not in vars(unread)
-
-
-@pytest.mark.parametrize("names", [("eigenvectors", "eigenvectors"),
-                                   ("eigenvectors", "parities")])
-def test_concurrent_first_reads_build_one_basis(passes, monkeypatch, names):
-    apply = spectral._apply_rotations
-
-    def slow_apply(*args):   # hold the build open while the other thread reads
-        time.sleep(0.05)
-        return apply(*args)
-
-    monkeypatch.setattr(spectral, "_apply_rotations", slow_apply)
-    dec = decompose_chain(ChainSpec(n_s=3, n_w=41, j0=0.01), _ql=True)
-    start = threading.Barrier(len(names))
-    got = [None] * len(names)
-
-    def read(k):
-        start.wait()
-        got[k] = getattr(dec, names[k])
-
-    threads = [threading.Thread(target=read, args=(k,)) for k in range(len(names))]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join()
-    for name, value in zip(names, got):
-        assert value is not None and value is getattr(dec, name)
-    assert passes["applies"] == 1
-    assert "_rotations" not in vars(dec)
 
 
 def test_sweep_cap_raises(monkeypatch):
@@ -390,9 +344,8 @@ def test_sweep_cap_raises(monkeypatch):
 def test_unresolved_mirror_parities_raise():
     # two decoupled mirror-image dimers: a mirror chain of 4 sites has 2
     # even eigenvectors, but each degenerate pair lands on one branch
-    dec = diagonalize(CouplingProfile(hop=[1.0, 0.0, 1.0], onsite=np.zeros(4)))
     with pytest.raises(NumericalConsistencyError, match="mirror parities"):
-        dec.eigenvectors
+        diagonalize(CouplingProfile(hop=[1.0, 0.0, 1.0], onsite=np.zeros(4)))
 
 
 @pytest.mark.parametrize("n_s, n_w", [(6, 20), (3, 43)])
