@@ -328,6 +328,17 @@ def test_gate_builds_each_oracle_sector_once_per_use(monkeypatch, capsys, comman
     assert len(calls) == builds
 
 
+def test_gate_builds_each_oracle_sector_structure_once_per_process(capsys):
+    # the 12 oracle-check Hamiltonians come from 6 (N, n, statistics)
+    # structures; validate's two occupation sectors are the (6, 2) ones
+    oracle._sector_structure.cache_clear()
+    for command, misses in (("oracle-check", 6), ("validate", 0)):
+        before = oracle._sector_structure.cache_info().misses
+        code, _, _ = run_cli(capsys, [command])
+        assert code == EXIT_OK
+        assert oracle._sector_structure.cache_info().misses - before == misses, command
+
+
 def test_oracle_check_builds_one_block_stack_per_chain(monkeypatch, capsys):
     # both statistics of a (case, coupling) reduce the same block stack
     calls = count_calls(monkeypatch, amplitudes, "propagator_block", {amplitudes, cli})

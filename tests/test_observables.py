@@ -1,17 +1,19 @@
 """Tests for occupations, receiver magnetization, and battery metrics."""
 
+import inspect
 import itertools
 import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ppxfer import ChainSpec, occupation_profile
+from ppxfer import ChainSpec, amplitudes, occupation_profile
 from ppxfer.amplitudes import CHUNK_ELEMENTS, _block_weight, propagator_grid, time_chunks
 from ppxfer.chain import CouplingProfile, build_profile
 from ppxfer.observables import (
@@ -377,6 +379,48 @@ def test_battery_chunks_do_not_fault_their_scratch_back_in(threads):
                            text=True, timeout=300)
     assert child.returncode == 0, child.stderr
     assert int(child.stdout) <= bound
+
+
+def test_lattice_chunks_hold_no_buffer_made_inside_the_loop(monkeypatch):
+    """`_lattice` makes its scratch (angles, their cos and sin, the
+    coefficient table, the values) once per call, before its chunk loop: at
+    every chunk it yields to a multi-chunk `_block_weight` call, the memory
+    still held from the loop's own lines is far below one chunk's
+    coefficient table.  A table or values buffer made per chunk is held
+    there, and its free at the next chunk lets glibc trim the heap top and
+    fault it back in.  Per-line tracemalloc statistics see such a buffer
+    whatever the heap's history; the whole-call peak of the fault test
+    above does not see the table, because numpy's in-chunk temporaries
+    peak above it."""
+    source, first = inspect.getsourcelines(amplitudes._lattice)
+    loop = next(k for k, line in enumerate(source) if line.strip() == "for part in parts:")
+    loop_lines = range(first + loop, first + len(source))
+    lattice = amplitudes._lattice
+    held = []
+
+    def watched(*args):
+        for item in lattice(*args):
+            stats = tracemalloc.take_snapshot().statistics("lineno")
+            held.append(sum(stat.size for stat in stats
+                            if stat.traceback[0].filename == lattice.__code__.co_filename
+                            and stat.traceback[0].lineno in loop_lines))
+            yield item
+
+    monkeypatch.setattr(amplitudes, "_lattice", watched)
+    spec, n_times = ChainSpec(3, 32, 0.01, h=2.0), 20_000
+    dec = decompose_chain(spec)
+    rows, cols = np.arange(spec.n_s), np.arange(spec.n_sites - spec.n_r, spec.n_sites)
+    levels, entries = spec.n_sites // 2, spec.n_s * spec.n_r
+    n_anchors = -(-n_times // (math.isqrt(n_times - 1) + 1))
+    anchors = time_chunks(n_anchors, entries * levels)[0].stop
+    table = 8 * anchors * entries * 2 * levels
+    tracemalloc.start()
+    try:
+        _block_weight(dec, rows, cols, np.linspace(0.0, 1e4, n_times))
+    finally:
+        tracemalloc.stop()
+    assert len(held) >= 3
+    assert max(held) < table / 8, (held, table)
 
 
 def test_battery_accepts_explicit_grid():

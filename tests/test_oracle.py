@@ -1,8 +1,9 @@
 """Tests for the brute-force sector-basis evolution used as ground truth."""
 
+import math
 import tracemalloc
 from dataclasses import replace
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations, combinations_with_replacement, product
 
 import numpy as np
 import pytest
@@ -13,8 +14,10 @@ from ppxfer.chain import CouplingProfile, adjacency_matrix, build_profile
 from ppxfer.cli import ORACLE_CASES, ORACLE_COUPLINGS, ORACLE_HORIZON, ORACLE_TIMES
 from ppxfer.oracle import (
     DIM_CAP,
+    SectorBasis,
     _edge_states,
     _sector_setup,
+    _sector_structure,
     build_sector_hamiltonian,
     enumerate_basis,
     oracle_occupation,
@@ -151,6 +154,81 @@ def test_sector_spectrum_is_sum_of_single_particle_levels(profile, n):
         got = np.linalg.eigvalsh(build_sector_hamiltonian(profile, basis))
         expected = np.sort([sum(single[list(ks)]) for ks in pick(levels, n)])
         assert np.allclose(got, expected, atol=1e-9)
+
+
+def loop_hamiltonian(profile, basis):
+    """The sector Hamiltonian as the per-(state, bond) loop built it before
+    the cached hop tables: the reference its bytes are pinned to."""
+    n = profile.n_sites
+    cap = 1 if basis.statistics == "fermion" else basis.n_particles  # per site
+    half_hop = (profile.hop / 2.0).tolist()
+    ham = np.zeros((basis.dim, basis.dim))
+    for col, state in enumerate(basis.states):
+        ham[col, col] = float(np.dot(profile.onsite, state))
+        for bond in range(n - 1):
+            here, there = state[bond], state[bond + 1]
+            if here > 0 and there < cap:
+                row = basis.index[state[:bond] + (here - 1, there + 1) + state[bond + 2:]]
+                amp = half_hop[bond] * math.sqrt(here * (there + 1))
+                ham[row, col] += amp
+                ham[col, row] += amp
+    return ham
+
+
+def reference_profiles(n_sites):
+    """h = 0, h = 0.7, an on-site defect, and signed zeros (a -0.0 energy
+    dots to -0.0 on one site; a -0.0 hop lands as +0.0)."""
+    hop = np.random.default_rng(n_sites).uniform(-2.0, 2.0, n_sites - 1)
+    defect = np.full(n_sites, 0.7)
+    defect[n_sites // 2] += 0.31
+    signed = hop.copy()
+    signed[::2] = -0.0
+    return [CouplingProfile(hop=hop, onsite=np.zeros(n_sites)),
+            CouplingProfile(hop=hop, onsite=np.full(n_sites, 0.7)),
+            CouplingProfile(hop=hop, onsite=defect),
+            CouplingProfile(hop=signed, onsite=np.full(n_sites, -0.0))]
+
+
+def test_sector_hamiltonians_keep_the_loop_builders_bytes():
+    # every sector with N <= 8 and n <= 3, both statistics: cold (the
+    # structure built by this call) and warm (taken from the cache)
+    for n_sites, n, stats in product(range(1, 9), range(4), ("fermion", "boson")):
+        if stats == "fermion" and n > n_sites:
+            continue
+        for profile in reference_profiles(n_sites):
+            expected = loop_hamiltonian(profile, enumerate_basis(n_sites, n, stats)).tobytes()
+            _sector_structure.cache_clear()
+            for _ in ("cold", "warm"):
+                basis = enumerate_basis(n_sites, n, stats)
+                got = build_sector_hamiltonian(profile, basis)
+                assert got.tobytes() == expected, (n_sites, n, stats)
+    assert _sector_structure.cache_info().hits > 0
+
+
+def test_cached_sector_structure_cannot_be_changed_through_what_it_returns():
+    spec = ChainSpec(n_s=2, n_w=2, j0=0.1, h=0.7, statistics="boson")
+    profile = build_profile(spec)
+    expected = loop_hamiltonian(profile, enumerate_basis(6, 2, "boson")).tobytes()
+    # a basis from enumerate_basis is the caller's own to change
+    basis = enumerate_basis(6, 2, "boson")
+    first, last = basis.states[0], basis.states[-1]
+    basis.index[first], basis.index[last] = basis.index[last], basis.index[first]
+    assert build_sector_hamiltonian(profile, basis).tobytes() == expected
+    assert enumerate_basis(6, 2, "boson").index[first] == 0
+    # the cached structure and the basis `_sector_setup` hands out refuse writes
+    structure = _sector_structure(6, 2, "boson")
+    assert _sector_setup(spec)[0] is structure.basis
+    with pytest.raises(TypeError):
+        structure.basis.index[first] = 1
+    for name in ("occupations", "rows", "cols", "bonds", "factors"):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(structure, name)[0] = 7
+    assert build_sector_hamiltonian(profile, basis).tobytes() == expected
+    # a basis in another order than enumerate_basis's gets its own hop list
+    states = enumerate_basis(6, 2, "boson").states[::-1]
+    mirrored = SectorBasis(6, 2, "boson", states, {s: i for i, s in enumerate(states)})
+    assert (build_sector_hamiltonian(profile, mirrored).tobytes()
+            == loop_hamiltonian(profile, mirrored).tobytes())
 
 
 def test_sector_hamiltonian_rejects_size_mismatch():

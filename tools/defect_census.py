@@ -30,6 +30,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 AMPLITUDES = "src/ppxfer/amplitudes.py"
+ORACLE = "src/ppxfer/oracle.py"
 
 SUITE_TIMEOUT_S = 900   # tier-1 takes about 20 s unplanted
 
@@ -106,6 +107,25 @@ DEFECTS = {
         "        values = scratch[:k]",
         "        values = np.empty((k, even.size, span))",
         "tests/test_observables.py::test_battery_chunks_do_not_fault_their_scratch_back_in"),
+    "lattice-table-per-chunk": (
+        AMPLITUDES,
+        "        k = len(anchors[part])",
+        "        k = len(anchors[part]); table = np.empty((size, even.size, 2, half))",
+        "tests/test_observables.py::test_lattice_chunks_hold_no_buffer_made_inside_the_loop"),
+    # The two oracle defects below break every oracle check; the acceptance
+    # gate's oracle row runs first.  Run alone on a planted copy,
+    # tests/test_oracle.py also fails
+    # test_sector_spectrum_is_sum_of_single_particle_levels on each.
+    "fermion-cap-n": (
+        ORACLE,
+        '    cap = 1 if basis.statistics == "fermion" else basis.n_particles  # per site',
+        "    cap = basis.n_particles",
+        "tests/test_acceptance.py::test_acceptance_01_oracle_equivalence"),
+    "hop-factor-without-1": (
+        ORACLE,
+        "                factors.append(math.sqrt(here * (there + 1)))",
+        "                factors.append(math.sqrt(here * there))",
+        "tests/test_acceptance.py::test_acceptance_01_oracle_equivalence"),
 }
 
 
