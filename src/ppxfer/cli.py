@@ -114,9 +114,12 @@ def _emit(args, spec: ChainSpec, columns, rows, summary: dict | None) -> None:
             sys.stdout.write("# summary: " + json.dumps(summary, sort_keys=True) + "\n")
     else:
         path = Path(out)
+        sidecar = path.with_suffix(".json")
+        if summary is not None and sidecar == path:
+            raise ValueError(f"output {path} is its own JSON summary path; "
+                             "give the CSV another suffix")
         path.write_text(text)
         if summary is not None:
-            sidecar = path.with_suffix(".json")
             sidecar.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
 
 

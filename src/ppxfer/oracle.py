@@ -4,15 +4,15 @@ Ground truth for the determinant/permanent route: build the full sector
 basis, the dense sector Hamiltonian, and evolve by eigendecomposition.
 Runs only at small sizes.
 
-A sector's structure depends only on (N, n, statistics), not on the
-couplings: its basis, each site's occupation on every state, and its hop
-list (row, column, bond, sqrt(n_b (n_{b+1} + 1))).  One bounded LRU cache
-keyed by (N, n, statistics) holds it, with read-only arrays and a read-only
-index, so the `oracle-check` suite's 12 Hamiltonians (14 in `validate`)
-come from 6 structures and a warm process builds none.  A Hamiltonian is
-then two fancy-index assignments of (J_b/2) times the factor, plus the
-per-state on-site dot products; every entry is byte-equal to that of the
-per-(state, bond) reference loop in `tests/test_oracle.py`.
+A sector's hop list (row, column, bond, sqrt(n_b (n_{b+1} + 1))) depends
+only on its basis states and the occupancy cap, not on the couplings.  One
+bounded LRU cache keyed by those two holds it as read-only arrays, and a
+second, keyed by (N, n, statistics), holds the basis the oracle evolves in,
+with a read-only index.  So the `oracle-check` suite's 12 Hamiltonians (14
+in `validate`) come from 6 hop lists and a warm process builds none.  A
+Hamiltonian is then two fancy-index assignments of (J_b/2) times the
+factor, plus the per-state on-site dot products; every entry is byte-equal
+to that of the per-(state, bond) reference loop in `tests/test_oracle.py`.
 
 Both statistics share one path: a basis state is an occupation tuple, and
 the only difference is the occupancy cap, 1 for fermions (Pauli) and n for
@@ -95,61 +95,43 @@ def enumerate_basis(n_sites: int, n_particles: int, statistics: str) -> SectorBa
     )
 
 
-@dataclass(frozen=True)
-class _SectorStructure:
-    """What a sector's Hamiltonian needs besides the couplings: the hop
-    b -> b+1 from state cols[j] lands on state rows[j] with the factor
-    factors[j] = sqrt(n_b (n_{b+1} + 1)); occupations[k] holds site k+1's
-    occupation on every state."""
-
-    basis: SectorBasis
-    occupations: np.ndarray
-    rows: np.ndarray
-    cols: np.ndarray
-    bonds: np.ndarray
-    factors: np.ndarray
+# The CLI's oracle suite and its occupation checks use 6 sectors.
+@functools.lru_cache(maxsize=8)
+def _basis(n_sites: int, n_particles: int, statistics: str) -> SectorBasis:
+    """`enumerate_basis`'s sector, shared: its index is read-only."""
+    basis = enumerate_basis(n_sites, n_particles, statistics)
+    return replace(basis, index=MappingProxyType(basis.index))
 
 
-def _read_only(values, dtype) -> np.ndarray:
-    array = np.array(values, dtype=dtype, order="C")
-    array.setflags(write=False)
-    return array
-
-
-def _structure(basis: SectorBasis) -> _SectorStructure:
-    cap = 1 if basis.statistics == "fermion" else basis.n_particles  # per site
+@functools.lru_cache(maxsize=8)
+def _hops(states: tuple, cap: int):
+    """The hops b -> b+1 between `states` under an occupancy cap, as
+    read-only arrays: hop j takes state cols[j] to state rows[j] across
+    bond bonds[j] with the factor factors[j] = sqrt(n_b (n_{b+1} + 1))."""
+    index = {s: i for i, s in enumerate(states)}
     rows, cols, bonds, factors = [], [], [], []
-    for col, state in enumerate(basis.states):
-        for bond in range(basis.n_sites - 1):
+    for col, state in enumerate(states):
+        for bond in range(len(state) - 1):
             here, there = state[bond], state[bond + 1]
             if here > 0 and there < cap:
-                rows.append(basis.index[state[:bond] + (here - 1, there + 1) + state[bond + 2:]])
+                rows.append(index[state[:bond] + (here - 1, there + 1) + state[bond + 2:]])
                 cols.append(col)
                 bonds.append(bond)
                 factors.append(math.sqrt(here * (there + 1)))
-    return _SectorStructure(
-        basis=basis,
-        occupations=_read_only(np.transpose(basis.states), float),
-        rows=_read_only(rows, np.intp),
-        cols=_read_only(cols, np.intp),
-        bonds=_read_only(bonds, np.intp),
-        factors=_read_only(factors, float),
-    )
-
-
-# The CLI's oracle suite and its occupation checks use 6 sectors.
-@functools.lru_cache(maxsize=8)
-def _sector_structure(n_sites: int, n_particles: int, statistics: str) -> _SectorStructure:
-    basis = enumerate_basis(n_sites, n_particles, statistics)
-    return _structure(replace(basis, index=MappingProxyType(basis.index)))
+    arrays = (np.array(rows, dtype=np.intp), np.array(cols, dtype=np.intp),
+              np.array(bonds, dtype=np.intp), np.array(factors, dtype=float))
+    for array in arrays:
+        array.setflags(write=False)
+    return arrays
 
 
 def build_sector_hamiltonian(profile: CouplingProfile, basis: SectorBasis) -> np.ndarray:
     if profile.n_sites != basis.n_sites:
         raise ValueError("profile and basis disagree on the site count")
-    structure = _sector_structure(basis.n_sites, basis.n_particles, basis.statistics)
-    if structure.basis.states != basis.states:  # a basis that enumerate_basis did not order
-        structure = _structure(basis)
+    if basis.statistics not in ("fermion", "boson"):
+        raise ValueError(f"unknown statistics {basis.statistics!r}")
+    cap = 1 if basis.statistics == "fermion" else basis.n_particles  # per site
+    rows, cols, bonds, factors = _hops(basis.states, cap)
     ham = np.zeros((basis.dim, basis.dim))
     # all +0.0 on-site energies dot to the +0.0 already there; a -0.0 may give -0.0
     if profile.onsite.any() or np.signbit(profile.onsite).any():
@@ -157,14 +139,14 @@ def build_sector_hamiltonian(profile: CouplingProfile, basis: SectorBasis) -> np
             ham[col, col] = float(np.dot(profile.onsite, state))
     # each off-diagonal entry takes exactly one hop; + 0.0 gives the bits of
     # adding it onto a zero matrix (a -0.0 amplitude lands as +0.0)
-    amps = (profile.hop / 2.0)[structure.bonds] * structure.factors + 0.0
-    ham[structure.rows, structure.cols] = amps
-    ham[structure.cols, structure.rows] = amps
+    amps = (profile.hop / 2.0)[bonds] * factors + 0.0
+    ham[rows, cols] = amps
+    ham[cols, rows] = amps
     return ham
 
 
 def _sector_setup(spec: ChainSpec):
-    basis = _sector_structure(spec.n_sites, spec.n_s, spec.statistics).basis
+    basis = _basis(spec.n_sites, spec.n_s, spec.statistics)
     ham = build_sector_hamiltonian(build_profile(spec), basis)
     energies, modes = np.linalg.eigh(ham)
     return basis, energies, modes
@@ -196,8 +178,7 @@ def oracle_occupation(spec: ChainSpec, t, site):
     times, scalar = _times(t)
     basis, energies, modes = _sector_setup(spec)
     i_send, _ = _edge_states(basis)
-    occupations = _sector_structure(spec.n_sites, spec.n_s, spec.statistics).occupations
-    occs = [occupations[k - 1] for k in sites]
+    occs = [np.array([state[k - 1] for state in basis.states], dtype=float) for k in sites]
     values = []
     for t_k in times.tolist():
         # one matrix-vector product per time, as a single time takes it

@@ -105,6 +105,27 @@ def test_transfer_file_output_with_json_sidecar(tmp_path, capsys):
     assert summary["config"]["n_w"] == 5
 
 
+def test_output_that_is_its_own_summary_path_is_refused(tmp_path, capsys):
+    # battery's JSON summary goes to the output path with suffix .json
+    path = tmp_path / "run.json"
+    code, _, err = run_cli(capsys, ["battery", "--nb", "2", "--nw", "4", "--tmax", "10",
+                                    "--samples", "3", "-o", str(path)])
+    assert code == EXIT_CONFIG
+    assert "summary" in err
+    assert not path.exists()
+
+
+def test_output_with_a_json_suffix_holds_the_csv_when_no_summary_is_due(tmp_path, capsys):
+    path = tmp_path / "x.json"
+    code, out, _ = run_cli(capsys, ["spectrum", "--ns", "1", "--nw", "2", "--j0", "0.1",
+                                    "-o", str(path)])
+    assert code == EXIT_OK
+    assert out == ""
+    lines = path.read_text().splitlines()
+    assert lines[0].startswith("# config: ")
+    assert lines[1] == "k,omega,parity"
+
+
 def test_output_is_deterministic_across_runs(tmp_path, capsys):
     argv = ["battery", "--nb", "1", "--nw", "4", "--j0", "0.1",
             "--tmax", "10", "--samples", "25"]
@@ -330,13 +351,16 @@ def test_gate_builds_each_oracle_sector_once_per_use(monkeypatch, capsys, comman
 
 def test_gate_builds_each_oracle_sector_structure_once_per_process(capsys):
     # the 12 oracle-check Hamiltonians come from 6 (N, n, statistics)
-    # structures; validate's two occupation sectors are the (6, 2) ones
-    oracle._sector_structure.cache_clear()
+    # bases and hop lists; validate's two occupation sectors are the (6, 2) ones
+    caches = (oracle._basis, oracle._hops)
+    for cache in caches:
+        cache.cache_clear()
     for command, misses in (("oracle-check", 6), ("validate", 0)):
-        before = oracle._sector_structure.cache_info().misses
+        before = [cache.cache_info().misses for cache in caches]
         code, _, _ = run_cli(capsys, [command])
         assert code == EXIT_OK
-        assert oracle._sector_structure.cache_info().misses - before == misses, command
+        after = [cache.cache_info().misses for cache in caches]
+        assert [a - b for a, b in zip(after, before)] == [misses, misses], command
 
 
 def test_oracle_check_builds_one_block_stack_per_chain(monkeypatch, capsys):

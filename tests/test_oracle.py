@@ -15,9 +15,10 @@ from ppxfer.cli import ORACLE_CASES, ORACLE_COUPLINGS, ORACLE_HORIZON, ORACLE_TI
 from ppxfer.oracle import (
     DIM_CAP,
     SectorBasis,
+    _basis,
     _edge_states,
+    _hops,
     _sector_setup,
-    _sector_structure,
     build_sector_hamiltonian,
     enumerate_basis,
     oracle_occupation,
@@ -190,19 +191,19 @@ def reference_profiles(n_sites):
 
 
 def test_sector_hamiltonians_keep_the_loop_builders_bytes():
-    # every sector with N <= 8 and n <= 3, both statistics: cold (the
-    # structure built by this call) and warm (taken from the cache)
+    # every sector with N <= 8 and n <= 3, both statistics: cold (the hop
+    # list built by this call) and warm (taken from the cache)
     for n_sites, n, stats in product(range(1, 9), range(4), ("fermion", "boson")):
         if stats == "fermion" and n > n_sites:
             continue
         for profile in reference_profiles(n_sites):
             expected = loop_hamiltonian(profile, enumerate_basis(n_sites, n, stats)).tobytes()
-            _sector_structure.cache_clear()
+            _hops.cache_clear()
             for _ in ("cold", "warm"):
                 basis = enumerate_basis(n_sites, n, stats)
                 got = build_sector_hamiltonian(profile, basis)
                 assert got.tobytes() == expected, (n_sites, n, stats)
-    assert _sector_structure.cache_info().hits > 0
+    assert _hops.cache_info().hits > 0
 
 
 def test_cached_sector_structure_cannot_be_changed_through_what_it_returns():
@@ -215,20 +216,29 @@ def test_cached_sector_structure_cannot_be_changed_through_what_it_returns():
     basis.index[first], basis.index[last] = basis.index[last], basis.index[first]
     assert build_sector_hamiltonian(profile, basis).tobytes() == expected
     assert enumerate_basis(6, 2, "boson").index[first] == 0
-    # the cached structure and the basis `_sector_setup` hands out refuse writes
-    structure = _sector_structure(6, 2, "boson")
-    assert _sector_setup(spec)[0] is structure.basis
+    # the cached hop list and the basis `_sector_setup` hands out refuse writes
+    shared = _basis(6, 2, "boson")
+    assert _sector_setup(spec)[0] is shared
     with pytest.raises(TypeError):
-        structure.basis.index[first] = 1
-    for name in ("occupations", "rows", "cols", "bonds", "factors"):
+        shared.index[first] = 1
+    for array in _hops(shared.states, 2):
         with pytest.raises(ValueError, match="read-only"):
-            getattr(structure, name)[0] = 7
+            array[0] = 7
     assert build_sector_hamiltonian(profile, basis).tobytes() == expected
     # a basis in another order than enumerate_basis's gets its own hop list
     states = enumerate_basis(6, 2, "boson").states[::-1]
     mirrored = SectorBasis(6, 2, "boson", states, {s: i for i, s in enumerate(states)})
     assert (build_sector_hamiltonian(profile, mirrored).tobytes()
             == loop_hamiltonian(profile, mirrored).tobytes())
+
+
+def test_sector_hamiltonian_refuses_unknown_statistics():
+    # a hand-built basis with a misspelt statistics is not taken for bosons
+    states = enumerate_basis(4, 2, "boson").states
+    typo = SectorBasis(4, 2, "bosn", states, {s: i for i, s in enumerate(states)})
+    profile = build_profile(ChainSpec(n_s=1, n_w=2, j0=0.1))
+    with pytest.raises(ValueError, match="unknown statistics 'bosn'"):
+        build_sector_hamiltonian(profile, typo)
 
 
 def test_sector_hamiltonian_rejects_size_mismatch():
