@@ -1,4 +1,4 @@
-"""The test suite's own configuration."""
+"""The test suite's own configuration and the defect census's table."""
 
 import ast
 import importlib.util
