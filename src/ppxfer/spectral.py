@@ -1,21 +1,17 @@
-"""Chain spectra: mirror-sector solves, a tridiagonal QL and block spectra.
+"""Chain spectra: `diagonalize`, the one public producer; the peak path's
+private QL; block spectra.
 
-A `ChainSpec` chain is persymmetric, so `decompose_chain(spec)` solves it
-in its two half-size mirror sectors with LAPACK `eigh` (`_mirror_sectors`):
-its parities and (for even N) its level pairs are exact by construction
-and it runs none of the QL's passes or repairs.
+`diagonalize(profile)` solves with LAPACK `eigh`: a mirror-symmetric
+profile in its two half-size mirror sectors, whose parities are exact by
+construction (and, for even N on a zero diagonal, its level pairs), and
+any other profile in one full `eigh`.  `decompose_chain(spec)` is
+`diagonalize` on the chain's profile with h peeled off.
 
-The QL is the second producer.  It serves `diagonalize(profile)`, for
-profiles that are not `ChainSpec` chains (an on-site defect, no mirror
-symmetry), and `decompose_chain(spec, _ql=True)`, for the peak path
-(`find_transfer_peak` and the `transfer` and `scaling` commands), whose
-pinned outputs keep the QL's bits.  It reads a coupling profile directly:
-its on-site energies are the diagonal and its halved hoppings the
-off-diagonal, so no dense matrix is built or scanned for structure.  The
-profile also states the two symmetries the output enforces: a zero
-diagonal (bipartite chain, exact +/- level pairs) and mirror symmetry
-(exact eigenvector parities).
-
+The QL (`_ql_diagonalize`) serves only `decompose_chain(spec, _ql=True)`,
+the peak path (`find_transfer_peak` and the `transfer` and `scaling`
+commands), whose pinned outputs keep its bits.  It reads the peeled
+chain's halved hoppings directly and repairs the two symmetries of such a
+chain: exact +/- level pairs (a zero diagonal) and exact parities.
 Implicit-shift QL with accumulated eigenvectors, written against float64
 and a 30-sweep cap per eigenvalue, in two passes: a scalar pass runs the
 recurrence on Python floats, giving the levels, and records every Givens
@@ -24,14 +20,13 @@ down to l, and one (c, s) pair per rotation: 16 bytes a rotation); an
 apply pass rotates the eigenvector columns in place, in a wavefront that
 runs the rotation of sweep j on columns (i, i+1) at step 2j - i, so each
 element sees the same arithmetic in the same order as rotating one pair
-at a time.  `diagonalize` runs both passes and the repairs, so every
+at a time.  `_ql_diagonalize` runs both passes and the repairs, so every
 decomposition comes out whole and the record dies with the call.
 
 Output is deterministic: eigenvalues ascending, each eigenvector's first
 nonzero component positive, and for a mirror-symmetric profile every
-eigenvector is projected onto its parity branch so the symmetry holds
-bitwise, not just to rounding.  The two producers agree to roundoff, not
-bit for bit.
+eigenvector is even or odd bitwise, not just to rounding.  The two
+producers agree to roundoff, not bit for bit.
 """
 
 from __future__ import annotations
@@ -43,7 +38,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .chain import ChainSpec, CouplingProfile, NumericalConsistencyError, _size, build_profile
+from .chain import (ChainSpec, CouplingProfile, NumericalConsistencyError, _size,
+                    adjacency_matrix, build_profile)
 
 MACHEP = 2.0 ** -52
 MAX_SWEEPS = 30
@@ -67,9 +63,9 @@ class SpectralDecomposition:
     ~ulp(offset), an error the propagator phases amplify linearly in t; the
     kernel (`amplitudes`) therefore applies the offset as one global factor.
 
-    Both producers (`diagonalize` and `_mirror_sectors`) build every field
-    before they construct the record, so it pickles and
-    `dataclasses.replace`s like any frozen dataclass.
+    `diagonalize`, the one public producer, and the peak path's private QL
+    both build every field before they construct the record, so it
+    pickles and `dataclasses.replace`s like any frozen dataclass.
     """
 
     bare_eigenvalues: np.ndarray
@@ -242,12 +238,11 @@ def _fix_signs(z: np.ndarray) -> None:
     z[:, flip] = -z[:, flip]
 
 
-def diagonalize(profile: CouplingProfile) -> SpectralDecomposition:
-    """Spectrum of the chain matrix with `profile.onsite` on the diagonal
-    and `profile.hop / 2` off it, with its eigenvectors and parities: the
-    scalar pass, the O(N^3) apply pass, then the parity, cluster and sign
-    repairs.  A caller that reads only the levels pays the apply pass too;
-    no caller in the package is one."""
+def _ql_diagonalize(profile: CouplingProfile) -> SpectralDecomposition:
+    """The QL of `decompose_chain(spec, _ql=True)`, on the chain's profile
+    with h peeled off (a zero diagonal and mirror symmetric): the scalar
+    pass, the O(N^3) apply pass, then the pairing step and the parity,
+    cluster and sign repairs."""
     try:
         d, sweeps, factors = _ql_implicit(profile.onsite, profile.hop / 2.0)
     except ZeroDivisionError as exc:
@@ -257,72 +252,77 @@ def diagonalize(profile: CouplingProfile) -> SpectralDecomposition:
             "(products of a coupling underflowed)"
         ) from exc
     order = np.argsort(d, kind="stable")
+    # The zero diagonal makes the chain bipartite, so its levels come in
+    # exact +/- pairs.  The QL's pair only to roundoff, a mismatch the
+    # propagator phases amplify linearly in t: enforce the pairing.
     w = d[order]
-
-    if not np.any(profile.onsite):
-        # A zero diagonal makes the chain bipartite, so the exact spectrum
-        # is antisymmetric: levels come in +/- pairs (plus a zero for odd
-        # dimension).  The QL output pairs only to roundoff, and that tiny
-        # mismatch is amplified linearly by t in the propagator phases, so
-        # enforce the pairing exactly on the sorted levels.
-        w = 0.5 * (w - w[::-1])
-
+    w = 0.5 * (w - w[::-1])
     z = _apply_rotations(len(w), sweeps, factors)[:, order]
-    if profile.is_mirror_symmetric():
-        parities = _purify_parity(z)
-        # a mirror chain of N sites has exactly ceil(N/2) even eigenvectors
-        even, expected = np.count_nonzero(parities > 0), (len(w) + 1) // 2
-        if even != expected:
-            raise NumericalConsistencyError(
-                f"eigensolver did not resolve the mirror parities: {even} of {len(w)} "
-                f"eigenvectors came out even, not {expected}"
-            )
-    else:
-        parities = np.zeros(len(w))
+    parities = _purify_parity(z)
+    # a mirror chain of N sites has exactly ceil(N/2) even eigenvectors
+    even, expected = np.count_nonzero(parities > 0), (len(w) + 1) // 2
+    if even != expected:
+        raise NumericalConsistencyError(
+            f"eigensolver did not resolve the mirror parities: {even} of {len(w)} "
+            f"eigenvectors came out even, not {expected}"
+        )
     _reorthogonalize_clusters(w, z)
     _fix_signs(z)
     return SpectralDecomposition(w, z, parities)
 
 
-def _mirror_sectors(spec: ChainSpec) -> SpectralDecomposition:
-    """`decompose_chain(spec)` from the chain's two mirror sectors, one
-    LAPACK `eigh` each, with its eigenvectors and parities.
+def diagonalize(profile: CouplingProfile) -> SpectralDecomposition:
+    """Spectrum of the chain matrix with `profile.onsite` on the diagonal
+    and `profile.hop / 2` off it, with its eigenvectors and parities, from
+    LAPACK `eigh`.
 
-    With the half-chain tridiagonal T (halved hops, h peeled off) and the
-    centre bond c, an even N = 2M gives the even sector T + c e e^T, with
-    vectors [u; Ju]/sqrt2, and the odd sector T - c e e^T = -S (T + c e e^T) S
-    (S = diag((-1)^j), a zero diagonal): its vectors [Su; -JSu]/sqrt2 at
-    the exactly negated levels, from the same `eigh`.  An odd N = 2M + 1
-    gives the even sector on sites 0..M with the centre bond scaled by
-    sqrt2, vectors [u_<M/sqrt2, u_M, J u_<M/sqrt2], and the odd sector T,
-    vectors [u/sqrt2, 0, -Ju/sqrt2].  Every column is mirror even or odd
-    by construction and the sectors are orthogonal, so only the pairing
-    step of `diagonalize` and `_fix_signs` follow.
+    A mirror-symmetric profile of N = 2M or 2M + 1 sites is solved in its
+    two mirror sectors.  With T the matrix on sites 0..M-1, c the bond
+    that crosses the centre and J the reversal, an even N gives the even
+    sector T + c e e^T (e the last unit vector), vectors [u; Ju]/sqrt2,
+    and the odd sector T - c e e^T, vectors [v; -Jv]/sqrt2.  On a zero
+    diagonal the odd sector is -S (T + c e e^T) S (S = diag((-1)^j)), so
+    v = Su at the exactly negated levels, from the same `eigh`.  An odd N
+    gives the even sector on sites 0..M with the bond to the centre scaled
+    by sqrt2, vectors [u_<M/sqrt2, u_M, J u_<M/sqrt2], and the odd sector
+    T, vectors [v/sqrt2, 0, -Jv/sqrt2].  Every column is mirror even or
+    odd by construction and the sectors are orthogonal, so no repair
+    follows.  Any other profile takes one `eigh` of the full matrix, with
+    zero parities.  A zero diagonal (a bipartite chain) then gets exact
+    +/- level pairs from the pairing step, and every column `_fix_signs`.
     """
-    hop = build_profile(spec).hop / 2.0
-    n, m = len(hop) + 1, (len(hop) + 1) // 2
-    root2 = math.sqrt(2.0)
-    if n % 2 == 0:
-        t = np.diag(hop[:m - 1], -1)
-        t[-1, -1] = hop[m - 1]
-        lam, u = np.linalg.eigh(t)
-        x = u / root2
-        y = x * (1 - 2 * (np.arange(m) % 2))[:, None]
-        levels = np.concatenate([lam, -lam])
-        z = np.hstack([np.vstack([x, x[::-1]]), np.vstack([y, -y[::-1]])])
-    else:
-        lam, u = np.linalg.eigh(np.diag(np.append(hop[:m - 1], root2 * hop[m - 1]), -1))
-        mu, v = np.linalg.eigh(np.diag(hop[:m - 1], -1))
+    d, hop = profile.onsite, profile.hop / 2.0
+    n, m = len(d), len(d) // 2
+    bipartite = not np.any(d)
+    if profile.is_mirror_symmetric():
+        root2 = math.sqrt(2.0)
+        even = np.diag(d[:n - m]) + np.diag(hop[:n - m - 1], -1)
+        odd = even[:m, :m].copy()
+        if n % 2:
+            even[m, m - 1:m] *= root2   # an empty slice for N = 1
+        else:
+            even[-1, -1] += hop[m - 1]
+            odd[-1, -1] -= hop[m - 1]
+        lam, u = np.linalg.eigh(even)
+        if n % 2 == 0 and bipartite:
+            mu, v = -lam, u * (1 - 2 * (np.arange(m) % 2))[:, None]
+        else:
+            mu, v = np.linalg.eigh(odd)
         x, y = u[:m] / root2, v / root2
         levels = np.concatenate([lam, mu])
         z = np.hstack([np.vstack([x, u[m:], x[::-1]]),
-                       np.vstack([y, np.zeros((1, m)), -y[::-1]])])
+                       np.vstack([y, np.zeros((n - 2 * m, m)), -y[::-1]])])
+        parities = np.repeat([1.0, -1.0], [n - m, m])
+    else:
+        levels, z = np.linalg.eigh(adjacency_matrix(profile))
+        parities = np.zeros(n)
     order = np.argsort(levels, kind="stable")
-    w = levels[order]
-    z = z[:, order]
+    w, z = levels[order], z[:, order]
+    parities = parities[order]
+    if bipartite:
+        w = 0.5 * (w - w[::-1])
     _fix_signs(z)
-    return SpectralDecomposition(0.5 * (w - w[::-1]), z, np.where(order < n - m, 1.0, -1.0),
-                                 spec.h)
+    return SpectralDecomposition(w, z, parities)
 
 
 def decompose_chain(spec: ChainSpec, *, _ql: bool = False) -> SpectralDecomposition:
@@ -333,17 +333,15 @@ def decompose_chain(spec: ChainSpec, *, _ql: bool = False) -> SpectralDecomposit
     eigensolve and added back to the eigenvalues; changing h therefore
     leaves the eigenvectors bitwise identical.
 
-    The chain is solved in its two mirror sectors with LAPACK
-    (`_mirror_sectors`).  `_ql=True` runs `diagonalize`'s QL on the
-    h-peeled profile instead, for the peak path (`find_transfer_peak`,
-    `transfer`, `scaling`), whose pinned outputs keep the QL's bits: the
-    two producers agree to roundoff, not bit for bit.
+    The peeled profile goes to `diagonalize`, whose two mirror sectors
+    give exact parities and level pairs.  `_ql=True` runs the private QL
+    on it instead, for the peak path (`find_transfer_peak`, `transfer`,
+    `scaling`), whose pinned outputs keep the QL's bits: the two producers
+    agree to roundoff, not bit for bit.
     """
-    if not _ql:
-        return _mirror_sectors(spec)
     profile = build_profile(spec)
-    bare = diagonalize(CouplingProfile(hop=profile.hop, onsite=profile.onsite - spec.h))
-    return replace(bare, offset=spec.h)
+    bare = CouplingProfile(hop=profile.hop, onsite=profile.onsite - spec.h)
+    return replace((_ql_diagonalize if _ql else diagonalize)(bare), offset=spec.h)
 
 
 def wire_spectrum(n_w: int, h: float = 0.0) -> np.ndarray:

@@ -17,7 +17,8 @@ Where each pinned value comes from:
 * the `validate`, `validate --asymmetry`, `oracle-check` and `spectrum
   --ns 4 --nw 101` hashes: re-pinned when every chain off the peak path
   took its spectrum from the mirror sectors (the peak search, `transfer`
-  and `scaling` keep the QL's bits).
+  and `scaling` keep the QL's bits); `validate` again when
+  `diagonalize(profile)` moved from the QL to LAPACK `eigh`.
 
 All with Python 3.11, numpy 2.4 and OpenBLAS on x86-64, and the same with
 1 or 2 OpenBLAS threads.  A change that claims to leave outputs unchanged
@@ -94,9 +95,10 @@ STDOUT_SHA256 = {
     # with the mirror-sector spectrum: unitarity 1.11e-15 -> 1.44e-15, parity
     # reality 2.12e-15 -> 1.15e-15, oracle deviation 1.621e-14 -> 4.441e-15,
     # statistics independence 1.55e-15 -> 2.44e-15, magnetization identity
-    # 3.85e-17 -> 5.86e-17; the same moves in `validate --asymmetry`
+    # 3.85e-17 -> 5.86e-17; the same moves in `validate --asymmetry`.  With
+    # `diagonalize` on the mirror sectors: zero energies 8.26e-17 -> 5.27e-17
     "validate":
-        "d5a0f7e39363d1da4c66cccf1e2e2750aad1716ad2e25732a86f08fbf005bdf7",
+        "bd91b03e65c63ba97e55d4f380262f8a3e0107230ed72b4b46375dc2b30ef0fe",
     # the oracle deviation moved 1.621e-14 -> 4.441e-15
     "oracle-check":
         "6f2bbc8b94a6cda843b5d72c63e75832e5999050dcdac5dac73ff91a7385ca17",

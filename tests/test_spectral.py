@@ -79,6 +79,64 @@ def test_residual_orthonormality_trace():
         assert abs(np.sum(dec.eigenvalues) - np.trace(a)) < 1e-11 * max(1.0, n)
 
 
+def branch_profile(n, mirror, zero_diagonal):
+    """A seeded random profile of n sites, mirrored and with its diagonal
+    zeroed on request."""
+    rng = np.random.default_rng(100 * n + 10 * mirror + zero_diagonal)
+    hop, onsite = rng.uniform(0.1, 2.0, n - 1), rng.uniform(-1.0, 1.0, n)
+    if mirror:
+        hop, onsite = hop + hop[::-1], onsite + onsite[::-1]
+    return CouplingProfile(hop=hop, onsite=0.0 * onsite if zero_diagonal else onsite)
+
+
+BRANCH_PROFILES = {
+    f"{'mirror' if mirror else 'general'}-{'zero' if zero else 'diagonal'}-{n}":
+        branch_profile(n, mirror, zero)
+    for mirror in (True, False) for zero in (True, False) for n in (12, 13)
+}
+BRANCH_PROFILES.update({
+    "one-site": CouplingProfile(hop=[], onsite=[0.4]),
+    "two-site": CouplingProfile(hop=[1.0], onsite=[0.3, 0.3]),
+    "dimers": CouplingProfile(hop=[1.0, 0.0, 1.0], onsite=np.zeros(4)),
+})
+
+
+@pytest.mark.parametrize("name", BRANCH_PROFILES)
+def test_diagonalize_matches_a_dense_reference_on_every_branch(name):
+    """Mirror sectors (one `eigh` and its S-negation, or two) or one full
+    `eigh`, on even and odd N: levels within N eps max|w| of a dense
+    `eigvalsh`, an orthonormal basis with a residual at roundoff, exact
+    column parities on a mirror profile and exact +/- level pairs on a
+    zero diagonal."""
+    profile = BRANCH_PROFILES[name]
+    dec = diagonalize(profile)
+    n, w, z = dec.n, dec.eigenvalues, dec.eigenvectors
+    scale = n * np.finfo(float).eps * np.max(np.abs(w))
+    assert np.max(np.abs(w - np.linalg.eigvalsh(adjacency_matrix(profile)))) <= scale
+    assert np.max(np.abs(z.T @ z - np.eye(n))) <= n * np.finfo(float).eps
+    assert np.max(np.abs(adjacency_matrix(profile) @ z - z * w)) <= scale
+    if profile.is_mirror_symmetric():
+        assert np.array_equal(z[::-1], dec.parities * z)
+    else:
+        assert not np.any(dec.parities)
+    if not np.any(profile.onsite):
+        assert np.array_equal(w, -w[::-1])
+
+
+@pytest.mark.parametrize("h", [0.0, 0.3])
+def test_diagonalize_resolves_near_degenerate_mirror_doublets(h):
+    """At J0 = 1e-16 the sender and receiver doublets of (2,41) are
+    degenerate to roundoff.  The QL that served `diagonalize` before came
+    out with max |V^T V - I| = 0.80 and a residual of 0.29 at h = 0, and
+    raised on the parity count at h = 0.3; the mirror sectors split each
+    doublet into one level per sector."""
+    profile = build_profile(ChainSpec(n_s=2, n_w=41, j0=1e-16, h=h))
+    dec = diagonalize(profile)
+    z = dec.eigenvectors
+    assert np.max(np.abs(z.T @ z - np.eye(dec.n))) <= 1e-14
+    assert np.max(np.abs(adjacency_matrix(profile) @ z - z * dec.eigenvalues)) <= 1e-14
+
+
 def test_mirror_property_and_parities():
     for n_s, n_w, h in [(1, 4, 0.0), (2, 5, 0.4), (3, 7, 0.0), (4, 6, -0.2)]:
         dec = decompose_chain(ChainSpec(n_s=n_s, n_w=n_w, j0=0.05, h=h))
@@ -168,20 +226,23 @@ DECOMPOSITIONS = {
 }
 
 # sha256 over the bytes of eigenvalues, bare_eigenvalues, eigenvectors and
-# parities, in that order, all from the QL (the chains through
-# `decompose_chain(spec, _ql=True)`, as the peak path decomposes them);
-# produced by commit 46990f8 (the QL that recorded one column per rotation)
-# with Python 3.11, numpy 2.4 and OpenBLAS on x86-64, the same with 1 or 2
-# OpenBLAS threads
+# parities, in that order.  The four chains come from the QL, through
+# `decompose_chain(spec, _ql=True)` as the peak path decomposes them, and
+# were produced by commit 46990f8 (the QL that recorded one column per
+# rotation).  The three profiles come from `diagonalize`'s LAPACK `eigh`
+# (one full solve each: none is mirror symmetric), re-pinned when it
+# replaced the QL there: levels moved by at most 2.4e-15, vectors by at
+# most 4.2e-14, parities not at all.  With Python 3.11, numpy 2.4 and
+# OpenBLAS on x86-64, the same with 1 or 2 OpenBLAS threads
 DECOMPOSITION_SHA256 = {
     "2-41": "c9cbe22ac29a898c994085fc39e15a45501a20593f7f0f9301bd5bd78d92498e",
     "4-101": "80812d7d0af96a22f352f2a61f2ef7e9bca4d24278b5d86bf41c6f895dcb57a2",
     "3-43-weak": "b7890dac3096410c54e0c305747d3353c0de0a79304267c33cf15f707450ac8c",
     "2-5-h": "dc5c51ef1a09eb21bf646450bdb71ddabb1d550eb7b14f5246e94aeac0fa21ec",
-    "asymmetric": "97d1a43befd08ae68fc52257afdf743c62c3c871892e1f71b027333d6056226d",
-    "random": "992129289dd525b80782cdae391c530c1949cc74b6390ba42225bacc692ec7b2",
+    "asymmetric": "051f4ec78df829299a61ff19fe383c2272efb258f480e42d63e5e7ac225b2182",
+    "random": "6d7f74be5b2c89b2550886bef90e03caefeb996162a3b4f474764f8805d8bc27",
     "random-zero-diagonal":
-        "62f35e406d0077c514ed057f4781083b2458522261582e6e4ce4badd2039fab9",
+        "2dfaab9471ee903319676b90df49a3a3ccf18a833f3a05bbde7d00a0d7cf7f56",
 }
 
 
@@ -246,12 +307,16 @@ def test_batched_rotations_are_bitwise_sequential(monkeypatch):
         profiles.append(CouplingProfile(hop=2.0 * e, onsite=d))
     # zero off-diagonals: an empty rotation record at N = 200
     profiles.append(CouplingProfile(hop=np.zeros(199), onsite=rng.uniform(-1, 1, 200)))
+    for profile in profiles:   # bytes: signed zeros count
+        _, sweeps, factors = spectral._ql_implicit(profile.onsite, profile.hop / 2.0)
+        batched = spectral._apply_rotations(profile.n_sites, sweeps, factors)
+        assert batched.tobytes() == rotate_one_at_a_time(profile.n_sites, sweeps,
+                                                         factors).tobytes()
     specs = [ChainSpec(n_s=4, n_w=101, j0=0.01), ChainSpec(n_s=2, n_w=102, j0=0.01)]
-    batched = [diagonalize(p) for p in profiles] + [decompose_chain(s, _ql=True) for s in specs]
+    batched = [decompose_chain(s, _ql=True) for s in specs]
     monkeypatch.setattr(spectral, "_apply_rotations", rotate_one_at_a_time)
-    sequential = [diagonalize(p) for p in profiles] + [decompose_chain(s, _ql=True)
-                                                       for s in specs]
-    for got, want in zip(batched, sequential):   # bytes: signed zeros count
+    sequential = [decompose_chain(s, _ql=True) for s in specs]
+    for got, want in zip(batched, sequential):
         assert got.eigenvalues.tobytes() == want.eigenvalues.tobytes()
         assert got.eigenvectors.tobytes() == want.eigenvectors.tobytes()
         assert got.parities.tobytes() == want.parities.tobytes()
@@ -259,9 +324,10 @@ def test_batched_rotations_are_bitwise_sequential(monkeypatch):
 
 @pytest.fixture
 def passes(monkeypatch):
-    """Counts of QL scalar passes (`_ql_implicit`, one per `diagonalize`),
-    of mirror-sector solves and of eigenvector apply passes."""
-    counts = {"ql": 0, "sectors": 0, "applies": 0}
+    """Counts of QL scalar passes (`_ql_implicit`, one per QL
+    decomposition), of `diagonalize` calls reached through the `spectral`
+    module and of eigenvector apply passes."""
+    counts = {"ql": 0, "lapack": 0, "applies": 0}
 
     def counted(key, fn):
         def wrapper(*args):
@@ -269,7 +335,7 @@ def passes(monkeypatch):
             return fn(*args)
         return wrapper
 
-    for key, name in (("ql", "_ql_implicit"), ("sectors", "_mirror_sectors"),
+    for key, name in (("ql", "_ql_implicit"), ("lapack", "diagonalize"),
                       ("applies", "_apply_rotations")):
         monkeypatch.setattr(spectral, name, counted(key, getattr(spectral, name)))
     return counts
@@ -280,9 +346,9 @@ def run_cli(argv):
         assert cli.main(argv) == cli.EXIT_OK
 
 
-# the QL runs where pinned bits need it: the peak path (`find_transfer_peak`
-# and the `transfer` and `scaling` commands, one chain per wire length) and
-# `diagonalize(profile)`, which `validate` runs on its zero-energy chain
+# the QL runs only where pinned bits need it: the peak path
+# (`find_transfer_peak` and the `transfer` and `scaling` commands, one chain
+# per wire length)
 PRODUCERS = {
     "spectrum": (lambda: run_cli(["spectrum", "--ns", "4", "--nw", "101"]), 0),
     "oracle-check": (lambda: run_cli(["oracle-check"]), 0),
@@ -295,7 +361,9 @@ PRODUCERS = {
     "predict_transfer_time":
         (lambda: predict_transfer_time(ChainSpec(n_s=2, n_w=41, j0=0.01)), 0),
     "ratio_diagnostics": (lambda: ratio_diagnostics(ChainSpec(n_s=4, n_w=41, j0=1e-3)), 0),
-    "validate": (lambda: run_cli(["validate"]), 1),
+    "check_ratios": (cli._check_ratios, 0),
+    "diagonalize": (lambda: spectral.diagonalize(validate_asymmetry_profile()), 0),
+    "validate": (lambda: run_cli(["validate"]), 0),
     "transfer": (lambda: run_cli(["transfer", "--ns", "2", "--nw", "41"]), 1),
     "find_transfer_peak": (lambda: find_transfer_peak(ChainSpec(n_s=1, n_w=5, j0=0.1)), 1),
     "scaling": (lambda: run_cli(["scaling", "--ns", "1", "--lmin", "1", "--lmax", "2"]), 2),
@@ -304,58 +372,44 @@ PRODUCERS = {
 
 @pytest.mark.parametrize("name", PRODUCERS)
 def test_each_entry_point_runs_its_producer(passes, name):
-    """The QL scalar passes an entry point runs, each with its one apply
-    pass; one that runs none takes its spectra from the mirror sectors."""
+    """The QL decompositions an entry point runs, each with its one apply
+    pass (the QL builds its vectors before it returns, and none twice);
+    one that runs none takes its spectra from `diagonalize`."""
     run, ql = PRODUCERS[name]
     run()
     assert passes["ql"] == passes["applies"] == ql
-    assert ql or passes["sectors"] > 0
-
-
-@pytest.mark.parametrize("run", [
-    lambda: perturbation_report(ChainSpec(n_s=3, n_w=43, j0=1e-3)),
-    lambda: predict_transfer_time(ChainSpec(n_s=2, n_w=41, j0=0.01)),
-    lambda: ratio_diagnostics(ChainSpec(n_s=4, n_w=41, j0=1e-3)),
-    cli._check_ratios,
-], ids=["perturbation_report", "predict_transfer_time", "ratio_diagnostics", "check_ratios"])
-def test_eigenvalue_only_callers_run_no_apply_pass(passes, run):
-    run()
-    assert passes["sectors"] > 0
-    assert passes["ql"] == passes["applies"] == 0
-
-
-@pytest.mark.parametrize("run", [
-    lambda: find_transfer_peak(ChainSpec(n_s=1, n_w=5, j0=0.1)),
-], ids=["find_transfer_peak"])
-def test_vector_callers_run_one_apply_pass_per_decomposition(passes, run):
-    """`diagonalize` builds the vectors before it returns: one apply pass
-    per QL scalar pass, none run twice."""
-    run()
-    assert passes["ql"] > 0
-    assert passes["applies"] == passes["ql"]
+    assert ql or passes["lapack"] > 0
 
 
 def test_sweep_cap_raises(monkeypatch):
     monkeypatch.setattr(spectral, "MAX_SWEEPS", 0)
     with pytest.raises(RuntimeError, match="failed to converge"):
-        diagonalize(uniform_chain(3))
+        decompose_chain(ChainSpec(n_s=1, n_w=1, j0=0.05), _ql=True)
 
 
 def test_unresolved_mirror_parities_raise():
-    # two decoupled mirror-image dimers: a mirror chain of 4 sites has 2
-    # even eigenvectors, but each degenerate pair lands on one branch
-    with pytest.raises(NumericalConsistencyError, match="mirror parities"):
-        diagonalize(CouplingProfile(hop=[1.0, 0.0, 1.0], onsite=np.zeros(4)))
+    # at J0 = 1e-16 the QL's near-degenerate doublets of (2,6) land on the
+    # wrong branches: 7 of the 10 eigenvectors come out even, not 5
+    with pytest.raises(NumericalConsistencyError, match="7 of 10"):
+        decompose_chain(ChainSpec(n_s=2, n_w=6, j0=1e-16), _ql=True)
 
 
-@pytest.mark.parametrize("n_s, n_w", [(6, 20), (3, 43)])
-def test_near_degenerate_clusters_come_out_orthonormal(n_s, n_w):
+@pytest.mark.parametrize("n_s, n_w, h, ql", [
+    pytest.param(6, 20, 0.0, True, id="6-20"),
+    pytest.param(3, 43, 0.0, True, id="3-43"),
+    pytest.param(6, 20, 0.5, False, id="6-20-h-diagonalize"),
+    pytest.param(3, 43, 0.5, False, id="3-43-h-diagonalize"),
+])
+def test_near_degenerate_clusters_come_out_orthonormal(n_s, n_w, h, ql):
     """At J0 = 1e-13 the sender and receiver levels (and the wire levels
-    resonant with them) split by less than DEGENERACY_EPS; the cluster
-    Gram-Schmidt keeps the basis orthonormal (off by 0.27 and 0.077
-    without it)."""
-    spec = ChainSpec(n_s=n_s, n_w=n_w, j0=1e-13)
-    dec = decompose_chain(spec, _ql=True)
+    resonant with them) split by less than DEGENERACY_EPS.  On the QL the
+    cluster Gram-Schmidt keeps the basis orthonormal (off by 0.27 and 0.077
+    without it).  `diagonalize` splits each doublet into one level per
+    mirror sector; with h on the diagonal (at h = 0 these are the chains of
+    `test_mirror_sectors_need_no_cluster_repair`) an even N solves both
+    sectors with `eigh`."""
+    spec = ChainSpec(n_s=n_s, n_w=n_w, j0=1e-13, h=h)
+    dec = decompose_chain(spec, _ql=True) if ql else diagonalize(build_profile(spec))
     z = dec.eigenvectors
     assert np.max(np.abs(z.T @ z - np.eye(dec.n))) < 1e-13
     residual = adjacency_matrix(build_profile(spec)) @ z - z * dec.eigenvalues
