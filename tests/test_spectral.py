@@ -381,6 +381,24 @@ def test_each_entry_point_runs_its_producer(passes, name):
     assert ql or passes["lapack"] > 0
 
 
+@pytest.mark.parametrize("name", ["perturbation_report", "predict_transfer_time",
+                                  "ratio_diagnostics", "check_ratios"])
+def test_eigenvalue_only_callers_run_no_apply_pass(passes, name):
+    """Callers that read levels only take them from `diagonalize`."""
+    PRODUCERS[name][0]()
+    assert passes["lapack"] > 0
+    assert passes["ql"] == passes["applies"] == 0
+
+
+@pytest.mark.parametrize("name", ["find_transfer_peak"])
+def test_vector_callers_run_one_apply_pass_per_decomposition(passes, name):
+    """The QL builds the vectors before it returns: one apply pass per QL
+    scalar pass, none run twice."""
+    PRODUCERS[name][0]()
+    assert passes["ql"] > 0
+    assert passes["applies"] == passes["ql"]
+
+
 def test_sweep_cap_raises(monkeypatch):
     monkeypatch.setattr(spectral, "MAX_SWEEPS", 0)
     with pytest.raises(RuntimeError, match="failed to converge"):
