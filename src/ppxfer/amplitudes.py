@@ -33,9 +33,9 @@ anchors.  Its two callers:
   time, keeps the bits it has alone;
 - `propagator_grid`, the dense window sweep's surrogate, with a rigorous
   bound on its distance from `propagator_block`'s values.  |det M| and
-  |perm M| are those of F, so the surrogate probabilities are det(M)^2
-  through LAPACK and Ryser on the real M.  They only choose which grid
-  points `propagator_block` evaluates: every point whose bounded
+  |perm M| are those of F, so the surrogate probabilities are
+  `fermion_prob` and `boson_prob` of the real M.  They only choose which
+  grid points `propagator_block` evaluates: every point whose bounded
   surrogate probability could reach the maximum is evaluated exactly, so
   the sweep's maximum, its index and everything after it are those of an
   exact sweep.  No surrogate value is ever returned, and an unpaired
@@ -666,9 +666,8 @@ def _probability_slack(reduce, blocks: np.ndarray, bound: float) -> np.ndarray:
 
     reduce is `fermion_prob` or `boson_prob`, and the exact blocks are the
     ones `propagator_block` returns; blocks are `propagator_grid`'s real M,
-    and the surrogate is det(M)^2 from `np.linalg.det` (fermions) or
-    `boson_prob(M)`.  All of it is computed in float64.  Let n be the block
-    size, u = 2^-53, and e the entry distance.
+    and the surrogate is reduce(M).  All of it is computed in float64.  Let
+    n be the block size, u = 2^-53, and e the entry distance.
 
     - Unit-modulus factors.  `propagator_grid` bounds the distance of the
       exact blocks E from exp(-i h t) diag((-i)^a) M diag(i^b), and
@@ -686,20 +685,14 @@ def _probability_slack(reduce, blocks: np.ndarray, bound: float) -> np.ndarray:
       |x - y| <= c e sum_i prod_{l != i} rho_l, with c = sqrt(n) for det
       and n for perm, while |det| <= prod rho (Hadamard) and
       |perm| <= prod rho (1-norms, expanded term by term).
-    - LU.  Partial pivoting, complex in `fermion_prob` and real in LAPACK,
-      computes the LU of A + dA with |dA| <= gamma_{16n} |L||U| (Higham
-      Thm 9.3, with 16u per complex multiply, Smith division or
-      subtraction), |L| <= 1 and |U_kc| <= 2^k max|A|, so each side adds
-      at most gamma_{16n} G to every entry, G = 2^n (max|blocks| + e): e
-      grows by twice that before the step above.  In `fermion_prob` the
-      product of the pivots, `hypot` and the square then add a relative
-      6(n+1)u to |det|^2.  `np.linalg.det` returns sign exp(sum_i
-      log|u_ii|); with log and exp within one ulp (numpy's own tolerance)
-      the sum is within gamma_{n+2} sum_i |log|u_ii|| of the exact one,
-      and sum_i |log|u_ii|| <= 2n log+ G + log(1/|d|) for d = prod u_ii.
-      With exp and the square (5u), det^2 is within a relative
-      5u + 4n gamma_{n+2} log+ G plus gamma_{n+2} d^2 log(1/d^2)
-      <= gamma_{n+2}/e of d^2.
+    - LU.  `fermion_prob`'s complex partial pivoting (a real input is
+      eliminated as its complex cast) computes the LU of A + dA with
+      |dA| <= gamma_{16n} |L||U| (Higham Thm 9.3, with 16u per complex
+      multiply, Smith division or subtraction), |L| <= 1 and
+      |U_kc| <= 2^k max|A|, so each side adds at most gamma_{16n} G to
+      every entry, G = 2^n (max|blocks| + e): e grows by twice that
+      before the step above.  The product of the pivots, `hypot` and the
+      square then add a relative 6(n+1)u to |det|^2 on each side.
     - Ryser.  Each row sum w_r is updated 2^n times (u |w_r| each, with
       |w_r| <= rho_r), the n-fold product adds sqrt(2) gamma_2 per factor
       and the signed sum of 2^n terms sqrt(2) gamma_{2^n}: the computed
@@ -709,31 +702,27 @@ def _probability_slack(reduce, blocks: np.ndarray, bound: float) -> np.ndarray:
       special case of the complex one.
     - Squares.  With |x - y| <= m and |x|, |y| <= M,
       ||x|^2 - |y|^2| <= 2 M m, plus the relative rounding of each side
-      on M^2 and the absolute term above.  Clipping both sides into
-      [0, 1] only shrinks the distance.
+      on M^2.  Clipping both sides into [0, 1] only shrinks the distance.
     """
     n = blocks.shape[-1]
     u = UNIT_ROUNDOFF
     size = np.abs(blocks)
     if reduce is fermion_prob:
-        pivot = 2.0 ** n * (np.max(size) + bound)
-        growth = _gamma(16 * n) * pivot
+        growth = _gamma(16 * n) * 2.0 ** n * (np.max(size) + bound)
         reach = math.sqrt(n) * (bound + 2.0 * growth)
         rows = np.sqrt(np.sum(size ** 2, axis=-1)) * (1.0 + _gamma(n + 4)) + reach
         ryser = 0.0
-        relative = 6.0 * (n + 1) * u + 5.0 * u + 4.0 * n * _gamma(n + 2) * max(0.0, math.log(pivot))
-        absolute = _gamma(n + 2) / math.e
+        relative = 12.0 * (n + 1) * u
     else:
         reach = n * bound
         rows = np.sum(size, axis=-1) * (1.0 + _gamma(n + 1)) + reach
         ryser = 2.0 ** n * ((1.0 + 2.0 ** n * u) ** n - 1.0 + 4.0 * n * u
                             + math.sqrt(2.0) * _gamma(2 ** n))
         relative = 12.0 * u
-        absolute = 0.0
     magnitude = np.prod(rows, axis=-1)
     change = reach * magnitude * np.sum(1.0 / rows, axis=-1) + 2.0 * ryser * magnitude
     magnitude = magnitude * (1.0 + ryser)
-    return 2.0 * magnitude * change + relative * magnitude ** 2 + absolute
+    return 2.0 * magnitude * change + relative * magnitude ** 2
 
 
 def _certified_argmax(surrogate: np.ndarray, slack, exact) -> tuple[int, float]:
@@ -761,14 +750,14 @@ def _window_max(ev: SubmatrixEvaluator, reduce, center: float, j: float) -> tupl
     sweep dense on that scale.  reduce is `fermion_prob` or `boson_prob`,
     applied to ev's blocks.  The sweep is a surrogate: `propagator_grid`
     gives the window's real blocks M with a bound on their distance from
-    the exact ones, the surrogate probability is det(M)^2 through LAPACK
-    or `boson_prob(M)`, and `_probability_slack` bounds its distance from
-    the exact one.  The surrogate only chooses which points to evaluate
-    exactly (those its bound cannot rule out, see `_certified_argmax`), so
-    the sampled maximum and its index are those of an exact sweep.  An
-    unpaired decomposition has no real form and gets no surrogate: an
-    infinite slack evaluates every point.  The slack scales with the
-    blocks' row norms, so it rules out nearly every point even where the
+    the exact ones, the surrogate probability is reduce(M), and
+    `_probability_slack` bounds its distance from the exact one.  The
+    surrogate only chooses which points to evaluate exactly (those its
+    bound cannot rule out, see `_certified_argmax`), so the sampled
+    maximum and its index are those of an exact sweep.  An unpaired
+    decomposition has no real form and gets no surrogate: an infinite
+    slack evaluates every point.  The slack scales with the blocks' row
+    norms, so it rules out nearly every point even where the
     probabilities are tiny; it rules out few where the determinant or
     permanent cancels far below that row-norm bound (as in some n_s = 8
     windows), and such a sweep pays for the surrogate on top of the exact
@@ -786,7 +775,7 @@ def _window_max(ev: SubmatrixEvaluator, reduce, center: float, j: float) -> tupl
     surrogate, slack = np.zeros(len(grid)), math.inf
     if ev.dec._paired:
         blocks, bound = propagator_grid(ev.dec, ev.rows, ev.cols, grid)
-        surrogate = np.linalg.det(blocks) ** 2 if reduce is fermion_prob else boson_prob(blocks)
+        surrogate = reduce(blocks)
         slack = _probability_slack(reduce, blocks, bound)
     k, p_k = _certified_argmax(np.clip(surrogate, 0.0, 1.0), slack,
                                lambda keep: exact(grid[keep]))

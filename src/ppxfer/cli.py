@@ -522,8 +522,7 @@ def main(argv=None) -> int:
     except NumericalConsistencyError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (ValueError, KeyError, OSError, json.JSONDecodeError, NoTransferPredicted,
-            ClusterAmbiguityError) as exc:
+    except (ValueError, KeyError, OSError, NoTransferPredicted, ClusterAmbiguityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -660,16 +660,17 @@ def as_propagator(ev, blocks, grid):
 
 
 def surrogate_prob(reduce, blocks):
-    """The window sweep's surrogate: det(M)^2 through LAPACK, or Ryser on M."""
-    p = np.linalg.det(blocks) ** 2 if reduce is fermion_prob else boson_prob(blocks)
-    return np.clip(p, 0.0, 1.0)
+    """The window sweep's surrogate: reduce of the real blocks M, clipped
+    into [0, 1] as `_window_max` clips it."""
+    return np.clip(reduce(blocks), 0.0, 1.0)
 
 
 def test_propagator_grid_stays_within_its_bound():
     # The measured distances stay below half of each bound: here entries
-    # reach at most 0.23 of `bound` and probabilities 0.07 of their slack
-    # (0.45 and 0.03 on the benchmark's seed-1 peak windows, the entries'
-    # worst at n_s = 4 near t = 3.8e5).
+    # reach at most 0.19 of `bound` and probabilities 0.020 of their slack
+    # for fermions and 0.0044 for bosons (0.45, 0.0079 and 0.028 on the
+    # benchmark's seed-1 peak windows, the entries' worst at n_s = 4 near
+    # t = 3.8e5).
     worst_entry = worst_prob = 0.0
     for ev, grid in bound_cases():
         blocks, bound = propagator_grid(ev.dec, ev.rows, ev.cols, grid)

@@ -32,6 +32,7 @@ import contextlib
 import hashlib
 import io
 
+import numpy as np
 import pytest
 
 from ppxfer import ChainSpec, find_transfer_peak
@@ -114,13 +115,28 @@ STDOUT_SHA256 = {
 EXIT_CODES = {"validate --asymmetry 0.01": EXIT_FAIL}  # every other run exits EXIT_OK
 
 
-@pytest.mark.parametrize("chain", sorted(PEAKS), ids=lambda c: f"{c[0]}-{c[1]}")
-def test_peak_reports_keep_their_bits(chain):
+def peak_bits(chain):
     n_s, n_w = chain
     report = find_transfer_peak(ChainSpec(n_s=n_s, n_w=n_w, j0=0.01))
-    got = tuple(float(x).hex() for x in (report.t_fermion, report.p_fermion,
-                                          report.t_boson, report.p_boson))
-    assert got == PEAKS[chain]
+    return tuple(float(x).hex() for x in (report.t_fermion, report.p_fermion,
+                                           report.t_boson, report.p_boson))
+
+
+@pytest.mark.parametrize("chain", sorted(PEAKS), ids=lambda c: f"{c[0]}-{c[1]}")
+def test_peak_reports_keep_their_bits(chain):
+    assert peak_bits(chain) == PEAKS[chain]
+
+
+@pytest.mark.parametrize("chain", [(2, 41), (4, 81)], ids=lambda c: f"{c[0]}-{c[1]}")
+def test_peak_search_calls_no_lapack(monkeypatch, chain):
+    """The peak path (its QL, window sweeps and polish) keeps its pinned
+    bits with LAPACK's determinant and eigensolver unavailable."""
+    def unavailable(*args, **kwargs):
+        raise AssertionError("the peak path called LAPACK")
+
+    for name in ("det", "eigh"):
+        monkeypatch.setattr(np.linalg, name, unavailable)
+    assert peak_bits(chain) == PEAKS[chain]
 
 
 @pytest.mark.parametrize("command", sorted(STDOUT_SHA256))

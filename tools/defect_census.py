@@ -58,6 +58,11 @@ DEFECTS = {
         "        slack = 0.0",
         "tests/test_amplitudes.py::"
         "test_window_max_stays_exact_when_the_surrogate_uses_its_whole_bound"),
+    "surrogate-permanent": (
+        AMPLITUDES,
+        "        surrogate = reduce(blocks)",
+        "        surrogate = boson_prob(blocks)",
+        "tests/test_amplitudes.py::test_window_max_is_an_exact_sweep"),
     "bound-without-P": (
         AMPLITUDES,
         "    unpaired = (0.5 * np.max(np.sum(np.abs(products - parity * products[..., ::-1]), "
