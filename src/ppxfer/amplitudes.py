@@ -49,7 +49,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import ChainSpec, NumericalConsistencyError, _site, _size, _times
+from .chain import ChainSpec, NumericalConsistencyError, _finite_reals, _site, _size, _times
 from .spectral import SpectralDecomposition, decompose_chain
 from . import perturbation
 
@@ -444,14 +444,16 @@ def _abs_squared(re: np.ndarray, im: np.ndarray) -> np.ndarray:
 
 
 def fermion_prob(sub):
-    """|det|^2 via complex LU with partial pivoting.
+    """|det|^2 via LU with partial pivoting.
 
     Takes one (n, n) block (returns a float) or a (T, n, n) stack (returns
     a (T,) array); the stack is eliminated in lockstep, each block with its
-    own pivots and the rounding of a single block.  A real input is
-    eliminated as its complex cast.
+    own pivots and the rounding of a single block.  A real input stays
+    real.  Its last bits may differ from its complex cast's: numpy divides
+    by a complex pivot with a zero imaginary part as a product with its
+    reciprocal, two roundings where the real quotient has one.
     """
-    a = _square_stack(sub, DET_DIM_CAP, "determinant").astype(complex, copy=False)
+    a = _square_stack(sub, DET_DIM_CAP, "determinant")
     count, n = len(a), a.shape[-1]
     # the real and imaginary parts of det, multiplied out pivot by pivot
     # with every real product rounded on its own, as the scalar complex
@@ -571,10 +573,9 @@ def _checked_prob(p):
 
 def _checked_grid(t_grid) -> np.ndarray:
     """An explicit time grid as a float array; raise unless it is non-empty,
-    1-D, finite and strictly increasing."""
-    t_grid = np.asarray(t_grid, dtype=float)
-    if (t_grid.ndim != 1 or not len(t_grid) or not np.all(np.isfinite(t_grid))
-            or np.any(np.diff(t_grid) <= 0)):
+    1-D, of finite reals and strictly increasing."""
+    t_grid = _finite_reals(t_grid)
+    if t_grid is None or t_grid.ndim != 1 or not len(t_grid) or np.any(np.diff(t_grid) <= 0):
         raise ValueError("time grid must be non-empty, one-dimensional, finite and "
                          "strictly increasing")
     return t_grid
@@ -685,14 +686,15 @@ def _probability_slack(reduce, blocks: np.ndarray, bound: float) -> np.ndarray:
       |x - y| <= c e sum_i prod_{l != i} rho_l, with c = sqrt(n) for det
       and n for perm, while |det| <= prod rho (Hadamard) and
       |perm| <= prod rho (1-norms, expanded term by term).
-    - LU.  `fermion_prob`'s complex partial pivoting (a real input is
-      eliminated as its complex cast) computes the LU of A + dA with
-      |dA| <= gamma_{16n} |L||U| (Higham Thm 9.3, with 16u per complex
-      multiply, Smith division or subtraction), |L| <= 1 and
+    - LU.  `fermion_prob`'s partial pivoting computes the LU of A + dA
+      with |dA| <= gamma_{16n} |L||U| (Higham Thm 9.3, with 16u per
+      complex multiply, Smith division or subtraction), |L| <= 1 and
       |U_kc| <= 2^k max|A|, so each side adds at most gamma_{16n} G to
       every entry, G = 2^n (max|blocks| + e): e grows by twice that
       before the step above.  The product of the pivots, `hypot` and the
-      square then add a relative 6(n+1)u to |det|^2 on each side.
+      square then add a relative 6(n+1)u to |det|^2 on each side.  Real
+      arithmetic (the surrogate side) is a special case of the complex
+      one.
     - Ryser.  Each row sum w_r is updated 2^n times (u |w_r| each, with
       |w_r| <= rho_r), the n-fold product adds sqrt(2) gamma_2 per factor
       and the signed sum of 2^n terms sqrt(2) gamma_{2^n}: the computed

@@ -56,14 +56,28 @@ def _site(value, n: int, name: str = "site") -> int:
     raise ValueError(f"{name} must lie in 1..{n}, got {value!r}")
 
 
+def _finite_reals(values) -> np.ndarray | None:
+    """A scalar or array of real numbers as a float array, with the bits of
+    np.asarray(values, dtype=float); None unless every entry is a finite
+    real number.  Bools, strings, bytes and complex values are refused, as
+    `_real` refuses them."""
+    array = values if isinstance(values, np.ndarray) else np.array(values, dtype=object)
+    kinds = set(map(type, array.flat)) if array.dtype == object else {array.dtype.type}
+    if not all(issubclass(kind, numbers.Real) and not issubclass(kind, bool) for kind in kinds):
+        return None
+    array = np.asarray(array, dtype=float)
+    return array if np.isfinite(array).all() else None
+
+
 def _times(t) -> tuple[np.ndarray, bool]:
     """A time argument as a 1-D float array, and whether it was a scalar.
 
-    The one time-axis contract of the public API: a finite scalar gives a
-    float or one row, a non-empty finite 1-D array one row per time (row k
-    the bits of the scalar call at t[k]); anything else is refused."""
-    times = np.asarray(t, dtype=float)
-    if times.ndim > 1 or not times.size or not np.all(np.isfinite(times)):
+    The one time-axis contract of the public API: a finite real scalar
+    gives a float or one row, a non-empty 1-D array of them one row per
+    time (row k the bits of the scalar call at t[k]); anything else is
+    refused."""
+    times = _finite_reals(t)
+    if times is None or times.ndim > 1 or not times.size:
         raise ValueError("times must be finite: a scalar or a non-empty 1-D array")
     return times.reshape(-1), times.ndim == 0
 
@@ -145,18 +159,18 @@ class ChainSpec:
 @dataclass(frozen=True, eq=False)
 class CouplingProfile:
     """Physical couplings J_i (length N-1) and on-site energies (length N),
-    all finite: twice the off-diagonal and the diagonal of the chain matrix."""
+    all finite reals: twice the off-diagonal and the diagonal of the chain
+    matrix."""
 
     hop: np.ndarray
     onsite: np.ndarray
 
     def __post_init__(self):
-        hop = np.asarray(self.hop, dtype=float)
-        onsite = np.asarray(self.onsite, dtype=float)
+        hop, onsite = _finite_reals(self.hop), _finite_reals(self.onsite)
+        if hop is None or onsite is None:
+            raise ValueError("profile hoppings and on-site energies must be finite")
         if hop.ndim != 1 or onsite.ndim != 1 or len(onsite) != len(hop) + 1:
             raise ValueError("profile needs N-1 hoppings and N on-site energies")
-        if not (np.all(np.isfinite(hop)) and np.all(np.isfinite(onsite))):
-            raise ValueError("profile hoppings and on-site energies must be finite")
         object.__setattr__(self, "hop", hop)
         object.__setattr__(self, "onsite", onsite)
 

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -256,27 +257,29 @@ def test_stacked_probabilities_match_brute_force_and_single_blocks():
     # Stacks mix blocks that need row swaps (a zero leading entry), exactly
     # singular blocks (a zero row, two equal columns) and regular ones; each
     # entry must equal the brute-force value and, bitwise, the same block
-    # evaluated on its own.
+    # evaluated on its own.  Each complex stack's real part is reduced too,
+    # in real arithmetic.
     rng = np.random.default_rng(17)
     for n in (1, 2, 3, 4, 5):
-        stack = 0.4 * (rng.normal(size=(24, n, n)) + 1j * rng.normal(size=(24, n, n)))
-        stack[::3, 0, 0] = 0.0
-        stack[1::6, n - 1, :] = 0.0  # elimination meets an exactly zero pivot
+        mixed = 0.4 * (rng.normal(size=(24, n, n)) + 1j * rng.normal(size=(24, n, n)))
+        mixed[::3, 0, 0] = 0.0
+        mixed[1::6, n - 1, :] = 0.0  # elimination meets an exactly zero pivot
         if n > 1:
-            stack[2::6, :, 1] = stack[2::6, :, 0]
-        p_f = fermion_prob(stack)
-        p_b = boson_prob(stack)
-        assert p_f.shape == p_b.shape == (24,)
-        for k, m in enumerate(stack):
-            assert p_f[k] == pytest.approx(abs(brute_force_determinant(m)) ** 2,
-                                           rel=1e-10, abs=1e-14)
-            assert p_b[k] == pytest.approx(abs(brute_force_permanent(m)) ** 2,
-                                           rel=1e-10, abs=1e-14)
-            assert p_f[k] == fermion_prob(m)
-            assert p_b[k] == boson_prob(m)
-        assert np.all(p_f[1::6] == 0.0)
-        if n > 1:
-            assert np.all(p_f[2::6] < 1e-28)
+            mixed[2::6, :, 1] = mixed[2::6, :, 0]
+        for stack in (mixed, mixed.real.copy()):
+            p_f = fermion_prob(stack)
+            p_b = boson_prob(stack)
+            assert p_f.shape == p_b.shape == (24,)
+            for k, m in enumerate(stack):
+                assert p_f[k] == pytest.approx(abs(brute_force_determinant(m)) ** 2,
+                                               rel=1e-10, abs=1e-14)
+                assert p_b[k] == pytest.approx(abs(brute_force_permanent(m)) ** 2,
+                                               rel=1e-10, abs=1e-14)
+                assert p_f[k] == fermion_prob(m)
+                assert p_b[k] == boson_prob(m)
+            assert np.all(p_f[1::6] == 0.0)
+            if n > 1:
+                assert np.all(p_f[2::6] < 1e-28)
 
 
 def test_boson_prob_rejects_non_square_and_oversized():
@@ -687,17 +690,32 @@ def test_propagator_grid_stays_within_its_bound():
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
-def test_real_stacks_reduce_to_the_bytes_of_their_complex_cast(n):
+def test_real_boson_stacks_reduce_to_the_bytes_of_their_complex_cast(n):
+    # fermion_prob is left out on purpose: its real quotients round once,
+    # its complex cast's twice (see its docstring)
     rng = np.random.default_rng(n)
     stack = rng.normal(size=(200, n, n))
     stack[::5, :, 0] = 0.0                      # a zero column
     if n > 1:
         stack[1::5, -1] = 3.0 * stack[1::5, 0]  # two parallel rows
-    for reduce in (fermion_prob, boson_prob):
-        real = reduce(stack)
-        assert real.tobytes() == reduce(stack.astype(complex)).tobytes()
-        assert reduce(stack[3]) == reduce(stack[3].astype(complex))
+    assert boson_prob(stack).tobytes() == boson_prob(stack.astype(complex)).tobytes()
+    assert boson_prob(stack[3]) == boson_prob(stack[3].astype(complex))
     assert np.all(fermion_prob(stack[::5]) == 0.0)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_fermion_prob_eliminates_a_real_stack_without_a_complex_copy(n):
+    # the window sweep's surrogate reduces (1280, n, n) real stacks; a
+    # complex copy alone would take twice the stack's bytes, and the
+    # elimination peaked at 4.9-5.8 times them with one
+    stack = np.random.default_rng(n).normal(size=(1280, n, n))
+    tracemalloc.start()
+    try:
+        fermion_prob(stack)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * stack.nbytes
 
 
 def test_propagator_grid_chunks_like_one_product(monkeypatch):

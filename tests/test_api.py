@@ -171,7 +171,8 @@ def test_every_time_argument_takes_a_scalar_or_a_1d_array(label, func, time_name
     bad = times.copy()
     bad[data.draw(st.integers(0, length - 1), "bad")] = data.draw(
         st.sampled_from([np.nan, np.inf, -np.inf]), "non-finite")
-    for t in (times.reshape(1, -1), times.reshape(-1, 1), [], np.nan, np.inf, -np.inf, bad):
+    for t in (times.reshape(1, -1), times.reshape(-1, 1), [], np.nan, np.inf, -np.inf, bad,
+              True, "1.5", times.astype(complex)):
         with pytest.raises(ValueError, match="times must be finite"):
             call_with_time(func, time_name, spec, dec, t)
 

@@ -126,6 +126,9 @@ def test_profile_shape_validation():
 BAD_PROFILES = {
     **{f"hop-{bad}": ([1.0, bad], [0.0, 0.0, 0.0]) for bad in (math.nan, math.inf, -math.inf)},
     **{f"onsite-{bad}": ([1.0], [bad, 0.0]) for bad in (math.nan, math.inf, -math.inf)},
+    "hop-bool": ([1.0, True], [0.0, 0.0, 0.0]),
+    "hop-complex": (np.array([1.0, 0.5], dtype=complex), [0.0, 0.0, 0.0]),
+    "onsite-string": ([1.0], ["0.5", 0.0]),
     "too-few-onsite": ([1.0, 1.0], [0.0, 0.0]),
     "too-many-onsite": ([1.0], [0.0, 0.0, 0.0]),
 }

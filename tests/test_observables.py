@@ -437,8 +437,8 @@ def test_battery_warns_when_field_is_weak():
 
 
 @pytest.mark.parametrize("grid", [[0.0, 1.0, np.inf], [0.0, np.nan, 2.0], [0.0, 2.0, 1.0],
-                                  [0.0, 1.0, 1.0], [[0.0, 1.0]], []],
-                         ids=["inf", "nan", "unordered", "repeated", "2-d", "empty"])
+                                  [0.0, 1.0, 1.0], [[0.0, 1.0]], [], ["0", "1.5"]],
+                         ids=["inf", "nan", "unordered", "repeated", "2-d", "empty", "string"])
 def test_battery_rejects_bad_grids(grid):
     with pytest.raises(ValueError, match="time grid"):
         battery_metrics(ChainSpec(n_s=2, n_w=4, j0=0.01, h=2.0), grid)

@@ -63,6 +63,12 @@ DEFECTS = {
         "        surrogate = reduce(blocks)",
         "        surrogate = boson_prob(blocks)",
         "tests/test_amplitudes.py::test_window_max_is_an_exact_sweep"),
+    "fermion-complex-cast": (
+        AMPLITUDES,
+        '    a = _square_stack(sub, DET_DIM_CAP, "determinant")',
+        '    a = _square_stack(sub, DET_DIM_CAP, "determinant").astype(complex, copy=False)',
+        "tests/test_amplitudes.py::"
+        "test_fermion_prob_eliminates_a_real_stack_without_a_complex_copy"),
     "bound-without-P": (
         AMPLITUDES,
         "    unpaired = (0.5 * np.max(np.sum(np.abs(products - parity * products[..., ::-1]), "
